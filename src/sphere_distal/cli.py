@@ -123,9 +123,12 @@ def _parse_angle(text: str) -> float:
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        return np.array([float(part) for part in text.split(",")], dtype=float)
+        v = np.array([float(part) for part in text.split(",")], dtype=float)
+        if not np.all(np.isfinite(v)):
+            raise ValueError("entries must be finite")
     except ValueError as exc:
         raise SpecParseError(f"bad vector {text!r}: {exc}") from exc
+    return v
 
 
 def _resolve_matrix(args) -> np.ndarray:

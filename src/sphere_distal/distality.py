@@ -13,11 +13,11 @@ in its certificate.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULT_CONFIG, Config
 from .errors import (
@@ -31,6 +31,7 @@ from .linalg import (
     as_matrix,
     contraction_subspace,
     determinant,
+    invariant_subspace,
     matrix_inverse,
     normalize_to_unimodular,
     operator_norm,
@@ -117,12 +118,61 @@ class SemigroupSpec:
     rng_seed: int | None = None
 
 
+# --- orbit-pair kernel ----------------------------------------------------------
+
+# steps a projective map advances per block, with one batched matmul and one norm
+PAIR_BLOCK = 64
+
+
+def _pair_blocks(m: AffineSphereMap, P: np.ndarray):
+    """Endless stacks (k, n, d) holding the next k iterates of the rows of P.
+
+    A projective map advances k = PAIR_BLOCK steps at once through its powers
+    T^1..T^k, each divided by its largest absolute entry so nothing overflows;
+    an affine map advances one step.  Blocks walked again from P are bit-identical.
+    """
+    W = m.matrix[None]
+    if m.regime is Regime.PROJECTIVE:
+        W = W / np.max(np.abs(W))
+        while len(W) < PAIR_BLOCK:  # T^(n+j) = T^j T^n
+            W = np.concatenate([W, W[: PAIR_BLOCK - len(W)] @ W[-1]])
+            W = W / np.max(np.abs(W), axis=(1, 2), keepdims=True)
+    stacked = replace(m, matrix=W)
+    while True:
+        P = apply_many(stacked, P)
+        yield P
+        P = P[-1]
+
+
+def _separations(m: AffineSphereMap, X, Y, steps: int):
+    """Yield (first, S) over steps 1..steps: S[k, j] is |X_j - Y_j| after first + k steps."""
+    X, Y = np.atleast_2d(X), np.atleast_2d(Y)
+    blocks = _pair_blocks(m, np.concatenate([X, Y]).astype(float))
+    done = 0
+    while done < steps:
+        Q = next(blocks)[: steps - done]
+        yield done + 1, np.linalg.norm(Q[:, : len(X)] - Q[:, len(X) :], axis=-1)
+        done += len(Q)
+
+
+def _first_proximal(m: AffineSphereMap, X0, Y0, iterations: int, eps: float):
+    """The pair (X0[j], Y0[j]) that first comes closer than eps, or None; among
+    simultaneous hits the lexicographically smallest (x, y) wins."""
+    sep0 = np.linalg.norm(X0 - Y0, axis=1)
+    for first, S in _separations(m, X0, Y0, iterations):
+        rows = np.flatnonzero((S < eps).any(axis=1))
+        if rows.size:
+            k = int(rows[0])
+            j = min(np.flatnonzero(S[k] < eps), key=lambda i: (tuple(X0[i]), tuple(Y0[i])))
+            return ProximalPair(X0[j].copy(), Y0[j].copy(), first + k, float(sep0[j]), float(S[k, j]))
+    return None
+
+
 # --- orbit oracle -----------------------------------------------------------
 
 
 def _sample_far_pairs(rng, d: int, samples: int, delta: float):
-    X = np.empty((samples, d))
-    Y = np.empty((samples, d))
+    X, Y = np.empty((2, samples, d))
     for j in range(samples):
         x = unit_vector(rng.standard_normal(d))
         for _ in range(1000):
@@ -167,36 +217,7 @@ def proximal_pair_search(
 
     rng = np.random.default_rng(seed)
     X0, Y0 = _sample_far_pairs(rng, m.dim, samples, delta)
-    sep0 = np.linalg.norm(X0 - Y0, axis=1)
-    X, Y = X0, Y0
-    for step in range(1, iterations + 1):
-        X = apply_many(m, X)
-        Y = apply_many(m, Y)
-        sep = np.linalg.norm(X - Y, axis=1)
-        hits = np.flatnonzero(sep < eps)
-        if hits.size:
-            j = min(hits, key=lambda k: (tuple(X0[k]), tuple(Y0[k])))
-            return ProximalPair(
-                x=X0[j].copy(),
-                y=Y0[j].copy(),
-                steps=step,
-                separation_initial=float(sep0[j]),
-                separation_final=float(sep[j]),
-            )
-    return None
-
-
-def _iterate_pair(m: AffineSphereMap, x, y, steps: int):
-    """Track the separation minimum of one pair; returns (argmin, sep_min, sep0)."""
-    P = np.stack([np.asarray(x, float), np.asarray(y, float)])
-    sep0 = float(np.linalg.norm(P[0] - P[1]))
-    best_step, best_sep = 0, sep0
-    for step in range(1, steps + 1):
-        P = apply_many(m, P)
-        sep = float(np.linalg.norm(P[0] - P[1]))
-        if sep < best_sep:
-            best_step, best_sep = step, sep
-    return best_step, best_sep, sep0
+    return _first_proximal(m, X0, Y0, iterations, eps)
 
 
 # --- single-matrix classifier ------------------------------------------------
@@ -208,16 +229,14 @@ def _jordan_collapse_pair(U: np.ndarray, lam: float, config: Config):
     eigen-direction side."""
     d = U.shape[0]
     gap = config.cluster_tol * max(operator_norm(U), 1.0)
-
-    def near(re, im):
-        return np.hypot(re - lam, im) <= 10.0 * gap
-
-    _, Z, sdim = scipy.linalg.schur(U, output="real", sort=near)
-    k = max(sdim, 1)
+    cluster = invariant_subspace(U, lambda mu: abs(mu - lam) <= 10.0 * gap)
+    # an orthonormal frame whose leading columns span the cluster
+    Z = np.linalg.qr(np.hstack([cluster, np.eye(d)]))[0]
+    k = max(cluster.shape[1], 1)
     B = Z[:, :k]
     M = B.T @ (U - lam * np.eye(d)) @ B
     # descend the Jordan chain inside the cluster block
-    w = scipy.linalg.svd(M)[2][0]
+    w = np.linalg.svd(M)[2][0]
     chain = [w]
     for _ in range(k):
         nxt = M @ chain[-1]
@@ -274,8 +293,13 @@ def classify_projective_distality(T, config: Config = DEFAULT_CONFIG) -> Distali
 
     def measured_pair(x, y):
         m = AffineSphereMap.create(T, config=config)
-        steps, sep_min, sep0 = _iterate_pair(m, x, y, config.oracle.iterations)
-        return ProximalPair(x, y, steps, sep0, sep_min)
+        sep0 = float(np.linalg.norm(x - y))
+        best = ProximalPair(x, y, 0, sep0, sep0)
+        for first, S in _separations(m, x, y, config.oracle.iterations):
+            k = int(np.argmin(S[:, 0]))
+            if S[k, 0] < best.separation_final:  # earliest minimum over the whole budget
+                best = replace(best, steps=first + k, separation_final=float(S[k, 0]))
+        return best
 
     if all(abs(mod - 1.0) <= config.spectral_tol for mod in moduli):
         if summary.semisimple is True:
@@ -359,10 +383,7 @@ def _enumerate_words(units: list, max_len: int, rng, n_random: int):
 
 def _word_matrix(generators, word, config: Config) -> np.ndarray:
     units = [normalize_to_unimodular(as_matrix(G), config).unit for G in generators]
-    M = units[word[0]]
-    for idx in word[1:]:
-        M = M @ units[idx]
-    return M
+    return functools.reduce(np.matmul, [units[i] for i in word])
 
 
 def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFIG) -> DistalityVerdict:
@@ -427,10 +448,7 @@ def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFI
         picks = rng.choice(len(collected), size=extra, replace=False)
         oracle_words += [collected[int(p)] for p in sorted(picks)]
     for word in oracle_words[:n_oracle]:
-        M = units[word[0]]
-        for idx in word[1:]:
-            M = M @ units[idx]
-        m = AffineSphereMap.create(M, config=config)
+        m = AffineSphereMap.create(functools.reduce(np.matmul, [units[i] for i in word]), config=config)
         pair = proximal_pair_search(m, seed=seed, config=config)
         if pair is not None:
             cert = replace(pair, word=word)
@@ -462,7 +480,8 @@ def replay_certificate(
 ) -> bool:
     """Re-run a NotDistal certificate and confirm its claim within 10%.
 
-    Proximal pairs are replayed against the generating map (explicit
+    Proximal pairs must claim a step and an approach, and are replayed
+    against the generating map (explicit
     ``map``, a single ``matrix``, or a generator ``word`` resolved over
     ``generators``); unbounded words recompute the word norm.  Positive
     certificates have nothing to falsify and return True.
@@ -473,6 +492,8 @@ def replay_certificate(
         norm = operator_norm(_word_matrix(generators, cert.word, config))
         return abs(norm - cert.norm) <= tolerance * cert.norm and norm > cert.bound
     if isinstance(cert, ProximalPair):
+        if cert.steps < 1 or not cert.separation_final < cert.separation_initial:
+            return False  # a pair that never got closer certifies nothing
         if map is None:
             if cert.word is not None and generators is not None:
                 map = AffineSphereMap.create(_word_matrix(generators, cert.word, config), config=config)
@@ -480,10 +501,8 @@ def replay_certificate(
                 map = AffineSphereMap.create(as_matrix(matrix), config=config)
             else:
                 raise ValueError("replaying a proximal pair needs a map, matrix, or word")
-        P = np.stack([cert.x, cert.y])
-        for _ in range(cert.steps):
-            P = apply_many(map, P)
-        sep = float(np.linalg.norm(P[0] - P[1]))
+        for _, S in _separations(map, cert.x, cert.y, cert.steps):
+            sep = float(S[-1, 0])
         floor = max(cert.separation_final, 1e-15)
         return abs(sep - cert.separation_final) <= tolerance * floor
     return True

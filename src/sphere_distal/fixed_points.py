@@ -12,13 +12,13 @@ crosses one and bisects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, Config
-from .distality import ProximalPair
+from .distality import _first_proximal
 from .errors import (
     DimensionMismatch,
     DimensionUnsupported,
@@ -50,7 +50,6 @@ from .sphere import (
     Regime,
     affine_is_homeomorphism,
     apply_affine,
-    apply_many,
     unit_vector,
 )
 
@@ -472,34 +471,17 @@ def choose_nondistal_witness(T, config: Config = DEFAULT_CONFIG):
 # --- even-sphere isometry witness -------------------------------------------------
 
 
-def _circle_pair_search(
-    m: AffineSphereMap,
-    plane: np.ndarray,
-    seed: int,
-    samples: int,
-    iterations: int,
-    eps: float,
-    delta: float,
-):
-    """Proximal-pair search with both points confined to an invariant circle."""
-    rng = np.random.default_rng(seed)
-    min_angle = 2.0 * math.asin(delta / 2.0)
-    psi_x = rng.uniform(0.0, 2.0 * math.pi, samples)
-    psi_y = psi_x + rng.uniform(min_angle, 2.0 * math.pi - min_angle, samples)
+def _circle_pair_search(m: AffineSphereMap, plane: np.ndarray, iterations: int, config: Config):
+    """Proximal-pair search with both points confined to the invariant circle
+    spanned by ``plane``: 16 sampled pairs, hits below ``recurrence_eps``."""
+    rng = np.random.default_rng(config.rng_seed)
+    min_angle = 2.0 * math.asin(config.oracle.delta / 2.0)
+    psi_x = rng.uniform(0.0, 2.0 * math.pi, 16)
+    psi_y = psi_x + rng.uniform(min_angle, 2.0 * math.pi - min_angle, 16)
     e1, e2 = plane[:, 0], plane[:, 1]
     X0 = np.cos(psi_x)[:, None] * e1 + np.sin(psi_x)[:, None] * e2
     Y0 = np.cos(psi_y)[:, None] * e1 + np.sin(psi_y)[:, None] * e2
-    sep0 = np.linalg.norm(X0 - Y0, axis=1)
-    X, Y = X0, Y0
-    for step in range(1, iterations + 1):
-        X = apply_many(m, X)
-        Y = apply_many(m, Y)
-        sep = np.linalg.norm(X - Y, axis=1)
-        hits = np.flatnonzero(sep < eps)
-        if hits.size:
-            j = min(hits, key=lambda k: (tuple(X0[k]), tuple(Y0[k])))
-            return X0[j].copy(), Y0[j].copy(), step, float(sep0[j]), float(sep[j])
-    return None
+    return _first_proximal(m, X0, Y0, iterations, config.recurrence_eps)
 
 
 def _recurrence_times(phi: float, config: Config) -> tuple:
@@ -534,10 +516,7 @@ def isometry_even_sphere_witness(T, config: Config = DEFAULT_CONFIG):
     if not is_orthogonal(T, config.classify_tol):
         raise NotOrthogonal("witness construction needs an isometry")
 
-    samples = 16
     iterations = max(config.oracle.iterations, 4000)
-    eps = config.recurrence_eps
-    delta = config.oracle.delta
 
     symmetric_defect = float(np.max(np.abs(T - T.T)))
     if symmetric_defect <= config.classify_tol:
@@ -548,12 +527,10 @@ def isometry_even_sphere_witness(T, config: Config = DEFAULT_CONFIG):
         a_plane, _ = choose_nondistal_witness(T_plane, config)
         a = plane @ a_plane
         m_full = AffineSphereMap.create(T, a, config)
-        found = _circle_pair_search(m_full, plane, config.rng_seed, samples, iterations, eps, delta)
+        found = _circle_pair_search(m_full, plane, iterations, config)
         if found is None:
             raise SphereDistalError("invariant-plane pair search exhausted its budget")
-        x, y, steps, sep0, sep_end = found
-        pair = ProximalPair(x, y, steps, sep0, sep_end, recurrence_times=())
-        return a, pair
+        return a, replace(found, recurrence_times=())
 
     # exactly one real eigenvalue: its sign is the determinant
     sigma = 1.0 if determinant(T) > 0.0 else -1.0
@@ -569,10 +546,9 @@ def isometry_even_sphere_witness(T, config: Config = DEFAULT_CONFIG):
     plane = np.column_stack([axis, b])
 
     m_axis = AffineSphereMap.create(D, a, config)
-    found = _circle_pair_search(m_axis, plane, config.rng_seed, samples, iterations, eps, delta)
+    found = _circle_pair_search(m_axis, plane, iterations, config)
     if found is None:
         raise SphereDistalError("axis-circle pair search exhausted its budget")
-    x, y, _, _, _ = found
 
     cos_phi = max(-1.0, min(1.0, (float(np.trace(U)) - 1.0) / 2.0))
     times = _recurrence_times(math.acos(cos_phi), config)
@@ -580,17 +556,7 @@ def isometry_even_sphere_witness(T, config: Config = DEFAULT_CONFIG):
     # verify against the full map; the U factor is an isometry, so the
     # separations match the D-only search
     m_full = AffineSphereMap.create(T, a, config)
-    P = np.stack([x, y])
-    sep0 = float(np.linalg.norm(P[0] - P[1]))
-    best_step, best_sep = 0, sep0
-    for step in range(1, iterations + 1):
-        P = apply_many(m_full, P)
-        sep = float(np.linalg.norm(P[0] - P[1]))
-        if sep < best_sep:
-            best_step, best_sep = step, sep
-        if sep < eps:
-            break
-    if best_sep >= eps:
+    pair = _first_proximal(m_full, found.x[None], found.y[None], iterations, config.recurrence_eps)
+    if pair is None:
         raise SphereDistalError("even-sphere witness failed verification")
-    pair = ProximalPair(x, y, best_step, sep0, best_sep, recurrence_times=times)
-    return a, pair
+    return a, replace(pair, recurrence_times=times)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULT_CONFIG, Config
 from .errors import (
@@ -435,25 +434,35 @@ def spectral_summary(T, config: Config = DEFAULT_CONFIG) -> SpectralSummary:
     return SpectralSummary(eigs, semisimple, defective)
 
 
+def invariant_subspace(T: np.ndarray, keep) -> np.ndarray:
+    """(d, k) orthonormal basis of the invariant subspace of the k eigenvalues
+    ``keep`` accepts (a predicate that treats conjugates alike): the top-k
+    left singular vectors of the product of (T - mu) over the rejected mu,
+    a conjugate pair entering as one real quadratic factor."""
+    P = eye = np.eye(T.shape[0])
+    kept = 0
+    for mu in np.linalg.eigvals(T):
+        if keep(mu):
+            kept += 1
+        elif mu.imag > 0.0:
+            P = P @ (T @ T - 2.0 * mu.real * T + abs(mu) ** 2 * eye)
+        elif mu.imag == 0.0:
+            P = P @ (T - mu.real * eye)
+    return np.linalg.svd(P)[0][:, :kept].copy()
+
+
 def contraction_subspace(T, config: Config = DEFAULT_CONFIG) -> np.ndarray:
     """Orthonormal basis of the span of generalized eigenspaces with |lam| < 1.
 
-    Returned as a (d, k) array, k possibly zero.  Uses an ordered real
-    Schur form: the leading Schur vectors span the invariant subspace for
-    the eigenvalues inside the unit disk (strictly, below 1 - spectral
-    tolerance).
+    Returned as a (d, k) array, k possibly zero, for any dimension d; the
+    eigenvalues counted are those below 1 - spectral tolerance in modulus.
     """
     T = as_matrix(T)
     det = determinant(T)
     if abs(det) <= config.singular_tol:
         raise SingularMatrix(f"|det| = {abs(det):.3e} below tolerance")
     cutoff = 1.0 - config.spectral_tol
-
-    def inside(re, im):
-        return np.hypot(re, im) < cutoff
-
-    _, Z, sdim = scipy.linalg.schur(T, output="real", sort=inside)
-    return Z[:, :sdim].copy()
+    return invariant_subspace(T, lambda mu: abs(mu) < cutoff)
 
 
 def conjugate_to_large_norm(T, beta: float, config: Config = DEFAULT_CONFIG) -> np.ndarray:

@@ -47,7 +47,7 @@ def as_sphere_point(x, d: int | None = None, config: Config = DEFAULT_CONFIG) ->
     if d is not None and x.shape[0] != d:
         raise DimensionMismatch(f"expected a point in dimension {d}, got {x.shape[0]}")
     n = float(np.linalg.norm(x))
-    if abs(n - 1.0) > config.unit_norm_tol:
+    if not abs(n - 1.0) <= config.unit_norm_tol:  # NaN or inf entries fail too
         raise ValueError(f"|norm - 1| = {abs(n - 1):.3e} exceeds the unit tolerance")
     return x / n
 
@@ -165,9 +165,12 @@ def apply_affine(m: AffineSphereMap, x, config: Config = DEFAULT_CONFIG) -> np.n
 
 
 def apply_many(m: AffineSphereMap, X: np.ndarray) -> np.ndarray:
-    """Vectorized map application on rows of X (no per-point validation)."""
-    V = X @ m.matrix.T + m.translation
-    return V / np.linalg.norm(V, axis=1, keepdims=True)
+    """Vectorized map application on rows of X (no per-point validation).
+
+    A (k, d, d) stack as ``matrix`` gives the (k, n, d) images under each.
+    """
+    V = X @ np.swapaxes(m.matrix, -1, -2) + m.translation
+    return V / np.linalg.norm(V, axis=-1, keepdims=True)
 
 
 def affine_inverse_image(m: AffineSphereMap, y, config: Config = DEFAULT_CONFIG) -> np.ndarray:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -60,6 +63,24 @@ def test_classify_nonfinite_exit_64(tmp_path, capsys):
     bad.write_text('{"dim": 2, "rows": [[1e999, 0.0], [0.0, 1.0]]}')
     code, _, _ = run_cli(capsys, ["classify", str(bad)])
     assert code == 64
+
+
+def test_nonfinite_vector_flags_exit_64(tmp_path, capsys):
+    path = write_matrix(tmp_path / "shear.json", SHEAR)
+    csv_path = tmp_path / "orbit.csv"
+    code, report, err = run_cli(capsys, ["orbit", path, "--x", "nan,0", "--csv", str(csv_path)])
+    assert code == 64 and report is None and not csv_path.exists()
+    assert "Traceback" not in err
+    code, report, err = run_cli(capsys, ["fixed-point", path, "--a=inf,0"])
+    assert code == 64 and report is None
+    assert "Traceback" not in err
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, sphere_distal, sphere_distal.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_classify_singular_exit_65(tmp_path, capsys):

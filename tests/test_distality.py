@@ -7,7 +7,9 @@ from helpers import random_conjugator
 from sphere_distal import (
     AffineSphereMap,
     BudgetExhausted,
+    Config,
     DimensionMismatch,
+    OracleBudget,
     ProximalPair,
     SemigroupSpec,
     SpectralProof,
@@ -21,7 +23,10 @@ from sphere_distal import (
     rotation,
     semigroup_distality_test,
 )
+from sphere_distal.distality import _pair_blocks, _sample_far_pairs
+from sphere_distal.fixed_points import _circle_pair_search
 from sphere_distal.linalg import matrix_inverse
+from sphere_distal.sphere import apply_many
 
 
 def test_classify_shear_not_distal():
@@ -280,3 +285,82 @@ def test_certificate_replay_tolerance():
 
     forged = dataclasses.replace(cert, separation_final=cert.separation_final * 2.0 + 0.1)
     assert not replay_certificate(forged, matrix=np.diag([3.0, 1.0 / 3.0]))
+
+
+def test_replay_rejects_a_pair_that_never_got_closer():
+    shear = [[1.0, 1.0], [0.0, 1.0]]
+    v = classify_projective_distality(shear, Config(oracle=OracleBudget(iterations=0)))
+    assert v.certificate.steps == 0
+    assert not replay_certificate(v.certificate, matrix=shear)
+    # a rotation keeps every separation: a claim that reproduces but shows no approach
+    x, y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    sep0 = float(np.linalg.norm(x - y))
+    stuck = ProximalPair(x, y, steps=5, separation_initial=sep0, separation_final=sep0)
+    assert not replay_certificate(stuck, matrix=rotation(1.0))
+
+
+# --- orbit-pair kernel ------------------------------------------------------------
+
+
+def _kernel_cases():
+    c, s = math.cos(0.9), math.sin(0.9)
+    Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))
+    return [
+        rotation(1.0),
+        np.array([[1.0, 1.0], [0.0, 1.0]]),
+        np.diag([3.0, 1.0 / 3.0]),
+        np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]),
+        1e3 * Q @ np.diag([2.0, 1.0, 0.5]) @ Q.T,
+    ]
+
+
+def test_pair_blocks_match_step_by_step():
+    rng = np.random.default_rng(11)
+    for T in _kernel_cases():
+        m = AffineSphereMap.create(T)
+        P = rng.standard_normal((2, m.dim))
+        P /= np.linalg.norm(P, axis=1, keepdims=True)
+        blocks = _pair_blocks(m, P)
+        blocked = np.concatenate([next(blocks) for _ in range(2000 // 64 + 1)])[:2000]
+        reference = P
+        for step in range(2000):
+            reference = apply_many(m, reference)
+            assert np.max(np.abs(blocked[step] - reference)) <= 1e-12, (T, step + 1)
+
+
+def test_replay_reproduces_classifier_separation_exactly():
+    for T in _kernel_cases() + [np.diag([2.0, 0.5]), np.array([[1.0, 1e-1], [0.0, 1.0]])]:
+        v = classify_projective_distality(T)
+        if v.verdict is Verdict.NOT_DISTAL:
+            assert replay_certificate(v.certificate, matrix=T, tolerance=0.0)
+
+
+def _naive_first_hit(m, X0, Y0, iterations, eps):
+    """The step-by-step oracle loop: first step with a hit, smallest pair wins."""
+    X, Y = X0, Y0
+    for step in range(1, iterations + 1):
+        X, Y = apply_many(m, X), apply_many(m, Y)
+        hits = np.flatnonzero(np.linalg.norm(X - Y, axis=1) < eps)
+        if hits.size:
+            j = min(hits, key=lambda k: (tuple(X0[k]), tuple(Y0[k])))
+            return X0[j], Y0[j], step
+    return None
+
+
+def test_affine_searches_match_the_naive_loop():
+    m = AffineSphereMap.create(np.diag([2.0, 0.5]), [0.3, 0.2])
+    assert m.regime.value == "homeomorphism"
+    pair = proximal_pair_search(m, samples=32, iterations=4000, eps=1e-4, delta=0.3, seed=1)
+    X0, Y0 = _sample_far_pairs(np.random.default_rng(1), 2, 32, 0.3)
+    x, y, steps = _naive_first_hit(m, X0, Y0, 4000, 1e-4)
+    assert np.array_equal(pair.x, x) and np.array_equal(pair.y, y) and pair.steps == steps
+
+    found = _circle_pair_search(m, np.eye(2), 4000, Config(rng_seed=3))
+    rng = np.random.default_rng(3)
+    psi_x = rng.uniform(0.0, 2.0 * math.pi, 16)
+    min_angle = 2.0 * math.asin(0.3 / 2.0)
+    psi_y = psi_x + rng.uniform(min_angle, 2.0 * math.pi - min_angle, 16)
+    X0 = np.column_stack([np.cos(psi_x), np.sin(psi_x)])
+    Y0 = np.column_stack([np.cos(psi_y), np.sin(psi_y)])
+    x, y, steps = _naive_first_hit(m, X0, Y0, 4000, 1e-3)
+    assert np.array_equal(found.x, x) and np.array_equal(found.y, y) and found.steps == steps

@@ -172,6 +172,21 @@ def test_contraction_subspace_full_space():
         assert np.linalg.norm(v) < 1e-10
 
 
+def test_contraction_subspace_d4():
+    # expanding block (3, 2) on coordinates 0, 2; contracting (0.5, -0.25) on 1, 3
+    T = np.zeros((4, 4))
+    T[np.ix_([0, 2], [0, 2])] = [[3.0, 1.0], [0.0, 2.0]]
+    T[np.ix_([1, 3], [1, 3])] = [[0.5, 1.0], [0.0, -0.25]]
+    basis = contraction_subspace(T)
+    assert basis.shape == (4, 2)
+    assert np.allclose(basis.T @ basis, np.eye(2), atol=1e-12)
+    for k in range(basis.shape[1]):
+        v = basis[:, k]
+        for _ in range(60):
+            v = T @ v
+        assert np.linalg.norm(v) < 1e-10
+
+
 def test_contraction_sum_trivial_iff_unimodular_spectrum():
     rng = np.random.default_rng(7)
     for d in (2, 3):

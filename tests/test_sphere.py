@@ -20,6 +20,7 @@ from sphere_distal import (
     orbit,
     rotation,
 )
+from sphere_distal.sphere import as_sphere_point
 
 
 def test_apply_projective_eigendirection():
@@ -210,3 +211,9 @@ def test_orbit_rejects_bad_regime():
     m = AffineSphereMap.create(np.eye(2), [2.0, 0.0])
     with pytest.raises(InvalidTranslation):
         orbit(m, [1.0, 0.0], 3)
+
+
+@pytest.mark.parametrize("x", [[math.nan, 0.0], [math.nan, 1.0], [math.inf, 0.0]])
+def test_as_sphere_point_rejects_nonfinite(x):
+    with pytest.raises(ValueError):
+        as_sphere_point(x)
