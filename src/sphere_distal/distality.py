@@ -480,11 +480,11 @@ def replay_certificate(
 ) -> bool:
     """Re-run a NotDistal certificate and confirm its claim within 10%.
 
-    Proximal pairs must claim a step and an approach, and are replayed
-    against the generating map (explicit
-    ``map``, a single ``matrix``, or a generator ``word`` resolved over
-    ``generators``); unbounded words recompute the word norm.  Positive
-    certificates have nothing to falsify and return True.
+    Proximal pairs must claim at least one step and an approach; they are
+    replayed against the generating map (explicit ``map``, a single
+    ``matrix``, or a generator ``word`` resolved over ``generators``);
+    unbounded words recompute the word norm.  Positive certificates have
+    nothing to falsify and return True.
     """
     if isinstance(cert, UnboundedWord):
         if generators is None:

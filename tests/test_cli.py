@@ -79,7 +79,9 @@ def test_nonfinite_vector_flags_exit_64(tmp_path, capsys):
 def test_import_does_not_load_scipy():
     code = "import sys, sphere_distal, sphere_distal.cli; print('scipy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
     assert proc.stdout.strip() == "False"
 
 
