@@ -45,6 +45,7 @@ from .fixed_points import (
     FixedPointResult,
     PeriodicPoints2,
     choose_nondistal_witness,
+    find_fixed_point,
     find_fixed_point_complex,
     find_fixed_point_real_positive,
     isometry_even_sphere_witness,

@@ -4,12 +4,15 @@ Exit codes
     0   success (classify/semigroup: Distal)
     1   classify/semigroup: NotDistal
     2   classify/semigroup: Inconclusive
-    3   no covered construction (failed hypothesis, uncovered class,
-        wrong spectrum, non-isometry, unsupported dimension)
-    64  unparsable input (bad JSON, bad flags, bad schema)
+    3   no covered construction (failed hypothesis, a residual above
+        --tol-residual, uncovered class, wrong spectrum, non-isometry,
+        unsupported dimension)
+    64  unparsable input (bad JSON, flags, schema or config values, a
+        point off the sphere, an output path that cannot be written)
     65  singular matrix
     66  invalid translation (zero, degenerate, or non-injective regime)
-    70  unexpected internal failure
+    70  unexpected internal failure, or stdout closed before all output
+        was written
 
 Angles are radians everywhere; values carrying a degree marker are
 rejected outright.
@@ -18,14 +21,14 @@ rejected outright.
 from __future__ import annotations
 
 import argparse
-import math
+import os
 import sys
 import time
 
 import numpy as np
 
 from . import __version__
-from .config import DEFAULT_CONFIG, load_config
+from .config import load_config
 from .distality import (
     Verdict,
     classify_projective_distality,
@@ -49,19 +52,10 @@ from .errors import (
 from .fixed_points import (
     FixedPointResult,
     choose_nondistal_witness,
-    find_fixed_point_complex,
-    find_fixed_point_real_positive,
+    find_fixed_point,
     isometry_even_sphere_witness,
-    minus_id_period2_points,
 )
-from .linalg import (
-    ComplexPair,
-    JordanBlock,
-    determinant,
-    normalize_to_unimodular,
-    real_schur_2x2,
-    rotation,
-)
+from .linalg import rotation
 from .serialize import (
     certificate_to_json,
     dump_json,
@@ -77,9 +71,7 @@ from .serialize import (
 )
 from .sphere import (
     AffineSphereMap,
-    Regime,
     affine_inverse_image,
-    affine_is_homeomorphism,
     apply_affine,
     orbit,
 )
@@ -141,38 +133,50 @@ def _resolve_matrix(args) -> np.ndarray:
     return load_matrix(args.matrix)
 
 
+# global tolerance flags and the Config field each one overrides
+_TOL_FLAGS = (
+    ("--tol-unit-norm", "unit_norm_tol"),
+    ("--tol-spectral", "spectral_tol"),
+    ("--tol-rank", "rank_tol"),
+    ("--tol-residual", "residual_tol"),
+    ("--tol-bisection", "bisection_tol"),
+    ("--tol-singular", "singular_tol"),
+    ("--tol-classify", "classify_tol"),
+)
+
+
 def _apply_overrides(config, args):
-    overrides = {}
-    for name in (
-        "unit_norm_tol",
-        "spectral_tol",
-        "rank_tol",
-        "residual_tol",
-        "bisection_tol",
-        "singular_tol",
-        "classify_tol",
-    ):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
+    overrides = {
+        name: getattr(args, name) for _, name in _TOL_FLAGS if getattr(args, name) is not None
+    }
     if args.seed is not None:
         overrides["rng_seed"] = args.seed
-    return config.replace(**overrides) if overrides else config
+    if not overrides:
+        return config
+    try:
+        return config.replace(**overrides)
+    except ValueError as exc:
+        raise SpecParseError(str(exc)) from exc
+
+
+def _solution_to_json(result) -> dict:
+    if isinstance(result, FixedPointResult):
+        return fixed_point_to_json(result)
+    return periodic_points_to_json(result)
+
+
+def _open_output(path: str):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise SpecParseError(f"cannot write {path}: {exc}") from exc
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="sphere-distal", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="JSON config file (or $SPHERE_DISTAL_CONFIG)")
     parser.add_argument("--seed", type=int, help="random seed override")
-    for flag, dest in (
-        ("--tol-unit-norm", "unit_norm_tol"),
-        ("--tol-spectral", "spectral_tol"),
-        ("--tol-rank", "rank_tol"),
-        ("--tol-residual", "residual_tol"),
-        ("--tol-bisection", "bisection_tol"),
-        ("--tol-singular", "singular_tol"),
-        ("--tol-classify", "classify_tol"),
-    ):
+    for flag, dest in _TOL_FLAGS:
         parser.add_argument(flag, dest=dest, type=float, default=None)
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -211,32 +215,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _dispatch_fixed_point(T, a, config):
-    report = affine_is_homeomorphism(T, a, config)  # raises ZeroTranslation
-    if report.regime is not Regime.HOMEOMORPHISM:
-        raise InvalidTranslation(
-            f"||T^-1 a|| = {report.pullback_norm:.6g}: map is not a homeomorphism"
-        )
-    nm = normalize_to_unimodular(T, config)
-    es = real_schur_2x2(nm.unit, config)
-    if isinstance(es.kind, ComplexPair):
-        return find_fixed_point_complex(T, a, config)
-    positive = (
-        es.kind.eigenvalue > 0.0
-        if isinstance(es.kind, JordanBlock)
-        else es.kind.eig_major > 0.0
-    )
-    if positive:
-        return find_fixed_point_real_positive(T, a, config)
-    if float(np.max(np.abs(nm.unit + np.eye(2)))) <= config.classify_tol:
-        scale = math.sqrt(abs(determinant(T)))
-        return minus_id_period2_points(np.asarray(a, dtype=float) / scale, config)
-    raise OutsideCoveredClasses(
-        "both eigenvalues negative and T is not -Id: no construction for this a; "
-        "try the witness command"
-    )
-
-
 def _run(args, config) -> tuple[int, object]:
     """Execute one subcommand; returns (exit_code, result payload)."""
     if args.command == "classify":
@@ -247,10 +225,7 @@ def _run(args, config) -> tuple[int, object]:
     if args.command == "fixed-point":
         T = _resolve_matrix(args)
         a = _parse_vector(args.a)
-        result = _dispatch_fixed_point(T, a, config)
-        if isinstance(result, FixedPointResult):
-            return EXIT_DISTAL, fixed_point_to_json(result)
-        return EXIT_DISTAL, periodic_points_to_json(result)
+        return EXIT_DISTAL, _solution_to_json(find_fixed_point(T, a, config))
 
     if args.command == "orbit":
         T = _resolve_matrix(args)
@@ -262,15 +237,18 @@ def _run(args, config) -> tuple[int, object]:
             x = np.zeros(d)
             x[0] = 1.0
         m = AffineSphereMap.create(T, a, config)
-        record = orbit(m, x, args.steps, config)
+        try:
+            record = orbit(m, x, args.steps, config)
+        except ValueError as exc:  # negative --steps or a start point off the sphere
+            raise SpecParseError(str(exc)) from exc
         to_stdout = args.csv is None
         if to_stdout:
             orbit_to_csv(record, sys.stdout)
         else:
-            with open(args.csv, "w", encoding="utf-8") as fh:
+            with _open_output(args.csv) as fh:
                 orbit_to_csv(record, fh)
         if args.svg:
-            with open(args.svg, "w", encoding="utf-8") as fh:
+            with _open_output(args.svg) as fh:
                 fh.write(orbit_to_svg(record, proj_axis=args.proj_axis))
         if to_stdout:
             return EXIT_DISTAL, None  # stdout already holds the CSV payload
@@ -293,24 +271,21 @@ def _run(args, config) -> tuple[int, object]:
         T = _resolve_matrix(args)
         if T.shape[0] == 2:
             a, result = choose_nondistal_witness(T, config)
-            body = (
-                fixed_point_to_json(result)
-                if isinstance(result, FixedPointResult)
-                else periodic_points_to_json(result)
-            )
-            return EXIT_DISTAL, {"a": [float(v) for v in a], "result": body}
-        a, pair = isometry_even_sphere_witness(T, config)
-        return EXIT_DISTAL, {
-            "a": [float(v) for v in a],
-            "result": certificate_to_json(pair),
-        }
+            body = _solution_to_json(result)
+        else:
+            a, pair = isometry_even_sphere_witness(T, config)
+            body = certificate_to_json(pair)
+        return EXIT_DISTAL, {"a": [float(v) for v in a], "result": body}
 
     if args.command == "inverse-image":
         T = _resolve_matrix(args)
         a = _parse_vector(args.a)
         y = _parse_vector(args.y)
         m = AffineSphereMap.create(T, a, config)
-        x = affine_inverse_image(m, y, config)
+        try:
+            x = affine_inverse_image(m, y, config)
+        except ValueError as exc:  # a target point off the sphere
+            raise SpecParseError(str(exc)) from exc
         forward = apply_affine(m, x, config)
         return EXIT_DISTAL, {
             "matrix": matrix_to_json(T),
@@ -330,10 +305,11 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         config = _apply_overrides(config, args)
         code, payload = _run(args, config)
-    except _CliUsage as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except SpecParseError as exc:
+        if payload is not None:
+            report = run_report(argv, config, payload, time.perf_counter() - started, __version__)
+            print(dump_json(report))
+        return code
+    except (_CliUsage, SpecParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except SingularMatrix as exc:
@@ -356,11 +332,15 @@ def main(argv=None) -> int:
     except SphereDistalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    wall = time.perf_counter() - started
-    if payload is not None:
-        report = run_report(argv, config, payload, wall, __version__)
-        print(dump_json(report))
-    return code
+    except BrokenPipeError:
+        # the reader closed stdout (say `| head`); point stdout at devnull so
+        # the interpreter's final flush does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed before the output was written", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # the exit code must never read as a verdict
+        print(f"error: internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

@@ -4,12 +4,28 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
 from .errors import SpecParseError
 
 ENV_CONFIG_PATH = "SPHERE_DISTAL_CONFIG"
+
+
+def _check_fields(record) -> None:
+    """Tolerances must be positive and finite, counts non-negative integers."""
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if f.type == "float" and not (
+            isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf
+        ):
+            raise ValueError(f"tolerance {f.name} must be positive and finite")
+        if f.type == "int" and (
+            isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0
+        ):
+            raise ValueError(f"{f.name} must be a non-negative integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -20,6 +36,9 @@ class OracleBudget:
     iterations: int = 2000
     eps: float = 1e-4
     delta: float = 0.3
+
+    def __post_init__(self):
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -34,14 +53,13 @@ class Config:
     unit_norm_tol: float = 1e-9
     spectral_tol: float = 1e-7
     rank_tol: float = 1e-8
-    residual_tol: float = 1e-8
+    residual_tol: float = 1e-8  # post-condition on every returned fixed or period-2 point
     bisection_tol: float = 1e-12
     singular_tol: float = 1e-12
     classify_tol: float = 1e-9  # affine regime bands around pullback norm 1
     cluster_tol: float = 1e-7  # eigenvalue clustering, relative
     coordinate_zero_tol: float = 1e-11  # branch dispatch on canonical coordinates
     spectrum_gap_tol: float = 1e-12  # resolvent parameter vs eigenvalue, relative
-    recon_tol: float = 1e-9  # canonical-form reconstruction, relative
     guard_offset: float = 1e-10  # bracket endpoint guard near the spectrum, relative
     growth_factor: float = 10.0  # word-norm bound is growth_factor * dim
     max_word_length: int = 8
@@ -53,9 +71,7 @@ class Config:
     oracle: OracleBudget = field(default_factory=OracleBudget)
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            if f.type == "float" and getattr(self, f.name) <= 0:
-                raise ValueError(f"tolerance {f.name} must be positive")
+        _check_fields(self)
         if not self.oracle.eps < self.oracle.delta:
             raise ValueError("oracle eps must be smaller than delta")
 
@@ -69,39 +85,52 @@ class Config:
 
 DEFAULT_CONFIG = Config()
 
-_FLOAT_FIELDS = {
-    f.name for f in dataclasses.fields(Config) if f.type == "float"
-}
-_INT_FIELDS = {
-    f.name
-    for f in dataclasses.fields(Config)
-    if f.type == "int"
-}
+
+def _json_number(key: str, value, kind: str):
+    """A JSON number for a float or int field; integral floats such as 2.0 count as ints."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecParseError(f"config field {key} must be a number, got {value!r}")
+    if kind == "float":
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise SpecParseError(f"config field {key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _record_from_dict(cls, data: dict, what: str):
+    kinds = {f.name: f.type for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for key, value in data.items():
+        if key not in kinds:
+            raise SpecParseError(f"unknown {what} field: {key}")
+        if kinds[key] == "OracleBudget":
+            if not isinstance(value, dict):
+                raise SpecParseError("config 'oracle' must be an object")
+            kwargs[key] = _record_from_dict(OracleBudget, value, "oracle budget")
+        else:
+            kwargs[key] = _json_number(key, value, kinds[key])
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise SpecParseError(str(exc)) from exc
 
 
 def config_from_dict(data: dict) -> Config:
     """Build a Config from a flat dict, with an optional nested "oracle" block."""
     if not isinstance(data, dict):
         raise SpecParseError("config must be a JSON object")
-    kwargs = {}
-    for key, value in data.items():
-        if key == "oracle":
-            if not isinstance(value, dict):
-                raise SpecParseError("config 'oracle' must be an object")
-            try:
-                kwargs["oracle"] = OracleBudget(**value)
-            except TypeError as exc:
-                raise SpecParseError(f"bad oracle budget: {exc}") from exc
-        elif key in _FLOAT_FIELDS:
-            kwargs[key] = float(value)
-        elif key in _INT_FIELDS:
-            kwargs[key] = int(value)
-        else:
-            raise SpecParseError(f"unknown config field: {key}")
+    return _record_from_dict(Config, data, "config")
+
+
+def read_json(path: str, what: str):
+    """Parse the JSON file at ``path``; ``what`` names the file in error messages."""
     try:
-        return Config(**kwargs)
-    except ValueError as exc:
-        raise SpecParseError(str(exc)) from exc
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise SpecParseError(f"cannot read {what} file {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise SpecParseError(f"{what} file {path} is not valid JSON: {exc}") from exc
 
 
 def load_config(path: str | None = None) -> Config:
@@ -114,11 +143,4 @@ def load_config(path: str | None = None) -> Config:
         path = os.environ.get(ENV_CONFIG_PATH)
     if path is None:
         return DEFAULT_CONFIG
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise SpecParseError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SpecParseError(f"config file {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(data)
+    return config_from_dict(read_json(path, "config"))

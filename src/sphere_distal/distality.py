@@ -13,7 +13,6 @@ in its certificate.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 from dataclasses import dataclass, field, replace
 
@@ -52,7 +51,6 @@ class SpectralProof:
 
     eigenvalues: tuple
     semisimple: bool
-    conditioning: float | None = None
 
 
 @dataclass(frozen=True)
@@ -303,11 +301,7 @@ def classify_projective_distality(T, config: Config = DEFAULT_CONFIG) -> Distali
 
     if all(abs(mod - 1.0) <= config.spectral_tol for mod in moduli):
         if summary.semisimple is True:
-            cert = SpectralProof(
-                eigenvalues=summary.eigenvalues,
-                semisimple=True,
-                conditioning=None,
-            )
+            cert = SpectralProof(eigenvalues=summary.eigenvalues, semisimple=True)
             return DistalityVerdict(Verdict.DISTAL, cert, budget, seed)
         if summary.semisimple is None:
             cert = BudgetExhausted(
@@ -359,6 +353,14 @@ def distality_implies_linear_distality_check(T, config: Config = DEFAULT_CONFIG)
 # --- semigroup word search ----------------------------------------------------
 
 
+def _word_product(units: list, word) -> np.ndarray:
+    """The product units[word[0]] @ units[word[1]] @ ..., folded from the left."""
+    M = units[word[0]]
+    for idx in word[1:]:
+        M = M @ units[idx]
+    return M
+
+
 def _enumerate_words(units: list, max_len: int, rng, n_random: int):
     """Yield (word, product) pairs: exhaustive for <= 3 generators up to
     length 8, random sampling beyond."""
@@ -366,24 +368,13 @@ def _enumerate_words(units: list, max_len: int, rng, n_random: int):
     exhaustive_len = min(max_len, 8) if g <= 3 else 0
     for length in range(1, exhaustive_len + 1):
         for word in itertools.product(range(g), repeat=length):
-            M = units[word[0]]
-            for idx in word[1:]:
-                M = M @ units[idx]
-            yield word, M
+            yield word, _word_product(units, word)
     if g > 3 or max_len > exhaustive_len:
         lo = exhaustive_len + 1
         for _ in range(n_random):
             length = int(rng.integers(max(lo, 1), max_len + 1))
             word = tuple(int(i) for i in rng.integers(0, g, size=length))
-            M = units[word[0]]
-            for idx in word[1:]:
-                M = M @ units[idx]
-            yield word, M
-
-
-def _word_matrix(generators, word, config: Config) -> np.ndarray:
-    units = [normalize_to_unimodular(as_matrix(G), config).unit for G in generators]
-    return functools.reduce(np.matmul, [units[i] for i in word])
+            yield word, _word_product(units, word)
 
 
 def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFIG) -> DistalityVerdict:
@@ -448,7 +439,7 @@ def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFI
         picks = rng.choice(len(collected), size=extra, replace=False)
         oracle_words += [collected[int(p)] for p in sorted(picks)]
     for word in oracle_words[:n_oracle]:
-        m = AffineSphereMap.create(functools.reduce(np.matmul, [units[i] for i in word]), config=config)
+        m = AffineSphereMap.create(_word_product(units, word), config=config)
         pair = proximal_pair_search(m, seed=seed, config=config)
         if pair is not None:
             cert = replace(pair, word=word)
@@ -486,17 +477,20 @@ def replay_certificate(
     unbounded words recompute the word norm.  Positive certificates have
     nothing to falsify and return True.
     """
+    units = None if generators is None else [
+        normalize_to_unimodular(as_matrix(G), config).unit for G in generators
+    ]
     if isinstance(cert, UnboundedWord):
-        if generators is None:
+        if units is None:
             raise ValueError("replaying an unbounded word needs the generators")
-        norm = operator_norm(_word_matrix(generators, cert.word, config))
+        norm = operator_norm(_word_product(units, cert.word))
         return abs(norm - cert.norm) <= tolerance * cert.norm and norm > cert.bound
     if isinstance(cert, ProximalPair):
         if cert.steps < 1 or not cert.separation_final < cert.separation_initial:
             return False  # a pair that never got closer certifies nothing
         if map is None:
-            if cert.word is not None and generators is not None:
-                map = AffineSphereMap.create(_word_matrix(generators, cert.word, config), config=config)
+            if cert.word is not None and units is not None:
+                map = AffineSphereMap.create(_word_product(units, cert.word), config=config)
             elif matrix is not None:
                 map = AffineSphereMap.create(as_matrix(matrix), config=config)
             else:

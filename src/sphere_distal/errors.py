@@ -64,6 +64,8 @@ class HypothesisNotMet(SphereDistalError):
       - "nonpositive-cosine"
       - "sine-exceeds-translation-bound"
       - "bracket-endpoint-sign"
+      - "residual-above-tolerance" (a constructed point misses
+        ``Config.residual_tol``)
     """
 
     def __init__(self, reason, detail=""):

@@ -6,7 +6,7 @@ sphere map unchanged and lets the resolvent arguments assume det = +-1.
 A point x is fixed exactly when some gamma > 0 solves
 (gamma*Id - T) x = a with ||x|| = 1, so each branch either reads the
 point off an eigen-direction or brackets gamma where the resolvent norm
-crosses one and bisects.
+crosses one and bisects.  Every returned point meets ``residual_tol``.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .linalg import (
     eigenvalues_3x3,
     is_orthogonal,
     matrix_inverse,
+    normalize_to_unimodular,
     operator_norm,
     real_schur_2x2,
     rotation,
@@ -107,8 +108,47 @@ def _require_homeomorphism(T_hat, a_hat, config: Config) -> float:
     return report.pullback_norm
 
 
-def _residual(m: AffineSphereMap, x: np.ndarray, config: Config) -> float:
-    return float(np.linalg.norm(apply_affine(m, x, config) - x))
+def _circle_inputs(T, a):
+    """Validate a 2x2 matrix and a nonzero 2-vector translation."""
+    T = as_matrix(T)
+    if T.shape[0] != 2:
+        raise DimensionUnsupported("fixed points are built on the circle (d = 2)")
+    a = np.asarray(a, dtype=float)
+    if a.shape != (2,):
+        raise DimensionMismatch("translation must be a 2-vector")
+    if float(np.linalg.norm(a)) == 0.0:
+        raise ZeroTranslation("the projective action has no translation")
+    return T, a
+
+
+def _top_real_eigenvalue(kind) -> float:
+    """The eigenvalue of a real 2x2 canonical form whose sign picks the construction."""
+    return kind.eigenvalue if isinstance(kind, JordanBlock) else kind.eig_major
+
+
+def _check_residual(residual: float, what: str, config: Config) -> None:
+    if not residual <= config.residual_tol:
+        raise HypothesisNotMet(
+            "residual-above-tolerance",
+            f"{what}: residual {residual:.3e} > {config.residual_tol:.3e}",
+        )
+
+
+def _fixed_point(m: AffineSphereMap, point, gamma: float, branch: str, config: Config):
+    """The FixedPointResult for ``point``, checked against ``residual_tol``."""
+    residual = float(np.linalg.norm(apply_affine(m, point, config) - point))
+    _check_residual(residual, branch, config)
+    return FixedPointResult(point, gamma, residual, branch)
+
+
+def _period2_points(m: AffineSphereMap, points: np.ndarray, partner: tuple, config: Config):
+    """The PeriodicPoints2 for ``points``, checked against ``residual_tol``."""
+    residuals = np.empty(len(points))
+    for k in range(len(points)):
+        image = apply_affine(m, points[k], config)
+        residuals[k] = np.linalg.norm(apply_affine(m, image, config) - points[k])
+    _check_residual(float(np.max(residuals)), "period-2", config)
+    return PeriodicPoints2(points, partner, residuals)
 
 
 # --- resolvent norm ---------------------------------------------------------
@@ -132,10 +172,8 @@ def resolvent_norm(T, a, gamma: float, config: Config = DEFAULT_CONFIG) -> float
         for lam in es.eigenvalues:
             if math.hypot(gamma - lam.real, lam.imag) <= gap:
                 raise SpectrumCollision(f"gamma = {gamma} touches the spectrum")
-        A = es.kind.basis
-        coords = matrix_inverse(A, config) @ a
-        vec = _canonical_resolvent_apply(es.kind, coords, gamma)
-        return float(np.linalg.norm(A @ vec))
+        coords = matrix_inverse(es.kind.basis, config) @ a
+        return float(np.linalg.norm(_resolvent_vector(es.kind, coords, gamma)))
     if T.shape[0] == 3:
         for lam in eigenvalues_3x3(T, config):
             if math.hypot(gamma - lam.real, lam.imag) <= gap:
@@ -143,20 +181,22 @@ def resolvent_norm(T, a, gamma: float, config: Config = DEFAULT_CONFIG) -> float
     return float(np.linalg.norm(np.linalg.solve(gamma * np.eye(T.shape[0]) - T, a)))
 
 
-def _canonical_resolvent_apply(kind, coords: np.ndarray, gamma: float) -> np.ndarray:
-    """(gamma*Id - B)^-1 applied to canonical coordinates."""
+def _resolvent_vector(kind, coords: np.ndarray, gamma: float) -> np.ndarray:
+    """(gamma*Id - T)^-1 a for the 2x2 T with canonical form ``kind``, given the
+    coordinates of a in the canonical basis."""
     c1, c2 = float(coords[0]), float(coords[1])
     if isinstance(kind, RealDiagonalizable):
-        return np.array([c1 / (gamma - kind.eig_major), c2 / (gamma - kind.eig_minor)])
-    if isinstance(kind, JordanBlock):
+        vec = np.array([c1 / (gamma - kind.eig_major), c2 / (gamma - kind.eig_minor)])
+    elif isinstance(kind, JordanBlock):
         den = gamma - kind.eigenvalue
-        return np.array([c1 / den + c2 / (den * den), c2 / den])
-    # complex pair: gamma*Id - t*Rot(theta) is never singular for real gamma
-    t = kind.modulus
-    M = gamma * np.eye(2) - t * rotation(kind.angle)
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    inv = np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det
-    return inv @ np.array([c1, c2])
+        vec = np.array([c1 / den + c2 / (den * den), c2 / den])
+    else:
+        # complex pair: gamma*Id - t*Rot(theta) is never singular for real gamma
+        M = gamma * np.eye(2) - kind.modulus * rotation(kind.angle)
+        det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+        inv = np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det
+        vec = inv @ np.array([c1, c2])
+    return kind.basis @ vec
 
 
 # --- bracketed bisection ------------------------------------------------------
@@ -197,7 +237,51 @@ def _bisect_to_one(f, lo: float, hi: float, config: Config, context: str) -> flo
     return 0.5 * (lo + hi)
 
 
+def _bracketed_point(m: AffineSphereMap, es, a_hat, hi: float, branch: str, context: str,
+                     config: Config) -> FixedPointResult:
+    """Bisect the resolvent norm of (T_hat, a_hat) to one on [0, hi]; the unit
+    resolvent vector at that gamma is the fixed point of ``m``."""
+    coords = matrix_inverse(es.kind.basis, config) @ a_hat
+    gamma = _bisect_to_one(
+        lambda g: float(np.linalg.norm(_resolvent_vector(es.kind, coords, g))),
+        0.0, hi, config, context,
+    )
+    point = unit_vector(_resolvent_vector(es.kind, coords, gamma))
+    return _fixed_point(m, point, gamma, branch, config)
+
+
 # --- fixed points on the circle -------------------------------------------------
+
+
+def find_fixed_point(T, a, config: Config = DEFAULT_CONFIG):
+    """Fixed point (or the period-2 points of -Id) of the affine circle map.
+
+    Routes on the eigenvalue class of the normalized matrix: a complex
+    spectrum goes to find_fixed_point_complex, a positive top real
+    eigenvalue to find_fixed_point_real_positive, and -Id (up to scale)
+    to minus_id_period2_points, which returns a PeriodicPoints2.  Other
+    matrices with negative eigenvalues raise OutsideCoveredClasses;
+    choose_nondistal_witness picks a translation that works for them.
+    """
+    T = as_matrix(T)
+    report = affine_is_homeomorphism(T, a, config)  # raises ZeroTranslation
+    if report.regime is not Regime.HOMEOMORPHISM:
+        raise InvalidTranslation(
+            f"||T^-1 a|| = {report.pullback_norm:.6g}: map is not a homeomorphism"
+        )
+    nm = normalize_to_unimodular(T, config)
+    es = real_schur_2x2(nm.unit, config)
+    if isinstance(es.kind, ComplexPair):
+        return find_fixed_point_complex(T, a, config)
+    if _top_real_eigenvalue(es.kind) > 0.0:
+        return find_fixed_point_real_positive(T, a, config)
+    if float(np.max(np.abs(nm.unit + np.eye(2)))) <= config.classify_tol:
+        scale = math.sqrt(abs(determinant(T)))
+        return minus_id_period2_points(np.asarray(a, dtype=float) / scale, config)
+    raise OutsideCoveredClasses(
+        "both eigenvalues negative and T is not -Id: no construction for this a; "
+        "try the witness command"
+    )
 
 
 def find_fixed_point_real_positive(T, a, config: Config = DEFAULT_CONFIG) -> FixedPointResult:
@@ -209,19 +293,18 @@ def find_fixed_point_real_positive(T, a, config: Config = DEFAULT_CONFIG) -> Fix
     negative second eigenvalue, the generic two-coordinate bracket, and
     the defective (Jordan) bracket.
     """
-    T = as_matrix(T)
-    if T.shape[0] != 2:
-        raise DimensionUnsupported("fixed points are built on the circle (d = 2)")
-    a = np.asarray(a, dtype=float)
-    if a.shape != (2,):
-        raise DimensionMismatch("translation must be a 2-vector")
-    if float(np.linalg.norm(a)) == 0.0:
-        raise ZeroTranslation("the projective action has no translation")
+    T, a = _circle_inputs(T, a)
     T_hat, a_hat, _ = _normalized_pair(T, a)
     _require_homeomorphism(T_hat, a_hat, config)
     es = real_schur_2x2(T_hat, config)
     if isinstance(es.kind, ComplexPair):
         raise NoPositiveRealEigenvalue("spectrum is complex")
+    jordan = isinstance(es.kind, JordanBlock)
+    t = _top_real_eigenvalue(es.kind)
+    if t <= 0.0:
+        raise NoPositiveRealEigenvalue(
+            "defective eigenvalue is not positive" if jordan else "both real eigenvalues are negative"
+        )
     m = AffineSphereMap.create(T_hat, a_hat, config)
     A = es.kind.basis
     coords = matrix_inverse(A, config) @ a_hat
@@ -229,36 +312,17 @@ def find_fixed_point_real_positive(T, a, config: Config = DEFAULT_CONFIG) -> Fix
     ztol = config.coordinate_zero_tol * float(np.linalg.norm(coords))
     guard = config.guard_offset * operator_norm(T_hat)
 
-    if isinstance(es.kind, JordanBlock):
-        lam = es.kind.eigenvalue
-        if lam <= 0.0:
-            raise NoPositiveRealEigenvalue("defective eigenvalue is not positive")
-        if abs(a2) <= ztol:
-            point = unit_vector(a_hat)
-            gamma = float(np.linalg.norm(a_hat)) + lam
-            return FixedPointResult(point, gamma, _residual(m, point, config), BRANCH_ALIGNED_MAJOR)
-
-        def f(g):
-            return float(np.linalg.norm(A @ _canonical_resolvent_apply(es.kind, coords, g)))
-
-        gamma = _bisect_to_one(f, 0.0, lam - guard, config, "defective resolvent")
-        point = unit_vector(A @ _canonical_resolvent_apply(es.kind, coords, gamma))
-        return FixedPointResult(
-            point, gamma, _residual(m, point, config), BRANCH_BISECTION_DEFECTIVE
-        )
-
-    t, s = es.kind.eig_major, es.kind.eig_minor
-    if t <= 0.0:
-        raise NoPositiveRealEigenvalue("both real eigenvalues are negative")
-
     if abs(a2) <= ztol:
-        point = unit_vector(a_hat)
         gamma = float(np.linalg.norm(a_hat)) + t
-        return FixedPointResult(point, gamma, _residual(m, point, config), BRANCH_ALIGNED_MAJOR)
+        return _fixed_point(m, unit_vector(a_hat), gamma, BRANCH_ALIGNED_MAJOR, config)
+    if jordan:
+        return _bracketed_point(
+            m, es, a_hat, t - guard, BRANCH_BISECTION_DEFECTIVE, "defective resolvent", config
+        )
+    s = es.kind.eig_minor
     if abs(a1) <= ztol and s > 0.0:
-        point = unit_vector(a_hat)
         gamma = float(np.linalg.norm(a_hat)) + s
-        return FixedPointResult(point, gamma, _residual(m, point, config), BRANCH_ALIGNED_MINOR)
+        return _fixed_point(m, unit_vector(a_hat), gamma, BRANCH_ALIGNED_MINOR, config)
     if abs(a1) <= ztol and s < 0.0:
         # solve ||x0 * u + c * v|| = 1 for the positive root x0
         c = a2 / (t - s)
@@ -267,17 +331,11 @@ def find_fixed_point_real_positive(T, a, config: Config = DEFAULT_CONFIG) -> Fix
         qb = 2.0 * c * float(u @ v)
         qc = c * c * float(v @ v) - 1.0
         x0 = (-qb + math.sqrt(max(qb * qb - 4.0 * qa * qc, 0.0))) / (2.0 * qa)
-        point = unit_vector(x0 * u + c * v)
-        return FixedPointResult(point, t, _residual(m, point, config), BRANCH_MINOR_CROSSING)
-
+        return _fixed_point(m, unit_vector(x0 * u + c * v), t, BRANCH_MINOR_CROSSING, config)
     t0 = min(t, s) if s > 0.0 else t
-
-    def f(g):
-        return float(np.linalg.norm(A @ _canonical_resolvent_apply(es.kind, coords, g)))
-
-    gamma = _bisect_to_one(f, 0.0, t0 - guard, config, "diagonalizable resolvent")
-    point = unit_vector(A @ _canonical_resolvent_apply(es.kind, coords, gamma))
-    return FixedPointResult(point, gamma, _residual(m, point, config), BRANCH_BISECTION)
+    return _bracketed_point(
+        m, es, a_hat, t0 - guard, BRANCH_BISECTION, "diagonalizable resolvent", config
+    )
 
 
 def find_fixed_point_complex(T, a, config: Config = DEFAULT_CONFIG) -> FixedPointResult:
@@ -289,14 +347,7 @@ def find_fixed_point_complex(T, a, config: Config = DEFAULT_CONFIG) -> FixedPoin
     is bisected.  A failed inequality raises HypothesisNotMet naming the
     inequality; a wrong point is never returned.
     """
-    T = as_matrix(T)
-    if T.shape[0] != 2:
-        raise DimensionUnsupported("fixed points are built on the circle (d = 2)")
-    a = np.asarray(a, dtype=float)
-    if a.shape != (2,):
-        raise DimensionMismatch("translation must be a 2-vector")
-    if float(np.linalg.norm(a)) == 0.0:
-        raise ZeroTranslation("the projective action has no translation")
+    T, a = _circle_inputs(T, a)
     if determinant(T) <= 0.0:
         raise RealSpectrum("negative determinant forces real eigenvalues")
     T_hat, a_hat, _ = _normalized_pair(T, a)
@@ -305,7 +356,6 @@ def find_fixed_point_complex(T, a, config: Config = DEFAULT_CONFIG) -> FixedPoin
     if not isinstance(es.kind, ComplexPair):
         raise RealSpectrum("eigenvalues are real; use the positive-eigenvalue branch")
     theta = es.kind.angle
-    mod = es.kind.modulus
     r1 = math.cos(theta)
     if r1 <= 0.0:
         raise HypothesisNotMet("nonpositive-cosine", f"cos(theta) = {r1:.6g}")
@@ -316,16 +366,8 @@ def find_fixed_point_complex(T, a, config: Config = DEFAULT_CONFIG) -> FixedPoin
             f"|sin(theta)| = {abs(math.sin(theta)):.6g} > {sin_bound:.6g}",
         )
     m = AffineSphereMap.create(T_hat, a_hat, config)
-    A = es.kind.basis
-    coords = matrix_inverse(A, config) @ a_hat
-
-    def f(g):
-        return float(np.linalg.norm(A @ _canonical_resolvent_apply(es.kind, coords, g)))
-
-    gamma = _bisect_to_one(f, 0.0, mod * r1, config, "rotation resolvent")
-    point = unit_vector(A @ _canonical_resolvent_apply(es.kind, coords, gamma))
-    return FixedPointResult(
-        point, gamma, _residual(m, point, config), BRANCH_BISECTION_ROTATION
+    return _bracketed_point(
+        m, es, a_hat, es.kind.modulus * r1, BRANCH_BISECTION_ROTATION, "rotation resolvent", config
     )
 
 
@@ -346,14 +388,8 @@ def minus_id_period2_points(a, config: Config = DEFAULT_CONFIG) -> PeriodicPoint
     perp = np.array([-abar[1], abar[0]])
     x0 = a / 2.0 + perp * math.sqrt(1.0 - na * na / 4.0)
     x1 = a - x0
-    points = np.stack([abar, -abar, x0, x1])
-    partner = (1, 0, 3, 2)
     m = AffineSphereMap.create(-np.eye(2), a, config)
-    residuals = np.empty(4)
-    for k in range(4):
-        image = apply_affine(m, points[k], config)
-        residuals[k] = np.linalg.norm(apply_affine(m, image, config) - points[k])
-    return PeriodicPoints2(points, partner, residuals)
+    return _period2_points(m, np.stack([abar, -abar, x0, x1]), (1, 0, 3, 2), config)
 
 
 # --- witness selection ----------------------------------------------------------
@@ -379,68 +415,39 @@ def choose_nondistal_witness(T, config: Config = DEFAULT_CONFIG):
     es = real_schur_2x2(T_hat, config)
 
     if not isinstance(es.kind, ComplexPair):
-        if isinstance(es.kind, JordanBlock):
-            top_eig = es.kind.eigenvalue
-            eigvec = es.kind.basis[:, 0]
-        else:
-            top_eig = es.kind.eig_major
-            eigvec = es.kind.basis[:, 0]
+        top_eig = _top_real_eigenvalue(es.kind)
         if top_eig > 0.0:
             # case A: any direction works; take the first basis vector
             direction = np.array([1.0, 0.0])
             pull = float(np.linalg.norm(matrix_inverse(T_hat, config) @ direction))
-            a_hat = (0.5 / pull) * direction
-            a = a_hat * s_div
+            a = (0.5 / pull) * direction * s_div
             return a, find_fixed_point_real_positive(T, a, config)
         # case B: both eigenvalues negative; the eigen-direction is a 2-cycle
-        v = unit_vector(eigvec)
-        a_hat = (abs(top_eig) / 2.0) * v
-        a = a_hat * s_div
+        a_hat = (abs(top_eig) / 2.0) * unit_vector(es.kind.basis[:, 0])
         m = AffineSphereMap.create(T_hat, a_hat, config)
         p0 = unit_vector(a_hat)
-        p1 = apply_affine(m, p0, config)
-        points = np.stack([p0, p1])
-        residuals = np.empty(2)
-        for k in range(2):
-            image = apply_affine(m, points[k], config)
-            residuals[k] = np.linalg.norm(apply_affine(m, image, config) - points[k])
-        return a, PeriodicPoints2(points, (1, 0), residuals)
+        points = np.stack([p0, apply_affine(m, p0, config)])
+        return a_hat * s_div, _period2_points(m, points, (1, 0), config)
 
     theta = es.kind.angle
-    mod = es.kind.modulus
     r1 = math.cos(theta)
-    A = es.kind.basis
-    isometry = is_orthogonal(T_hat, config.classify_tol)
 
     if r1 > 0.0:
-        if isometry:
-            # case C: |sin(theta)| < ||a|| < 1, centered in the admissible band
-            a_hat = np.array([(abs(math.sin(theta)) + 1.0) / 2.0, 0.0])
-            a = a_hat * s_div
-            return a, find_fixed_point_complex(T, a, config)
-        # case D: pick a with ||T^-1 a|| < 1 < ||T a|| and bracket on (0, 2*cos(theta))
-        T_sq = T_hat @ T_hat
-        _, sv, Vh = np.linalg.svd(T_sq)
-        n2 = float(sv[0])
-        if n2 <= 1.0 + config.classify_tol:
-            a_hat = np.array([(abs(math.sin(theta)) + 1.0) / 2.0, 0.0])
-            a = a_hat * s_div
-            return a, find_fixed_point_complex(T, a, config)
-        w = Vh[0]
-        c = (1.0 / n2 + 1.0) / 2.0
-        a_hat = c * (T_hat @ w)
-        coords = matrix_inverse(A, config) @ a_hat
-
-        def g(x):
-            return float(np.linalg.norm(A @ _canonical_resolvent_apply(es.kind, coords, x)))
-
-        gamma = _bisect_to_one(g, 0.0, 2.0 * mod * r1, config, "double-angle resolvent")
-        point = unit_vector(A @ _canonical_resolvent_apply(es.kind, coords, gamma))
-        m = AffineSphereMap.create(T_hat, a_hat, config)
-        result = FixedPointResult(
-            point, gamma, _residual(m, point, config), BRANCH_BISECTION_DOUBLE_ANGLE
-        )
-        return a_hat * s_div, result
+        if not is_orthogonal(T_hat, config.classify_tol):
+            # case D: pick a with ||T^-1 a|| < 1 < ||T a|| and bracket on (0, 2*cos(theta))
+            _, sv, Vh = np.linalg.svd(T_hat @ T_hat)
+            n2 = float(sv[0])
+            if n2 > 1.0 + config.classify_tol:
+                a_hat = ((1.0 / n2 + 1.0) / 2.0) * (T_hat @ Vh[0])
+                m = AffineSphereMap.create(T_hat, a_hat, config)
+                result = _bracketed_point(
+                    m, es, a_hat, 2.0 * es.kind.modulus * r1, BRANCH_BISECTION_DOUBLE_ANGLE,
+                    "double-angle resolvent", config,
+                )
+                return a_hat * s_div, result
+        # case C (and D when ||T^2|| <= 1): |sin(theta)| < ||a|| < 1, centered in the band
+        a = np.array([(abs(math.sin(theta)) + 1.0) / 2.0, 0.0]) * s_div
+        return a, find_fixed_point_complex(T, a, config)
 
     # cos(theta) <= 0: needs a large norm to push the resolvent above 1 at gamma = 1
     big_norm = operator_norm(T_hat)
@@ -449,21 +456,12 @@ def choose_nondistal_witness(T, config: Config = DEFAULT_CONFIG):
             "rotation-like maps with nonpositive cosine and ||T|| <= 5*sqrt(det) "
             "have no constructive witness here"
         )
-    _, sv, Vh = np.linalg.svd(T_hat)
-    w = Vh[0]
-    target = min(6.0, (5.0 + big_norm) / 2.0)
-    c = target / big_norm
-    a_hat = c * (T_hat @ w)
-    coords = matrix_inverse(A, config) @ a_hat
-
-    def g(x):
-        return float(np.linalg.norm(A @ _canonical_resolvent_apply(es.kind, coords, x)))
-
-    gamma = _bisect_to_one(g, 0.0, mod, config, "large-translation resolvent")
-    point = unit_vector(A @ _canonical_resolvent_apply(es.kind, coords, gamma))
+    w = np.linalg.svd(T_hat)[2][0]
+    a_hat = (min(6.0, (5.0 + big_norm) / 2.0) / big_norm) * (T_hat @ w)
     m = AffineSphereMap.create(T_hat, a_hat, config)
-    result = FixedPointResult(
-        point, gamma, _residual(m, point, config), BRANCH_BISECTION_LARGE_TRANSLATION
+    result = _bracketed_point(
+        m, es, a_hat, es.kind.modulus, BRANCH_BISECTION_LARGE_TRANSLATION,
+        "large-translation resolvent", config,
     )
     return a_hat * s_div, result
 

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .config import Config
+from .config import Config, read_json
 from .distality import (
     BudgetExhausted,
     DistalityVerdict,
@@ -54,14 +54,7 @@ def parse_matrix(data) -> np.ndarray:
 
 
 def load_matrix(path: str) -> np.ndarray:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise SpecParseError(f"cannot read matrix file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SpecParseError(f"{path} is not valid JSON: {exc}") from exc
-    return parse_matrix(data)
+    return parse_matrix(read_json(path, "matrix"))
 
 
 def matrix_to_json(T: np.ndarray) -> dict:
@@ -97,14 +90,7 @@ def parse_semigroup_spec(data) -> SemigroupSpec:
 
 
 def load_semigroup_spec(path: str) -> SemigroupSpec:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise SpecParseError(f"cannot read spec file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SpecParseError(f"{path} is not valid JSON: {exc}") from exc
-    return parse_semigroup_spec(data)
+    return parse_semigroup_spec(read_json(path, "spec"))
 
 
 def _vec(v) -> list:
@@ -118,7 +104,6 @@ def certificate_to_json(cert) -> dict:
             "eigenvalues": [[lam.real, lam.imag] for lam in cert.eigenvalues],
             "moduli": [abs(lam) for lam in cert.eigenvalues],
             "semisimple": cert.semisimple,
-            "conditioning": cert.conditioning,
         }
     if isinstance(cert, ProximalPair):
         out = {

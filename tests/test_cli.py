@@ -342,3 +342,49 @@ def test_parse_matrix_rejects_bad_shapes():
         parse_matrix({"rows": [[1.0, 0.0], [0.0, 1.0]]})
     with pytest.raises(SpecParseError):
         parse_matrix({"dim": 2, "rows": [[1.0, "x"], [0.0, 1.0]]})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbit", "{m}", "--x", "1,1"],
+        ["orbit", "{m}", "--steps", "-1"],
+        ["--seed", "-1", "semigroup", "{s}"],
+        ["orbit", "{m}", "--csv", "{d}/o.csv", "--svg", "{d}/missing/x.svg"],
+        ["--config", "{d}/list_tol.json", "classify", "{m}"],
+        ["--config", "{d}/negative_samples.json", "classify", "{m}"],
+    ],
+)
+def test_bad_input_exits_64_with_an_error_line(tmp_path, capsys, argv):
+    paths = {"m": write_matrix(tmp_path / "shear.json", SHEAR), "d": str(tmp_path)}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"generators": [{"dim": 2, "rows": SHEAR}]}))
+    paths["s"] = str(spec)
+    (tmp_path / "list_tol.json").write_text(json.dumps({"spectral_tol": [1]}))
+    (tmp_path / "negative_samples.json").write_text(json.dumps({"oracle": {"samples": -3}}))
+    code, report, err = run_cli(capsys, [arg.format(**paths) for arg in argv])
+    assert code == 64 and report is None
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_stdout_closed_early_exits_without_traceback(tmp_path):
+    path = write_matrix(tmp_path / "shear.json", SHEAR)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sphere_distal.cli", "orbit", path, "--steps", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"step,x1,x2\n"
+    proc.stdout.close()  # the CSV is far larger than the pipe buffer
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 70
+    assert err.startswith("error:") and "Traceback" not in err and "Exception" not in err
+
+
+def test_tol_residual_exit_3(tmp_path, capsys):
+    path = write_matrix(tmp_path / "diag.json", [[2.0, 0.0], [0.0, 0.5]])
+    argv = ["--tol-residual", "1e-20", "fixed-point", path, "--a", "0.3,0.2"]
+    code, report, err = run_cli(capsys, argv)
+    assert code == 3 and report is None
+    assert "residual-above-tolerance" in err

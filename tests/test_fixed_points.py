@@ -363,3 +363,16 @@ def test_even_sphere_random_batch():
         assert 0.0 < np.linalg.norm(a) < 1.0
         assert pair.separation_initial >= 0.3
         assert pair.separation_final < 1e-3
+
+
+def test_tight_residual_tol_raises():
+    # every returned point must meet residual_tol; these residuals are about 1e-16
+    from sphere_distal import Config
+
+    tight = Config(residual_tol=1e-20)
+    with pytest.raises(HypothesisNotMet) as info:
+        find_fixed_point_real_positive(np.diag([2.0, 0.5]), [0.3, 0.2], tight)
+    assert info.value.reason == "residual-above-tolerance"
+    with pytest.raises(HypothesisNotMet) as info:
+        minus_id_period2_points([0.3, 0.4], tight)
+    assert info.value.reason == "residual-above-tolerance"
