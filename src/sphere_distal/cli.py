@@ -7,8 +7,9 @@ Exit codes
     3   no covered construction (failed hypothesis, a residual above
         --tol-residual, uncovered class, wrong spectrum, non-isometry,
         unsupported dimension)
-    64  unparsable input (bad JSON, flags, schema or config values, a
-        point off the sphere, an output path that cannot be written)
+    64  unparsable input (bad JSON, flags, schema, config values or spec
+        budgets, a vector flag of the wrong length, a point off the
+        sphere, an output path that cannot be written)
     65  singular matrix
     66  invalid translation (zero, degenerate, or non-injective regime)
     70  unexpected internal failure, or stdout closed before all output
@@ -21,6 +22,7 @@ rejected outright.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -113,11 +115,14 @@ def _parse_angle(text: str) -> float:
         raise SpecParseError(f"bad angle {text!r}: {exc}") from exc
 
 
-def _parse_vector(text: str) -> np.ndarray:
+def _parse_vector(text: str, dim: int) -> np.ndarray:
+    """A comma-separated vector of ``dim`` finite entries."""
     try:
         v = np.array([float(part) for part in text.split(",")], dtype=float)
         if not np.all(np.isfinite(v)):
             raise ValueError("entries must be finite")
+        if v.shape[0] != dim:
+            raise ValueError(f"expected {dim} entries for a {dim}x{dim} matrix, got {v.shape[0]}")
     except ValueError as exc:
         raise SpecParseError(f"bad vector {text!r}: {exc}") from exc
     return v
@@ -172,7 +177,10 @@ def _open_output(path: str):
         raise SpecParseError(f"cannot write {path}: {exc}") from exc
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process and shared by every
+    ``main`` call: parse_args leaves it unchanged, and callers must too."""
     parser = _Parser(prog="sphere-distal", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="JSON config file (or $SPHERE_DISTAL_CONFIG)")
     parser.add_argument("--seed", type=int, help="random seed override")
@@ -224,15 +232,15 @@ def _run(args, config) -> tuple[int, object]:
 
     if args.command == "fixed-point":
         T = _resolve_matrix(args)
-        a = _parse_vector(args.a)
+        a = _parse_vector(args.a, T.shape[0])
         return EXIT_DISTAL, _solution_to_json(find_fixed_point(T, a, config))
 
     if args.command == "orbit":
         T = _resolve_matrix(args)
         d = T.shape[0]
-        a = _parse_vector(args.a) if args.a else None
+        a = _parse_vector(args.a, d) if args.a else None
         if args.x is not None:
-            x = _parse_vector(args.x)
+            x = _parse_vector(args.x, d)
         else:
             x = np.zeros(d)
             x[0] = 1.0
@@ -279,8 +287,9 @@ def _run(args, config) -> tuple[int, object]:
 
     if args.command == "inverse-image":
         T = _resolve_matrix(args)
-        a = _parse_vector(args.a)
-        y = _parse_vector(args.y)
+        d = T.shape[0]
+        a = _parse_vector(args.a, d)
+        y = _parse_vector(args.y, d)
         m = AffineSphereMap.create(T, a, config)
         try:
             x = affine_inverse_image(m, y, config)

@@ -22,10 +22,14 @@ def _check_fields(record) -> None:
             isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf
         ):
             raise ValueError(f"tolerance {f.name} must be positive and finite")
-        if f.type == "int" and (
-            isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0
-        ):
-            raise ValueError(f"{f.name} must be a non-negative integer, got {value!r}")
+        if f.type == "int":
+            check_count(f.name, value)
+
+
+def check_count(name: str, value) -> None:
+    """Counts and seeds are non-negative integers; booleans and fractions are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -79,22 +83,33 @@ class Config:
         return dataclasses.replace(self, **kwargs)
 
     def to_json(self) -> dict:
-        out = dataclasses.asdict(self)
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        out["oracle"] = {f.name: getattr(self.oracle, f.name) for f in dataclasses.fields(self.oracle)}
         return out
 
 
 DEFAULT_CONFIG = Config()
 
 
-def _json_number(key: str, value, kind: str):
+def _json_number(key: str, value, kind: str, what: str = "config"):
     """A JSON number for a float or int field; integral floats such as 2.0 count as ints."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecParseError(f"config field {key} must be a number, got {value!r}")
+        raise SpecParseError(f"{what} field {key} must be a number, got {value!r}")
     if kind == "float":
         return float(value)
     if isinstance(value, float) and not value.is_integer():
-        raise SpecParseError(f"config field {key} must be an integer, got {value!r}")
+        raise SpecParseError(f"{what} field {key} must be an integer, got {value!r}")
     return int(value)
+
+
+def json_count(key: str, value, what: str) -> int:
+    """A JSON count field of a ``what`` file, held to the Config rule for counts."""
+    count = _json_number(key, value, "int", what)
+    try:
+        check_count(key, count)
+    except ValueError as exc:
+        raise SpecParseError(f"{what} field {exc}") from exc
+    return count
 
 
 def _record_from_dict(cls, data: dict, what: str):

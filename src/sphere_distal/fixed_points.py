@@ -63,6 +63,11 @@ BRANCH_BISECTION_ROTATION = "resolvent-bisection-rotation"
 BRANCH_BISECTION_DOUBLE_ANGLE = "resolvent-bisection-double-angle"
 BRANCH_BISECTION_LARGE_TRANSLATION = "resolvent-bisection-large-translation"
 
+# recurrence times reported on an even-sphere witness, and the steps the
+# scan for them evaluates per block
+RECURRENCE_HITS = 5
+RECURRENCE_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class FixedPointResult:
@@ -490,10 +495,16 @@ def _recurrence_times(phi: float, config: Config) -> tuple:
     q = frac.denominator
     if q <= config.recurrence_scan and abs(2.0 * math.sin(q * phi / 2.0)) < 1e-9:
         return (q, 2 * q, 3 * q)
-    steps = np.arange(1, config.recurrence_scan + 1)
-    gaps = np.abs(2.0 * np.sin(steps * phi / 2.0))
-    hits = np.flatnonzero(gaps < config.recurrence_eps)
-    return tuple(int(h) + 1 for h in hits[:5])
+    # scan 1..recurrence_scan block by block and stop at the fifth hit
+    hits = []
+    stop = config.recurrence_scan + 1
+    for start in range(1, stop, RECURRENCE_BLOCK):
+        steps = np.arange(start, min(start + RECURRENCE_BLOCK, stop))
+        gaps = np.abs(2.0 * np.sin(steps * phi / 2.0))
+        hits += steps[gaps < config.recurrence_eps].tolist()
+        if len(hits) >= RECURRENCE_HITS:
+            break
+    return tuple(hits[:RECURRENCE_HITS])
 
 
 def isometry_even_sphere_witness(T, config: Config = DEFAULT_CONFIG):

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .config import Config, read_json
+from .config import Config, json_count, read_json
 from .distality import (
     BudgetExhausted,
     DistalityVerdict,
@@ -74,12 +74,7 @@ def parse_semigroup_spec(data) -> SemigroupSpec:
 
     def opt_int(key):
         value = data.get(key)
-        if value is None:
-            return None
-        try:
-            return int(value)
-        except (TypeError, ValueError) as exc:
-            raise SpecParseError(f"'{key}' must be an integer") from exc
+        return None if value is None else json_count(key, value, "spec")
 
     return SemigroupSpec(
         generators=generators,

@@ -353,6 +353,14 @@ def test_parse_matrix_rejects_bad_shapes():
         ["orbit", "{m}", "--csv", "{d}/o.csv", "--svg", "{d}/missing/x.svg"],
         ["--config", "{d}/list_tol.json", "classify", "{m}"],
         ["--config", "{d}/negative_samples.json", "classify", "{m}"],
+        ["orbit", "{m}", "--x", "1,0,0"],
+        ["orbit", "{m}", "--a", "0.1"],
+        ["fixed-point", "{m}", "--a", "0.1,0,0"],
+        ["inverse-image", "{m}", "--a", "0.1,0", "--y", "1,0,0"],
+        ["semigroup", "{d}/spec_seed.json"],
+        ["semigroup", "{d}/spec_budget.json"],
+        ["semigroup", "{d}/spec_samples.json"],
+        ["semigroup", "{d}/spec_text_seed.json"],
     ],
 )
 def test_bad_input_exits_64_with_an_error_line(tmp_path, capsys, argv):
@@ -362,6 +370,11 @@ def test_bad_input_exits_64_with_an_error_line(tmp_path, capsys, argv):
     paths["s"] = str(spec)
     (tmp_path / "list_tol.json").write_text(json.dumps({"spectral_tol": [1]}))
     (tmp_path / "negative_samples.json").write_text(json.dumps({"oracle": {"samples": -3}}))
+    bad_fields = [("seed", "rng_seed", -1), ("budget", "word_length_budget", 1.7),
+                  ("samples", "sample_count", True), ("text_seed", "rng_seed", "3")]
+    for name, key, value in bad_fields:
+        body = {"generators": [{"dim": 2, "rows": SHEAR}], key: value}
+        (tmp_path / f"spec_{name}.json").write_text(json.dumps(body))
     code, report, err = run_cli(capsys, [arg.format(**paths) for arg in argv])
     assert code == 64 and report is None
     assert err.startswith("error:") and "Traceback" not in err
@@ -388,3 +401,32 @@ def test_tol_residual_exit_3(tmp_path, capsys):
     code, report, err = run_cli(capsys, argv)
     assert code == 3 and report is None
     assert "residual-above-tolerance" in err
+
+
+def test_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    c, s = math.cos(1.0), math.sin(1.0)
+    rot3 = write_matrix(tmp_path / "rot3.json", [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    diag = write_matrix(tmp_path / "diag.json", [[2.0, 0.0], [0.0, 0.5]])
+    argv_a = ["witness", rot3]
+    argv_b = ["--seed", "7", "--tol-residual", "1e-6", "--tol-spectral", "1e-5",
+              "fixed-point", diag, "--a", "0.3,0.2"]
+
+    def report_without_time(argv):
+        code = main(argv)
+        out = capsys.readouterr().out
+        report = json.loads(out)
+        del report["wall_time_s"]
+        return code, report
+
+    code_a, first = report_without_time(argv_a)
+    assert code_a == 0
+    assert main(["fixed-point", diag, "--bogus"]) == 64
+    capsys.readouterr()
+    code_b, second = report_without_time(argv_b)
+    assert code_b == 0
+    assert second["config"]["rng_seed"] == 7 and second["config"]["residual_tol"] == 1e-6
+    code_again, again = report_without_time(argv_a)
+    assert code_again == 0
+    assert json.dumps(again["result"], sort_keys=True) == json.dumps(first["result"], sort_keys=True)
+    assert again == first
+    assert first["result"]["result"]["recurrence_times"]

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from helpers import (
 )
 from sphere_distal import (
     AffineSphereMap,
+    Config,
     HypothesisNotMet,
     InvalidTranslation,
     NoPositiveRealEigenvalue,
@@ -34,8 +36,10 @@ from sphere_distal.fixed_points import (
     BRANCH_BISECTION,
     BRANCH_BISECTION_DEFECTIVE,
     BRANCH_MINOR_CROSSING,
+    RECURRENCE_BLOCK,
     FixedPointResult,
     PeriodicPoints2,
+    _recurrence_times,
 )
 from sphere_distal.linalg import matrix_inverse
 
@@ -376,3 +380,42 @@ def test_tight_residual_tol_raises():
     with pytest.raises(HypothesisNotMet) as info:
         minus_id_period2_points([0.3, 0.4], tight)
     assert info.value.reason == "residual-above-tolerance"
+
+
+def naive_recurrence_times(phi, config):
+    """The one-array scan over every step up to recurrence_scan."""
+    if abs(phi) < 1e-12:
+        return (1, 2, 3)
+    q = Fraction(phi / (2.0 * math.pi)).limit_denominator(4096).denominator
+    if q <= config.recurrence_scan and abs(2.0 * math.sin(q * phi / 2.0)) < 1e-9:
+        return (q, 2 * q, 3 * q)
+    steps = np.arange(1, config.recurrence_scan + 1)
+    hits = np.flatnonzero(np.abs(2.0 * np.sin(steps * phi / 2.0)) < config.recurrence_eps)
+    return tuple(int(h) + 1 for h in hits[:5])
+
+
+def test_recurrence_scan_matches_the_full_array_scan():
+    rng = np.random.default_rng(29)
+    wide = Config(recurrence_eps=0.05)  # several hits inside one block
+    for phi in rng.uniform(0.0, math.pi, 200):
+        times = _recurrence_times(phi, Config())
+        assert times == naive_recurrence_times(phi, Config())
+        assert len(times) == 5 and all(isinstance(t, int) for t in times)
+        assert _recurrence_times(phi, wide) == naive_recurrence_times(phi, wide)
+
+
+def test_recurrence_scan_bound_and_shortcuts_match_the_full_array_scan():
+    # a bound that ends inside the second block leaves fewer than five hits
+    short = Config(recurrence_scan=RECURRENCE_BLOCK + 904)
+    rng = np.random.default_rng(31)
+    counts = set()
+    for phi in rng.uniform(0.1, math.pi, 40):
+        times = _recurrence_times(phi, short)
+        assert times == naive_recurrence_times(phi, short)
+        counts.add(len(times))
+    assert min(counts) < 5
+    assert _recurrence_times(1.0, Config(recurrence_scan=10)) == ()
+    rational = 2.0 * math.pi * 3.0 / 7.0
+    assert _recurrence_times(rational, Config()) == (7, 14, 21)
+    assert naive_recurrence_times(rational, Config()) == (7, 14, 21)
+    assert _recurrence_times(0.0, Config()) == (1, 2, 3)
