@@ -27,6 +27,7 @@ from .errors import (
     SpecParseError,
 )
 from .linalg import (
+    _operator_norm,
     as_matrix,
     contraction_subspace,
     determinant,
@@ -363,18 +364,33 @@ def _word_product(units: list, word) -> np.ndarray:
 
 def _enumerate_words(units: list, max_len: int, rng, n_random: int):
     """Yield (word, product) pairs: exhaustive for <= 3 generators up to
-    length 8, random sampling beyond."""
+    length 8, random sampling beyond.
+
+    The exhaustive levels come in ``itertools.product`` order, each built
+    from the one before: the product of ``word + (i,)`` is the product of
+    ``word`` times ``units[i]``, the same left fold as ``_word_product``,
+    so every product is bit-identical to it.  Only the previous level's
+    products are kept, and the last level's are not kept at all.  Random
+    words are validated by ``as_matrix``: nothing bounds the norms of
+    their factors, so their products can overflow.
+    """
     g = len(units)
     exhaustive_len = min(max_len, 8) if g <= 3 else 0
+    level = units
     for length in range(1, exhaustive_len + 1):
-        for word in itertools.product(range(g), repeat=length):
-            yield word, _word_product(units, word)
+        products = level if length == 1 else (P @ U for P in level for U in units)
+        kept = []
+        for word, M in zip(itertools.product(range(g), repeat=length), products):
+            yield word, M
+            if length < exhaustive_len:
+                kept.append(M)
+        level = kept
     if g > 3 or max_len > exhaustive_len:
         lo = exhaustive_len + 1
         for _ in range(n_random):
             length = int(rng.integers(max(lo, 1), max_len + 1))
             word = tuple(int(i) for i in rng.integers(0, g, size=length))
-            yield word, _word_product(units, word)
+            yield word, as_matrix(_word_product(units, word))
 
 
 def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFIG) -> DistalityVerdict:
@@ -423,8 +439,10 @@ def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFI
     words_checked = 0
     max_norm = 0.0
     collected: list[tuple] = []
+    # exhaustive products need no finiteness check: the sweep stops at the
+    # first norm above the bound, so every prefix it extends is bounded
     for word, M in _enumerate_words(units, max_len, rng, config.random_words):
-        norm = operator_norm(M)
+        norm = _operator_norm(M)
         words_checked += 1
         max_norm = max(max_norm, norm)
         if norm > bound:

@@ -37,6 +37,7 @@ from .linalg import (
     JordanBlock,
     RealDiagonalizable,
     as_matrix,
+    det_root,
     determinant,
     eigenvalues_3x3,
     is_orthogonal,
@@ -97,10 +98,9 @@ class PeriodicPoints2:
     residuals: np.ndarray
 
 
-def _normalized_pair(T: np.ndarray, a: np.ndarray):
+def _normalized_pair(T: np.ndarray, a: np.ndarray, config: Config):
     """Divide (T, a) by |det T|^(1/2); the sphere map is unchanged."""
-    det = determinant(T)
-    s = math.sqrt(abs(det))
+    s = det_root(T, config)
     return T / s, a / s, s
 
 
@@ -281,8 +281,7 @@ def find_fixed_point(T, a, config: Config = DEFAULT_CONFIG):
     if _top_real_eigenvalue(es.kind) > 0.0:
         return find_fixed_point_real_positive(T, a, config)
     if float(np.max(np.abs(nm.unit + np.eye(2)))) <= config.classify_tol:
-        scale = math.sqrt(abs(determinant(T)))
-        return minus_id_period2_points(np.asarray(a, dtype=float) / scale, config)
+        return minus_id_period2_points(np.asarray(a, dtype=float) / det_root(T, config), config)
     raise OutsideCoveredClasses(
         "both eigenvalues negative and T is not -Id: no construction for this a; "
         "try the witness command"
@@ -299,7 +298,7 @@ def find_fixed_point_real_positive(T, a, config: Config = DEFAULT_CONFIG) -> Fix
     the defective (Jordan) bracket.
     """
     T, a = _circle_inputs(T, a)
-    T_hat, a_hat, _ = _normalized_pair(T, a)
+    T_hat, a_hat, _ = _normalized_pair(T, a, config)
     _require_homeomorphism(T_hat, a_hat, config)
     es = real_schur_2x2(T_hat, config)
     if isinstance(es.kind, ComplexPair):
@@ -355,7 +354,7 @@ def find_fixed_point_complex(T, a, config: Config = DEFAULT_CONFIG) -> FixedPoin
     T, a = _circle_inputs(T, a)
     if determinant(T) <= 0.0:
         raise RealSpectrum("negative determinant forces real eigenvalues")
-    T_hat, a_hat, _ = _normalized_pair(T, a)
+    T_hat, a_hat, _ = _normalized_pair(T, a, config)
     rho = _require_homeomorphism(T_hat, a_hat, config)
     es = real_schur_2x2(T_hat, config)
     if not isinstance(es.kind, ComplexPair):
@@ -416,7 +415,7 @@ def choose_nondistal_witness(T, config: Config = DEFAULT_CONFIG):
     T = as_matrix(T)
     if T.shape[0] != 2:
         raise DimensionUnsupported("witness selection works on the circle (d = 2)")
-    T_hat, _, s_div = _normalized_pair(T, np.zeros(2))
+    T_hat, _, s_div = _normalized_pair(T, np.zeros(2), config)
     es = real_schur_2x2(T_hat, config)
 
     if not isinstance(es.kind, ComplexPair):

@@ -64,11 +64,14 @@ def operator_norm(T) -> float:
     The 2x2 form sigma = (hypot(a+d, b-c) + hypot(a-d, b+c)) / 2 is
     cancellation-free, so isometries come out as exactly 1.
     """
-    T = as_matrix(T)
+    return _operator_norm(as_matrix(T))
+
+
+def _operator_norm(T: np.ndarray) -> float:
+    """``operator_norm`` of a matrix that is already square, real and finite."""
     if T.shape[0] == 2:
-        h1 = math.hypot(T[0, 0] + T[1, 1], T[0, 1] - T[1, 0])
-        h2 = math.hypot(T[0, 0] - T[1, 1], T[0, 1] + T[1, 0])
-        return (h1 + h2) / 2.0
+        (a, b), (c, d) = T.tolist()
+        return (math.hypot(a + d, b - c) + math.hypot(a - d, b + c)) / 2.0
     return float(np.linalg.svd(T, compute_uv=False)[0])
 
 
@@ -94,6 +97,12 @@ def normalize_to_unimodular(T, config: Config = DEFAULT_CONFIG) -> NormalizedMat
     keeps entries exactly representable) yields a bit-identical unit.
     """
     T = as_matrix(T)
+    s = det_root(T, config)
+    return NormalizedMatrix(scale=1.0 / s, unit=T / s)
+
+
+def det_root(T: np.ndarray, config: Config = DEFAULT_CONFIG) -> float:
+    """|det T|^(1/d) of a validated d x d matrix, behind the singularity gate."""
     d = T.shape[0]
     det = determinant(T)
     if not math.isfinite(det):
@@ -102,12 +111,10 @@ def normalize_to_unimodular(T, config: Config = DEFAULT_CONFIG) -> NormalizedMat
         raise SingularMatrix(f"|det| = {abs(det):.3e} below tolerance")
     adet = abs(det)
     if d == 2:
-        s = math.sqrt(adet)
-    elif d == 3:
-        s = float(np.cbrt(adet))
-    else:
-        s = adet ** (1.0 / d)
-    return NormalizedMatrix(scale=1.0 / s, unit=T / s)
+        return math.sqrt(adet)
+    if d == 3:
+        return float(np.cbrt(adet))
+    return adet ** (1.0 / d)
 
 
 # --- real canonical forms (d = 2) -----------------------------------------

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,17 @@ def test_classify_singular_exit_65(tmp_path, capsys):
     path = write_matrix(tmp_path / "sing.json", [[1.0, 1.0], [1.0, 1.0]])
     code, _, _ = run_cli(capsys, ["classify", path])
     assert code == 65
+
+
+@pytest.mark.parametrize("rows", [[[1.0, 1.0], [1.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]])
+def test_witness_singular_exit_65_without_warnings(tmp_path, capsys, rows):
+    path = write_matrix(tmp_path / "sing.json", rows)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, report, err = run_cli(capsys, ["witness", path])
+    assert code == 65 and report is None
+    assert "|det| = 0.000e+00 below tolerance" in err
+    assert caught == []
 
 
 def test_degrees_rejected(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,20 +13,23 @@ from sphere_distal import (
     OracleBudget,
     ProximalPair,
     SemigroupSpec,
+    SingularMatrix,
     SpectralProof,
     UnboundedWord,
     Verdict,
     classify_projective_distality,
     conjugate_to_large_norm,
     distality_implies_linear_distality_check,
+    normalize_to_unimodular,
+    operator_norm,
     proximal_pair_search,
     replay_certificate,
     rotation,
     semigroup_distality_test,
 )
-from sphere_distal.distality import _pair_blocks, _sample_far_pairs
+from sphere_distal.distality import _enumerate_words, _pair_blocks, _sample_far_pairs, _word_product
 from sphere_distal.fixed_points import _circle_pair_search
-from sphere_distal.linalg import matrix_inverse
+from sphere_distal.linalg import _operator_norm, matrix_inverse
 from sphere_distal.sphere import apply_many
 
 
@@ -364,3 +368,69 @@ def test_affine_searches_match_the_naive_loop():
     Y0 = np.column_stack([np.cos(psi_y), np.sin(psi_y)])
     x, y, steps = _naive_first_hit(m, X0, Y0, 4000, 1e-3)
     assert np.array_equal(found.x, x) and np.array_equal(found.y, y) and found.steps == steps
+
+
+def naive_enumerate_words(units, max_len, rng, n_random):
+    """The sweep as each word multiplied out from scratch: the reference."""
+    g = len(units)
+    exhaustive_len = min(max_len, 8) if g <= 3 else 0
+    for length in range(1, exhaustive_len + 1):
+        for word in itertools.product(range(g), repeat=length):
+            yield word, _word_product(units, word)
+    if g > 3 or max_len > exhaustive_len:
+        lo = exhaustive_len + 1
+        for _ in range(n_random):
+            length = int(rng.integers(max(lo, 1), max_len + 1))
+            word = tuple(int(i) for i in rng.integers(0, g, size=length))
+            yield word, _word_product(units, word)
+
+
+def _random_units(rng, g, d):
+    return [normalize_to_unimodular(rng.standard_normal((d, d))).unit for _ in range(g)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_enumerate_words_matches_the_naive_fold(g, d):
+    units = _random_units(np.random.default_rng(10 * g + d), g, d)
+    reference = dict(naive_enumerate_words(units, 8, None, 0))
+    for max_len in range(1, 9):
+        pairs = list(_enumerate_words(units, max_len, None, 0))
+        words = [w for k in range(1, max_len + 1) for w in itertools.product(range(g), repeat=k)]
+        assert [w for w, _ in pairs] == words
+        for word, M in pairs:
+            assert np.array_equal(M, reference[word]), word
+    for word, M in reference.items():
+        assert _operator_norm(M) == operator_norm(M), word
+
+
+@pytest.mark.parametrize("g, max_len", [(4, 6), (3, 11)])
+def test_enumerate_words_random_tail_unchanged(g, max_len):
+    units = _random_units(np.random.default_rng(g), g, 2)
+    got = list(_enumerate_words(units, max_len, np.random.default_rng(7), 40))
+    want = list(naive_enumerate_words(units, max_len, np.random.default_rng(7), 40))
+    assert [w for w, _ in got] == [w for w, _ in want]
+    assert all(np.array_equal(M, N) for (_, M), (_, N) in zip(got, want))
+    assert len(got) == len(want) == (40 if g == 4 else 9840 + 40)
+
+
+def test_operator_norm_still_validates():
+    with pytest.raises(SingularMatrix):
+        operator_norm([[float("nan"), 0.0], [0.0, 1.0]])
+    with pytest.raises(SingularMatrix):
+        operator_norm(np.diag([1.0, 1.0, float("inf")]))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_unbounded_word_norm_matches_the_fold_exactly(d):
+    if d == 2:
+        gens = (rotation(0.7), conjugate_to_large_norm(rotation(0.9), 3.0))
+    else:
+        R = np.eye(3)
+        R[:2, :2] = rotation(0.7)
+        S = np.diag([4.0, 1.0, 0.25])
+        gens = (R, S @ R.T @ np.linalg.inv(S))
+    v = semigroup_distality_test(SemigroupSpec(generators=gens))
+    assert isinstance(v.certificate, UnboundedWord)
+    units = [normalize_to_unimodular(G).unit for G in gens]
+    assert v.certificate.norm == operator_norm(_word_product(units, v.certificate.word))
