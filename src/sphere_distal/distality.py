@@ -60,10 +60,12 @@ class ProximalPair:
 
     ``steps`` iterations of the generating map bring the separation from
     ``separation_initial`` down to ``separation_final``; replaying the
-    iteration reproduces that claim.  ``word`` names the generator word
-    when the map comes from a semigroup; ``recurrence_times`` carries the
-    near-identity return times of the isometry factor for the
-    even-sphere witness.
+    iteration reproduces that claim.  For a pair the classifier measured,
+    ``steps`` is the earliest step with the smallest separation within the
+    iteration budget; the walk stops once the separation is exactly 0.
+    ``word`` names the generator word when the map comes from a semigroup;
+    ``recurrence_times`` carries the near-identity return times of the
+    isometry factor for the even-sphere witness.
     """
 
     x: np.ndarray
@@ -144,13 +146,19 @@ def _pair_blocks(m: AffineSphereMap, P: np.ndarray):
 
 
 def _separations(m: AffineSphereMap, X, Y, steps: int):
-    """Yield (first, S) over steps 1..steps: S[k, j] is |X_j - Y_j| after first + k steps."""
+    """Yield (first, S) over steps 1..steps: S[k, j] is |X_j - Y_j| after first + k steps.
+
+    The norm is the expression ``np.linalg.norm(D, axis=-1)`` evaluates for
+    real input, without its wrapper, so S is bit-identical to it.  A caller
+    may stop early; the blocks are lazy.
+    """
     X, Y = np.atleast_2d(X), np.atleast_2d(Y)
     blocks = _pair_blocks(m, np.concatenate([X, Y]).astype(float))
     done = 0
     while done < steps:
         Q = next(blocks)[: steps - done]
-        yield done + 1, np.linalg.norm(Q[:, : len(X)] - Q[:, len(X) :], axis=-1)
+        D = Q[:, : len(X)] - Q[:, len(X) :]
+        yield done + 1, np.sqrt(np.add.reduce(D * D, axis=-1))
         done += len(Q)
 
 
@@ -293,12 +301,14 @@ def classify_projective_distality(T, config: Config = DEFAULT_CONFIG) -> Distali
     def measured_pair(x, y):
         m = AffineSphereMap.create(T, config=config)
         sep0 = float(np.linalg.norm(x - y))
-        best = ProximalPair(x, y, 0, sep0, sep0)
+        steps, best = 0, sep0
         for first, S in _separations(m, x, y, config.oracle.iterations):
             k = int(np.argmin(S[:, 0]))
-            if S[k, 0] < best.separation_final:  # earliest minimum over the whole budget
-                best = replace(best, steps=first + k, separation_final=float(S[k, 0]))
-        return best
+            if S[k, 0] < best:  # earliest minimum within the budget
+                steps, best = first + k, float(S[k, 0])
+                if best == 0.0:  # no later step can come closer
+                    break
+        return ProximalPair(x, y, steps, sep0, best)
 
     if all(abs(mod - 1.0) <= config.spectral_tol for mod in moduli):
         if summary.semisimple is True:

@@ -168,9 +168,16 @@ def apply_many(m: AffineSphereMap, X: np.ndarray) -> np.ndarray:
     """Vectorized map application on rows of X (no per-point validation).
 
     A (k, d, d) stack as ``matrix`` gives the (k, n, d) images under each.
+    This is the orbit-pair kernel's one step, so it skips the NumPy
+    wrappers: a projective map adds no (all-zero) translation, and the row
+    norm is the expression ``np.linalg.norm(V, axis=-1)`` evaluates for
+    real input, so the images are bit-identical to that formula up to the
+    sign of zero entries.
     """
-    V = X @ np.swapaxes(m.matrix, -1, -2) + m.translation
-    return V / np.linalg.norm(V, axis=-1, keepdims=True)
+    V = X @ m.matrix.swapaxes(-1, -2)
+    if m.regime is not Regime.PROJECTIVE:
+        V = V + m.translation
+    return V / np.sqrt(np.add.reduce(V * V, axis=-1, keepdims=True))
 
 
 def affine_inverse_image(m: AffineSphereMap, y, config: Config = DEFAULT_CONFIG) -> np.ndarray:

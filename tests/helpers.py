@@ -64,3 +64,9 @@ def random_orthogonal_3x3(rng, flip=False):
         Q = Q.copy()
         Q[:, 0] = -Q[:, 0]
     return Q
+
+
+def naive_apply_many(m, X):
+    """apply_many through the NumPy wrappers, the translation always added."""
+    V = X @ np.swapaxes(m.matrix, -1, -2) + m.translation
+    return V / np.linalg.norm(V, axis=-1, keepdims=True)

@@ -1,11 +1,13 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import random_conjugator
+from helpers import naive_apply_many, random_conjugator, random_orthogonal_3x3
 from sphere_distal import (
+    DEFAULT_CONFIG,
     AffineSphereMap,
     BudgetExhausted,
     Config,
@@ -27,9 +29,17 @@ from sphere_distal import (
     rotation,
     semigroup_distality_test,
 )
-from sphere_distal.distality import _enumerate_words, _pair_blocks, _sample_far_pairs, _word_product
+from sphere_distal import distality
+from sphere_distal.distality import (
+    _enumerate_words,
+    _jordan_collapse_pair,
+    _pair_blocks,
+    _sample_far_pairs,
+    _split_moduli_pair,
+    _word_product,
+)
 from sphere_distal.fixed_points import _circle_pair_search
-from sphere_distal.linalg import _operator_norm, matrix_inverse
+from sphere_distal.linalg import _operator_norm, matrix_inverse, spectral_summary
 from sphere_distal.sphere import apply_many
 
 
@@ -434,3 +444,84 @@ def test_unbounded_word_norm_matches_the_fold_exactly(d):
     assert isinstance(v.certificate, UnboundedWord)
     units = [normalize_to_unimodular(G).unit for G in gens]
     assert v.certificate.norm == operator_norm(_word_product(units, v.certificate.word))
+
+
+# --- the measured pair stops once it has collapsed --------------------------------
+
+
+def naive_measured_pair(T, x, y, iterations):
+    """The classifier's measurement as the full-budget argmin: every block is
+    walked, norms come from ``np.linalg.norm`` and each improvement is kept
+    by ``replace``.  Call it with ``naive_apply_many`` patched in."""
+    m = AffineSphereMap.create(T)
+    sep0 = float(np.linalg.norm(x - y))
+    best = ProximalPair(x, y, 0, sep0, sep0)
+    blocks = _pair_blocks(m, np.stack([x, y]))
+    done = 0
+    while done < iterations:
+        Q = next(blocks)[: iterations - done]
+        S = np.linalg.norm(Q[:, :1] - Q[:, 1:], axis=-1)
+        k = int(np.argmin(S[:, 0]))
+        if S[k, 0] < best.separation_final:
+            best = replace(best, steps=done + 1 + k, separation_final=float(S[k, 0]))
+        done += len(Q)
+    return best
+
+
+def _spectral_pair(T):
+    """The pair the classifier builds from the spectrum, before measuring it."""
+    unit = normalize_to_unimodular(T).unit
+    summary = spectral_summary(unit)
+    if all(abs(abs(lam) - 1.0) <= DEFAULT_CONFIG.spectral_tol for lam in summary.eigenvalues):
+        return _jordan_collapse_pair(unit, summary.defective_eigenvalue, DEFAULT_CONFIG)
+    return _split_moduli_pair(unit, DEFAULT_CONFIG)
+
+
+def _measured_cases():
+    rng = np.random.default_rng(2718)
+    cases = []
+    for _ in range(6):
+        lam = float(rng.choice([1.02, 1.3, 2.0, 4.0]))
+        C = random_conjugator(rng)
+        cases.append(C @ np.diag([lam, 1.0 / lam]) @ matrix_inverse(C))
+        Q = random_orthogonal_3x3(rng)
+        cases.append(Q @ np.diag([lam, rng.uniform(0.5, 2.0), 1.0 / lam]) @ Q.T)
+        c = 10.0 ** rng.uniform(-1.0, 1.0)
+        cases.append(C @ np.array([[1.0, c], [0.0, 1.0]]) @ matrix_inverse(C))
+        cases.append(Q @ (np.eye(3) + c * np.diag([1.0, 0.0], k=1)) @ Q.T)
+    return [scale * T for T in cases for scale in (1e-3, 1.0, 1e3)]
+
+
+def test_measured_pair_matches_the_full_budget_argmin(monkeypatch):
+    iterations = DEFAULT_CONFIG.oracle.iterations
+    certs = []
+    for T in _measured_cases():
+        v = classify_projective_distality(T)
+        assert v.verdict is Verdict.NOT_DISTAL
+        certs.append(v.certificate)
+    monkeypatch.setattr(distality, "apply_many", naive_apply_many)
+    for T, cert in zip(_measured_cases(), certs):
+        x, y = _spectral_pair(T)
+        want = naive_measured_pair(T, x, y, iterations)
+        assert np.array_equal(cert.x, want.x) and np.array_equal(cert.y, want.y)
+        assert cert.steps == want.steps
+        assert cert.separation_initial == want.separation_initial
+        assert cert.separation_final == want.separation_final
+    # both ways out of the walk are covered: an exact collapse and the whole budget
+    assert any(c.separation_final == 0.0 for c in certs)
+    assert any(c.separation_final > 0.0 for c in certs)
+
+
+def test_collapsed_pair_stops_walking_blocks(monkeypatch):
+    R = rotation(0.4)
+    calls = []
+
+    def counting(m, X):
+        calls.append(m)
+        return apply_many(m, X)
+
+    monkeypatch.setattr(distality, "apply_many", counting)
+    cert = classify_projective_distality(R @ np.diag([4.0, 0.25]) @ R.T).certificate
+    assert cert.separation_final == 0.0
+    assert len(calls) <= cert.steps // 64 + 2
+    assert len(calls) < DEFAULT_CONFIG.oracle.iterations // 64

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_invertible, translation_with_pullback
+from helpers import naive_apply_many, random_invertible, translation_with_pullback
 from sphere_distal import (
     AffineSphereMap,
     DegenerateMap,
@@ -20,7 +21,7 @@ from sphere_distal import (
     orbit,
     rotation,
 )
-from sphere_distal.sphere import as_sphere_point
+from sphere_distal.sphere import apply_many, as_sphere_point
 
 
 def test_apply_projective_eigendirection():
@@ -217,3 +218,20 @@ def test_orbit_rejects_bad_regime():
 def test_as_sphere_point_rejects_nonfinite(x):
     with pytest.raises(ValueError):
         as_sphere_point(x)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_apply_many_matches_the_wrapped_formula(d):
+    rng = np.random.default_rng(40 + d)
+    X = rng.standard_normal((16, d))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    T = random_invertible(rng, d)
+    stack = rng.standard_normal((64, d, d))
+    maps = [AffineSphereMap.create(T), AffineSphereMap.create(T, translation_with_pullback(rng, T, 0.5))]
+    assert [m.regime for m in maps] == [Regime.PROJECTIVE, Regime.HOMEOMORPHISM]
+    for m in maps + [replace(m, matrix=stack) for m in maps]:
+        got = apply_many(m, X)
+        assert got.shape == (X.shape if m.matrix.ndim == 2 else (64,) + X.shape)
+        # array_equal treats -0.0 and 0.0 as equal, the one allowed difference
+        assert np.array_equal(got, naive_apply_many(m, X))
+        assert np.array_equal(apply_many(m, X[0]), naive_apply_many(m, X[0]))
