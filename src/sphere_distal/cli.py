@@ -249,15 +249,17 @@ def _run(args, config) -> tuple[int, object]:
             record = orbit(m, x, args.steps, config)
         except ValueError as exc:  # negative --steps or a start point off the sphere
             raise SpecParseError(str(exc)) from exc
+        # rendered before any output is opened: a rejected SVG leaves no file
+        svg = orbit_to_svg(record, proj_axis=args.proj_axis) if args.svg else None
         to_stdout = args.csv is None
         if to_stdout:
             orbit_to_csv(record, sys.stdout)
         else:
             with _open_output(args.csv) as fh:
                 orbit_to_csv(record, fh)
-        if args.svg:
+        if svg is not None:
             with _open_output(args.svg) as fh:
-                fh.write(orbit_to_svg(record, proj_axis=args.proj_axis))
+                fh.write(svg)
         if to_stdout:
             return EXIT_DISTAL, None  # stdout already holds the CSV payload
         payload = {

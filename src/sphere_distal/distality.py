@@ -13,7 +13,6 @@ in its certificate.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,6 +27,7 @@ from .errors import (
 )
 from .linalg import (
     _operator_norm,
+    _operator_norms,
     as_matrix,
     contraction_subspace,
     determinant,
@@ -372,35 +372,43 @@ def _word_product(units: list, word) -> np.ndarray:
     return M
 
 
-def _enumerate_words(units: list, max_len: int, rng, n_random: int):
-    """Yield (word, product) pairs: exhaustive for <= 3 generators up to
-    length 8, random sampling beyond.
+def _word_levels(units: list, max_len: int):
+    """Yield (products, norms) for each word length 1..max_len.
 
-    The exhaustive levels come in ``itertools.product`` order, each built
-    from the one before: the product of ``word + (i,)`` is the product of
-    ``word`` times ``units[i]``, the same left fold as ``_word_product``,
-    so every product is bit-identical to it.  Only the previous level's
-    products are kept, and the last level's are not kept at all.  Random
-    words are validated by ``as_matrix``: nothing bounds the norms of
-    their factors, so their products can overflow.
+    ``products[k]`` is the product of the k-th word of that length in
+    ``itertools.product`` order (see ``_word_at``) and ``norms[k]`` its
+    ``_operator_norm``.  Each level comes from the one before in one stacked
+    matmul: the product of ``word + (i,)`` is the product of ``word`` times
+    ``units[i]``, the same left fold as ``_word_product``, so every product
+    and norm is bit-identical to it.  Only the previous level is kept.
     """
+    U = np.stack(units)
+    d = U.shape[1]
+    level = U
+    for length in range(1, max_len + 1):
+        if length > 1:
+            level = (level[:, None] @ U[None]).reshape(-1, d, d)
+        yield level, _operator_norms(level)
+
+
+def _word_at(index: int, g: int, length: int) -> tuple:
+    """The index-th word of ``itertools.product(range(g), repeat=length)``:
+    index written in base g with ``length`` digits, most significant first."""
+    word = [0] * length
+    for k in range(length - 1, -1, -1):
+        index, word[k] = divmod(index, g)
+    return tuple(word)
+
+
+def _random_words(units: list, min_len: int, max_len: int, rng, n_random: int):
+    """Yield n_random (word, product) pairs of random words with lengths in
+    [min_len, max_len].  The products are validated by ``as_matrix``:
+    nothing bounds the norms of their factors, so they can overflow."""
     g = len(units)
-    exhaustive_len = min(max_len, 8) if g <= 3 else 0
-    level = units
-    for length in range(1, exhaustive_len + 1):
-        products = level if length == 1 else (P @ U for P in level for U in units)
-        kept = []
-        for word, M in zip(itertools.product(range(g), repeat=length), products):
-            yield word, M
-            if length < exhaustive_len:
-                kept.append(M)
-        level = kept
-    if g > 3 or max_len > exhaustive_len:
-        lo = exhaustive_len + 1
-        for _ in range(n_random):
-            length = int(rng.integers(max(lo, 1), max_len + 1))
-            word = tuple(int(i) for i in rng.integers(0, g, size=length))
-            yield word, as_matrix(_word_product(units, word))
+    for _ in range(n_random):
+        length = int(rng.integers(min_len, max_len + 1))
+        word = tuple(int(i) for i in rng.integers(0, g, size=length))
+        yield word, as_matrix(_word_product(units, word))
 
 
 def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFIG) -> DistalityVerdict:
@@ -409,9 +417,14 @@ def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFI
     Pipeline: classify each generator (a non-distal generator is a
     cyclic-subsemigroup witness); sweep normalized words up to the
     length budget against the norm growth bound; run the orbit oracle on
-    sampled words.  A clean sweep is reported as Distal with the budget
-    attached as provenance, because compactness of the closure is only
-    semi-decidable numerically.  For non-closed semigroups the cyclic
+    sampled words.  With <= 3 generators the sweep checks every word up to
+    length 8, one word length at a time, and random words beyond; it ends
+    at the first word whose norm exceeds the bound, the ``UnboundedWord``.
+    The oracle gets the generators and, picked by the seeded generator,
+    swept words of length >= 2.  A clean sweep is reported as Distal with
+    ``words_checked``, ``max_word_norm`` (the largest norm of those words)
+    and the budget attached as provenance, because compactness of the
+    closure is only semi-decidable numerically.  For non-closed semigroups the cyclic
     shortcut is heuristic evidence, not a theorem: the closed-semigroup
     equivalence needs the closure.
     """
@@ -444,28 +457,52 @@ def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFI
             ambiguous = True
 
     units = [normalize_to_unimodular(G, config).unit for G in gens]
+    g = len(units)
     bound = config.growth_factor * d
     rng = np.random.default_rng(seed)
+
+    def unbounded(word, norm):
+        cert = UnboundedWord(word=word, norm=float(norm), bound=float(bound))
+        return DistalityVerdict(Verdict.NOT_DISTAL, cert, budget, seed)
+
+    # every word up to length 8 for <= 3 generators, level by level; the
+    # sweep ends at the first norm above the bound, so every product a level
+    # extends is bounded and needs no finiteness check
+    exhaustive_len = min(max_len, 8) if g <= 3 else 0
     words_checked = 0
     max_norm = 0.0
-    collected: list[tuple] = []
-    # exhaustive products need no finiteness check: the sweep stops at the
-    # first norm above the bound, so every prefix it extends is bounded
-    for word, M in _enumerate_words(units, max_len, rng, config.random_words):
-        norm = _operator_norm(M)
-        words_checked += 1
-        max_norm = max(max_norm, norm)
-        if norm > bound:
-            cert = UnboundedWord(word=word, norm=float(norm), bound=float(bound))
-            return DistalityVerdict(Verdict.NOT_DISTAL, cert, budget, seed)
-        if len(word) > 1:
-            collected.append(word)
+    for length, (_, norms) in enumerate(_word_levels(units, exhaustive_len), 1):
+        top = max(norms)
+        if top > bound:
+            k = next(k for k, norm in enumerate(norms) if norm > bound)
+            return unbounded(_word_at(k, g, length), norms[k])
+        words_checked += len(norms)
+        max_norm = max(max_norm, top)
+    # random words beyond, one at a time; those longer than 1 join the
+    # oracle's candidates after every swept word of length >= 2
+    tail: list[tuple] = []
+    if g > 3 or max_len > exhaustive_len:
+        for word, M in _random_words(units, exhaustive_len + 1, max_len, rng, config.random_words):
+            norm = _operator_norm(M)
+            words_checked += 1
+            max_norm = max(max_norm, norm)
+            if norm > bound:
+                return unbounded(word, norm)
+            if len(word) > 1:
+                tail.append(word)
 
-    oracle_words = [(i,) for i in range(len(gens))]
-    if collected and n_oracle > len(oracle_words):
-        extra = min(n_oracle - len(oracle_words), len(collected))
-        picks = rng.choice(len(collected), size=extra, replace=False)
-        oracle_words += [collected[int(p)] for p in sorted(picks)]
+    swept = sum(g**length for length in range(2, exhaustive_len + 1))
+    candidates = swept + len(tail)
+    oracle_words = [(i,) for i in range(g)]
+    if candidates and n_oracle > g:
+        picks = rng.choice(candidates, size=min(n_oracle - g, candidates), replace=False)
+        # a pick indexes the swept words of length >= 2 in sweep order, then the tail
+        for p in sorted(int(p) for p in picks):
+            length = 2
+            while length <= exhaustive_len and p >= g**length:
+                p -= g**length
+                length += 1
+            oracle_words.append(_word_at(p, g, length) if length <= exhaustive_len else tail[p])
     for word in oracle_words[:n_oracle]:
         m = AffineSphereMap.create(_word_product(units, word), config=config)
         pair = proximal_pair_search(m, seed=seed, config=config)

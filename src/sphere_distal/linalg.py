@@ -71,8 +71,28 @@ def _operator_norm(T: np.ndarray) -> float:
     """``operator_norm`` of a matrix that is already square, real and finite."""
     if T.shape[0] == 2:
         (a, b), (c, d) = T.tolist()
-        return (math.hypot(a + d, b - c) + math.hypot(a - d, b + c)) / 2.0
+        return _norm_2x2(a + d, b - c, a - d, b + c)
     return float(np.linalg.svd(T, compute_uv=False)[0])
+
+
+def _operator_norms(Ts: np.ndarray) -> list:
+    """``_operator_norm`` of each matrix in a stack (n, d, d), as a list of floats.
+
+    Bit-identical to one ``_operator_norm`` call per matrix: the 2x2 sums
+    are taken column-wise in the same float64 arithmetic and fed to the
+    same ``math.hypot`` form (``np.hypot`` rounds differently); d >= 3 takes
+    one stacked SVD, which runs the same LAPACK routine per matrix.
+    """
+    if Ts.shape[1] == 2:
+        a, b, c, d = Ts.reshape(-1, 4).T
+        sums = (a + d).tolist(), (b - c).tolist(), (a - d).tolist(), (b + c).tolist()
+        return list(map(_norm_2x2, *sums))
+    return np.linalg.svd(Ts, compute_uv=False)[:, 0].tolist()
+
+
+def _norm_2x2(p: float, q: float, r: float, s: float) -> float:
+    """The 2x2 operator norm from p = a+d, q = b-c, r = a-d, s = b+c."""
+    return (math.hypot(p, q) + math.hypot(r, s)) / 2.0
 
 
 def is_orthogonal(T: np.ndarray, tol: float = 1e-9) -> bool:
@@ -156,19 +176,6 @@ class EigenStructure:
     semisimple: bool | None  # None when the rank test is ambiguous
     kind: RealDiagonalizable | JordanBlock | ComplexPair
     conditioning: float
-
-    def canonical_factor(self) -> np.ndarray:
-        """The middle factor B with T = basis @ B @ basis^-1."""
-        k = self.kind
-        if isinstance(k, RealDiagonalizable):
-            return np.diag([k.eig_major, k.eig_minor])
-        if isinstance(k, JordanBlock):
-            return np.array([[k.eigenvalue, 1.0], [0.0, k.eigenvalue]])
-        return k.modulus * rotation(k.angle)
-
-    def reconstruct(self, config: Config = DEFAULT_CONFIG) -> np.ndarray:
-        A = self.kind.basis
-        return A @ self.canonical_factor() @ matrix_inverse(A, config)
 
 
 def rotation(angle: float) -> np.ndarray:

@@ -208,9 +208,8 @@ def affine_inverse_image(m: AffineSphereMap, y, config: Config = DEFAULT_CONFIG)
 class OrbitRecord:
     """Forward orbit of a point: points[k+1] = map(points[k])."""
 
-    points: np.ndarray  # (length, d)
+    points: np.ndarray  # (steps + 1, d)
     map: AffineSphereMap
-    length: int
 
 
 def orbit(m: AffineSphereMap, x, steps: int, config: Config = DEFAULT_CONFIG) -> OrbitRecord:
@@ -224,4 +223,4 @@ def orbit(m: AffineSphereMap, x, steps: int, config: Config = DEFAULT_CONFIG) ->
     pts[0] = x
     for k in range(steps):
         pts[k + 1] = apply_affine(m, pts[k], config)
-    return OrbitRecord(points=pts, map=m, length=steps + 1)
+    return OrbitRecord(points=pts, map=m)

@@ -3,7 +3,7 @@
 import numpy as np
 
 from sphere_distal import rotation
-from sphere_distal.linalg import matrix_inverse, operator_norm, real_schur_2x2
+from sphere_distal.linalg import JordanBlock, RealDiagonalizable, matrix_inverse, operator_norm, real_schur_2x2
 
 
 def random_conjugator(rng, max_cond=8.0):
@@ -70,3 +70,15 @@ def naive_apply_many(m, X):
     """apply_many through the NumPy wrappers, the translation always added."""
     V = X @ np.swapaxes(m.matrix, -1, -2) + m.translation
     return V / np.linalg.norm(V, axis=-1, keepdims=True)
+
+
+def reconstruct(es):
+    """basis @ B @ basis^-1 for the canonical middle factor B of a real_schur_2x2 result."""
+    k = es.kind
+    if isinstance(k, RealDiagonalizable):
+        B = np.diag([k.eig_major, k.eig_minor])
+    elif isinstance(k, JordanBlock):
+        B = np.array([[k.eigenvalue, 1.0], [0.0, k.eigenvalue]])
+    else:
+        B = k.modulus * rotation(k.angle)
+    return k.basis @ B @ matrix_inverse(k.basis)

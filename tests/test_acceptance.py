@@ -38,7 +38,7 @@ from sphere_distal import (
     rotation,
     semigroup_distality_test,
 )
-from sphere_distal.distality import ProximalPair, SemigroupSpec, _enumerate_words
+from sphere_distal.distality import ProximalPair, SemigroupSpec, _word_levels
 from sphere_distal.fixed_points import (
     BRANCH_ALIGNED_MAJOR,
     BRANCH_ALIGNED_MINOR,
@@ -304,7 +304,7 @@ def test_criterion_7_semigroup_tests():
     v_good = semigroup_distality_test(spec_good)
     assert v_good.verdict is Verdict.DISTAL
     units = [normalize_to_unimodular(G).unit for G in spec_good.generators]
-    norms = [operator_norm(M) for _, M in _enumerate_words(units, 8, None, 0)]
+    norms = [operator_norm(M) for products, _ in _word_levels(units, 8) for M in products]
     assert len(norms) == 2**9 - 2
     assert max(abs(n - 1.0) for n in norms) < 1e-9
 

@@ -211,6 +211,19 @@ def test_orbit_svg_3d_projection(tmp_path, capsys):
     assert "<svg" in svg_path.read_text()
 
 
+@pytest.mark.parametrize("rows, flags", [
+    ([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], ["--proj-axis", "7"]),
+    (np.eye(4).tolist(), []),
+])
+def test_orbit_rejected_svg_writes_no_file(tmp_path, capsys, rows, flags):
+    path = write_matrix(tmp_path / "m.json", rows)
+    csv_path, svg_path = tmp_path / "o.csv", tmp_path / "o.svg"
+    code, report, err = run_cli(
+        capsys, ["orbit", path, "--steps", "3", "--csv", str(csv_path), "--svg", str(svg_path), *flags])
+    assert code == 64 and report is None and err.startswith("error:")
+    assert not csv_path.exists() and not svg_path.exists()
+
+
 def test_semigroup_cli(tmp_path, capsys):
     def matrix_obj(rows):
         return {"dim": 2, "rows": rows}

@@ -31,15 +31,18 @@ from sphere_distal import (
 )
 from sphere_distal import distality
 from sphere_distal.distality import (
-    _enumerate_words,
     _jordan_collapse_pair,
     _pair_blocks,
+    _random_words,
     _sample_far_pairs,
     _split_moduli_pair,
+    _word_at,
+    _word_levels,
     _word_product,
 )
 from sphere_distal.fixed_points import _circle_pair_search
-from sphere_distal.linalg import _operator_norm, matrix_inverse, spectral_summary
+from sphere_distal.linalg import matrix_inverse, spectral_summary
+from sphere_distal.serialize import dump_json, verdict_to_json
 from sphere_distal.sphere import apply_many
 
 
@@ -405,23 +408,40 @@ def test_enumerate_words_matches_the_naive_fold(g, d):
     units = _random_units(np.random.default_rng(10 * g + d), g, d)
     reference = dict(naive_enumerate_words(units, 8, None, 0))
     for max_len in range(1, 9):
-        pairs = list(_enumerate_words(units, max_len, None, 0))
-        words = [w for k in range(1, max_len + 1) for w in itertools.product(range(g), repeat=k)]
-        assert [w for w, _ in pairs] == words
-        for word, M in pairs:
-            assert np.array_equal(M, reference[word]), word
-    for word, M in reference.items():
-        assert _operator_norm(M) == operator_norm(M), word
+        levels = list(_word_levels(units, max_len))
+        assert len(levels) == max_len
+        for length, (products, norms) in enumerate(levels, 1):
+            words = list(itertools.product(range(g), repeat=length))
+            assert products.shape == (len(words), d, d) and len(norms) == len(words)
+            for k, word in enumerate(words):
+                assert _word_at(k, g, length) == word
+                assert np.array_equal(products[k], reference[word]), word
+                assert type(norms[k]) is float
+                assert norms[k] == operator_norm(reference[word]), word
 
 
 @pytest.mark.parametrize("g, max_len", [(4, 6), (3, 11)])
 def test_enumerate_words_random_tail_unchanged(g, max_len):
     units = _random_units(np.random.default_rng(g), g, 2)
-    got = list(_enumerate_words(units, max_len, np.random.default_rng(7), 40))
+    exhaustive_len = min(max_len, 8) if g <= 3 else 0
+    got = [
+        (_word_at(k, g, length), M)
+        for length, (products, _) in enumerate(_word_levels(units, exhaustive_len), 1)
+        for k, M in enumerate(products)
+    ]
+    got += _random_words(units, exhaustive_len + 1, max_len, np.random.default_rng(7), 40)
     want = list(naive_enumerate_words(units, max_len, np.random.default_rng(7), 40))
     assert [w for w, _ in got] == [w for w, _ in want]
     assert all(np.array_equal(M, N) for (_, M), (_, N) in zip(got, want))
     assert len(got) == len(want) == (40 if g == 4 else 9840 + 40)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_word_at_decodes_product_order(g):
+    for length in range(1, 9):
+        words = list(itertools.product(range(g), repeat=length))
+        assert [_word_at(k, g, length) for k in range(len(words))] == words
+        assert all(type(i) is int for i in _word_at(len(words) - 1, g, length))
 
 
 def test_operator_norm_still_validates():
@@ -444,6 +464,167 @@ def test_unbounded_word_norm_matches_the_fold_exactly(d):
     assert isinstance(v.certificate, UnboundedWord)
     units = [normalize_to_unimodular(G).unit for G in gens]
     assert v.certificate.norm == operator_norm(_word_product(units, v.certificate.word))
+
+
+# --- the level sweep against the per-word reference ------------------------------
+
+
+def naive_semigroup_distality_test(spec, config=DEFAULT_CONFIG):
+    """The word search one word at a time, each product multiplied out from
+    scratch, every swept word of length >= 2 collected and the oracle's
+    words picked from that list: the reference."""
+    gens = [np.array(G, dtype=float) for G in spec.generators]
+    d = gens[0].shape[0]
+    max_len = spec.word_length_budget if spec.word_length_budget is not None else config.max_word_length
+    n_oracle = spec.sample_count if spec.sample_count is not None else config.oracle_words
+    seed = spec.rng_seed if spec.rng_seed is not None else config.rng_seed
+    budget = {
+        "word_length": max_len,
+        "oracle_words": n_oracle,
+        "oracle_iterations": config.oracle.iterations,
+        "growth_bound": config.growth_factor * d,
+    }
+    ambiguous = False
+    for i, G in enumerate(gens):
+        v = classify_projective_distality(G, config)
+        if v.verdict is Verdict.NOT_DISTAL:
+            cert = v.certificate
+            if isinstance(cert, ProximalPair):
+                cert = replace(cert, word=(i,))
+            return distality.DistalityVerdict(Verdict.NOT_DISTAL, cert, budget, seed)
+        ambiguous = ambiguous or v.verdict is Verdict.INCONCLUSIVE
+    units = [normalize_to_unimodular(G, config).unit for G in gens]
+    bound = config.growth_factor * d
+    rng = np.random.default_rng(seed)
+    words_checked, max_norm, collected = 0, 0.0, []
+    for word, M in naive_enumerate_words(units, max_len, rng, config.random_words):
+        norm = operator_norm(M)
+        words_checked += 1
+        max_norm = max(max_norm, norm)
+        if norm > bound:
+            cert = UnboundedWord(word=word, norm=float(norm), bound=float(bound))
+            return distality.DistalityVerdict(Verdict.NOT_DISTAL, cert, budget, seed)
+        if len(word) > 1:
+            collected.append(word)
+    oracle_words = [(i,) for i in range(len(gens))]
+    if collected and n_oracle > len(oracle_words):
+        extra = min(n_oracle - len(oracle_words), len(collected))
+        picks = rng.choice(len(collected), size=extra, replace=False)
+        oracle_words += [collected[int(p)] for p in sorted(picks)]
+    for word in oracle_words[:n_oracle]:
+        m = AffineSphereMap.create(_word_product(units, word), config=config)
+        pair = distality.proximal_pair_search(m, seed=seed, config=config)
+        if pair is not None:
+            return distality.DistalityVerdict(Verdict.NOT_DISTAL, replace(pair, word=word), budget, seed)
+    if ambiguous:
+        cert = BudgetExhausted({"reason": "ambiguous-generator", **budget})
+        return distality.DistalityVerdict(Verdict.INCONCLUSIVE, cert, budget, seed)
+    cert = BudgetExhausted({"words_checked": words_checked, "max_word_norm": float(max_norm), **budget})
+    return distality.DistalityVerdict(Verdict.DISTAL, cert, budget, seed)
+
+
+def assert_matches_reference(monkeypatch, spec, config=DEFAULT_CONFIG):
+    """The sweep's verdict bytes and the maps its oracle saw equal the reference's."""
+    seen = []
+    search = distality.proximal_pair_search
+
+    def recording(m, **kwargs):
+        seen.append(m.matrix)
+        return search(m, **kwargs)
+
+    monkeypatch.setattr(distality, "proximal_pair_search", recording)
+    got = semigroup_distality_test(spec, config)
+    got_maps, seen[:] = list(seen), []
+    want = naive_semigroup_distality_test(spec, config)
+    assert dump_json(verdict_to_json(got)) == dump_json(verdict_to_json(want))
+    assert len(got_maps) == len(seen)
+    assert all(np.array_equal(a, b) for a, b in zip(got_maps, seen))
+    return got
+
+
+def _embed(G, d):
+    T = np.eye(d)
+    T[:2, :2] = G
+    return T
+
+
+def _conjugated_rotations(rng, g, d, spread):
+    """g elliptic generators, each a plane rotation under its own change of
+    basis I + spread * noise; the farther from I, the sooner words grow."""
+    gens = []
+    for _ in range(g):
+        R = _embed(rotation(rng.uniform(0.2, 3.0)), d)
+        C = np.eye(d) + spread * rng.standard_normal((d, d))
+        gens.append(C @ R @ np.linalg.inv(C))
+    return tuple(gens)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_sweep_matches_the_reference_on_seeded_sets(monkeypatch, g, d):
+    rng = np.random.default_rng(100 * g + d)
+    kinds = set()
+    for spread in (0.0, 0.02, 0.1, 0.3, 0.6):
+        gens = _conjugated_rotations(rng, g, d, spread)
+        v = assert_matches_reference(monkeypatch, SemigroupSpec(gens, sample_count=0))
+        kinds.add(type(v.certificate).__name__)
+    assert "BudgetExhausted" in kinds
+    assert "UnboundedWord" in kinds or g == 1
+
+
+def _growing_generator(d):
+    """An elliptic generator whose powers 1..8 have strictly growing norms."""
+    C = np.diag([3.0, 1.0 / 3.0])
+    return _embed(C @ rotation(0.05) @ np.linalg.inv(C), d)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("length", range(1, 9))
+@pytest.mark.parametrize("g, slot", [(2, 0), (3, 1), (3, 2)])
+def test_first_unbounded_word_at_each_length_and_position(monkeypatch, g, slot, length, d):
+    """Generator ``slot`` grows and the rest are the identity, so a word's norm
+    is that of the growing power it holds: the bound set between the powers
+    length - 1 and length makes (slot,) * length the first unbounded word,
+    the first, middle or last of its level."""
+    G = _growing_generator(d)
+    gens = tuple(G if i == slot else np.eye(d) for i in range(g))
+    powers = [operator_norm(np.linalg.matrix_power(G, n)) for n in range(9)]
+    assert all(a < b for a, b in zip(powers, powers[1:]))
+    config = Config(growth_factor=(powers[length - 1] + powers[length]) / (2 * d))
+    v = assert_matches_reference(monkeypatch, SemigroupSpec(gens), config)
+    assert isinstance(v.certificate, UnboundedWord)
+    assert v.certificate.word == (slot,) * length
+    index = sum(slot * g**k for k in range(length))
+    assert index == {0: 0, 1: (g**length - 1) // 2, 2: g**length - 1}[slot]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("budget", [0, 3, 8, 11])
+@pytest.mark.parametrize("samples", [0, 8, 40])
+def test_clean_sweep_matches_the_reference(monkeypatch, samples, budget, d):
+    rng = np.random.default_rng(7 * d + budget)
+    R = rotation(rng.uniform(0.2, 3.0))
+    C = np.eye(2) + 0.2 * rng.standard_normal((2, 2))
+    # one change of basis for all: the group stays compact, every word bounded
+    gens = tuple(_embed(C @ rotation(t) @ R @ np.linalg.inv(C), d) for t in (0.0, 0.7, 1.9))
+    spec = SemigroupSpec(gens, word_length_budget=budget, sample_count=samples, rng_seed=budget)
+    # a short oracle: the maps it is handed are compared, not its search
+    config = Config(oracle=OracleBudget(samples=4, iterations=64))
+    v = assert_matches_reference(monkeypatch, spec, config)
+    assert isinstance(v.certificate, BudgetExhausted)
+    swept = sum(3**k for k in range(1, min(budget, 8) + 1)) + (256 if budget > 8 else 0)
+    assert v.certificate.parameters["words_checked"] == swept
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4])
+def test_oracle_hit_on_a_picked_word_matches_the_reference(monkeypatch, seed):
+    """Two elliptic generators under different changes of basis: every word
+    stays below the bound, but some of length 5 and 7 are hyperbolic, and the
+    oracle finds a proximal pair on the first such word it is handed."""
+    C = np.diag([1.1, 1.0])
+    gens = (rotation(1.0), C @ rotation(math.sqrt(2.0)) @ np.linalg.inv(C))
+    v = assert_matches_reference(monkeypatch, SemigroupSpec(gens, sample_count=40, rng_seed=seed))
+    assert isinstance(v.certificate, ProximalPair) and len(v.certificate.word) > 1
 
 
 # --- the measured pair stops once it has collapsed --------------------------------

@@ -176,7 +176,7 @@ def test_inverse_forward_round_trip(seed, c, d):
 def test_orbit_rotation_order4():
     m = AffineSphereMap.create(rotation(math.pi / 2))
     record = orbit(m, [1.0, 0.0], 4)
-    assert record.length == 5
+    assert record.points.shape[0] == 5
     assert np.allclose(record.points[4], record.points[0], atol=1e-12)
 
 
