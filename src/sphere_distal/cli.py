@@ -22,6 +22,7 @@ rejected outright.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -170,11 +171,22 @@ def _solution_to_json(result) -> dict:
     return periodic_points_to_json(result)
 
 
-def _open_output(path: str):
+def _open_outputs(*paths) -> list:
+    """A file open for writing for each path (None for None), or none at
+    all: when a path cannot be opened, the files this call created are
+    removed again (an existing file opened before it is left empty)."""
+    created = [p for p in paths if p is not None and not os.path.exists(p)]
+    files = []
     try:
-        return open(path, "w", encoding="utf-8")
+        for path in paths:
+            files.append(None if path is None else open(path, "w", encoding="utf-8"))
     except OSError as exc:
+        for fh in filter(None, files):
+            fh.close()
+            if fh.name in created:
+                os.remove(fh.name)
         raise SpecParseError(f"cannot write {path}: {exc}") from exc
+    return files
 
 
 @functools.cache
@@ -251,16 +263,12 @@ def _run(args, config) -> tuple[int, object]:
             raise SpecParseError(str(exc)) from exc
         # rendered before any output is opened: a rejected SVG leaves no file
         svg = orbit_to_svg(record, proj_axis=args.proj_axis) if args.svg else None
-        to_stdout = args.csv is None
-        if to_stdout:
-            orbit_to_csv(record, sys.stdout)
-        else:
-            with _open_output(args.csv) as fh:
-                orbit_to_csv(record, fh)
-        if svg is not None:
-            with _open_output(args.svg) as fh:
-                fh.write(svg)
-        if to_stdout:
+        csv_fh, svg_fh = _open_outputs(args.csv, args.svg or None)
+        with csv_fh or contextlib.nullcontext(), svg_fh or contextlib.nullcontext():
+            orbit_to_csv(record, csv_fh or sys.stdout)
+            if svg_fh is not None:
+                svg_fh.write(svg)
+        if csv_fh is None:
             return EXIT_DISTAL, None  # stdout already holds the CSV payload
         payload = {
             "map": m.describe(),

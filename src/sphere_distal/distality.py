@@ -481,7 +481,7 @@ def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFI
     # random words beyond, one at a time; those longer than 1 join the
     # oracle's candidates after every swept word of length >= 2
     tail: list[tuple] = []
-    if g > 3 or max_len > exhaustive_len:
+    if max_len > exhaustive_len:
         for word, M in _random_words(units, exhaustive_len + 1, max_len, rng, config.random_words):
             norm = _operator_norm(M)
             words_checked += 1
@@ -530,17 +530,16 @@ def replay_certificate(
     cert: Certificate,
     matrix=None,
     generators=None,
-    map: AffineSphereMap | None = None,
     config: Config = DEFAULT_CONFIG,
     tolerance: float = 0.10,
 ) -> bool:
     """Re-run a NotDistal certificate and confirm its claim within 10%.
 
     Proximal pairs must claim at least one step and an approach; they are
-    replayed against the generating map (explicit ``map``, a single
-    ``matrix``, or a generator ``word`` resolved over ``generators``);
-    unbounded words recompute the word norm.  Positive certificates have
-    nothing to falsify and return True.
+    replayed against the generating map: the certificate's ``word``
+    resolved over ``generators`` when both are given, else the single
+    ``matrix``.  Unbounded words recompute the word norm.  Positive
+    certificates have nothing to falsify and return True.
     """
     units = None if generators is None else [
         normalize_to_unimodular(as_matrix(G), config).unit for G in generators
@@ -553,14 +552,13 @@ def replay_certificate(
     if isinstance(cert, ProximalPair):
         if cert.steps < 1 or not cert.separation_final < cert.separation_initial:
             return False  # a pair that never got closer certifies nothing
-        if map is None:
-            if cert.word is not None and units is not None:
-                map = AffineSphereMap.create(_word_product(units, cert.word), config=config)
-            elif matrix is not None:
-                map = AffineSphereMap.create(as_matrix(matrix), config=config)
-            else:
-                raise ValueError("replaying a proximal pair needs a map, matrix, or word")
-        for _, S in _separations(map, cert.x, cert.y, cert.steps):
+        if cert.word is not None and units is not None:
+            m = AffineSphereMap.create(_word_product(units, cert.word), config=config)
+        elif matrix is not None:
+            m = AffineSphereMap.create(as_matrix(matrix), config=config)
+        else:
+            raise ValueError("replaying a proximal pair needs a matrix, or a word and its generators")
+        for _, S in _separations(m, cert.x, cert.y, cert.steps):
             sep = float(S[-1, 0])
         floor = max(cert.separation_final, 1e-15)
         return abs(sep - cert.separation_final) <= tolerance * floor

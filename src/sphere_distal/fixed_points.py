@@ -42,7 +42,6 @@ from .linalg import (
     eigenvalues_3x3,
     is_orthogonal,
     matrix_inverse,
-    normalize_to_unimodular,
     operator_norm,
     real_schur_2x2,
     rotation,
@@ -50,7 +49,6 @@ from .linalg import (
 from .sphere import (
     AffineSphereMap,
     Regime,
-    affine_is_homeomorphism,
     apply_affine,
     unit_vector,
 )
@@ -98,32 +96,23 @@ class PeriodicPoints2:
     residuals: np.ndarray
 
 
-def _normalized_pair(T: np.ndarray, a: np.ndarray, config: Config):
-    """Divide (T, a) by |det T|^(1/2); the sphere map is unchanged."""
-    s = det_root(T, config)
-    return T / s, a / s, s
-
-
-def _require_homeomorphism(T_hat, a_hat, config: Config) -> float:
-    report = affine_is_homeomorphism(T_hat, a_hat, config)
-    if report.regime is not Regime.HOMEOMORPHISM:
-        raise InvalidTranslation(
-            f"||T^-1 a|| = {report.pullback_norm:.6g} is not below 1"
-        )
-    return report.pullback_norm
-
-
-def _circle_inputs(T, a):
-    """Validate a 2x2 matrix and a nonzero 2-vector translation."""
+def _circle_map(T, a, config: Config):
+    """The affine circle map of the determinant-normalized pair and its real
+    canonical form.  Checks the translation's shape, a zero translation,
+    the determinant, the homeomorphism regime and d = 2, in that order."""
     T = as_matrix(T)
-    if T.shape[0] != 2:
-        raise DimensionUnsupported("fixed points are built on the circle (d = 2)")
     a = np.asarray(a, dtype=float)
-    if a.shape != (2,):
-        raise DimensionMismatch("translation must be a 2-vector")
+    if a.shape != (T.shape[0],):
+        raise DimensionMismatch("translation must match the matrix dimension")
     if float(np.linalg.norm(a)) == 0.0:
         raise ZeroTranslation("the projective action has no translation")
-    return T, a
+    s = det_root(T, config)
+    m = AffineSphereMap.create(T / s, a / s, config)
+    if m.regime is not Regime.HOMEOMORPHISM:
+        raise InvalidTranslation(f"||T^-1 a|| = {m.pullback_norm:.6g}: map is not a homeomorphism")
+    if T.shape[0] != 2:
+        raise DimensionUnsupported("fixed points are built on the circle (d = 2)")
+    return m, real_schur_2x2(m.matrix, config)
 
 
 def _top_real_eigenvalue(kind) -> float:
@@ -242,11 +231,11 @@ def _bisect_to_one(f, lo: float, hi: float, config: Config, context: str) -> flo
     return 0.5 * (lo + hi)
 
 
-def _bracketed_point(m: AffineSphereMap, es, a_hat, hi: float, branch: str, context: str,
+def _bracketed_point(m: AffineSphereMap, es, hi: float, branch: str, context: str,
                      config: Config) -> FixedPointResult:
-    """Bisect the resolvent norm of (T_hat, a_hat) to one on [0, hi]; the unit
-    resolvent vector at that gamma is the fixed point of ``m``."""
-    coords = matrix_inverse(es.kind.basis, config) @ a_hat
+    """Bisect the resolvent norm of ``m``'s pair (T_hat, a_hat) to one on
+    [0, hi]; the unit resolvent vector at that gamma is its fixed point."""
+    coords = matrix_inverse(es.kind.basis, config) @ m.translation
     gamma = _bisect_to_one(
         lambda g: float(np.linalg.norm(_resolvent_vector(es.kind, coords, g))),
         0.0, hi, config, context,
@@ -268,20 +257,13 @@ def find_fixed_point(T, a, config: Config = DEFAULT_CONFIG):
     matrices with negative eigenvalues raise OutsideCoveredClasses;
     choose_nondistal_witness picks a translation that works for them.
     """
-    T = as_matrix(T)
-    report = affine_is_homeomorphism(T, a, config)  # raises ZeroTranslation
-    if report.regime is not Regime.HOMEOMORPHISM:
-        raise InvalidTranslation(
-            f"||T^-1 a|| = {report.pullback_norm:.6g}: map is not a homeomorphism"
-        )
-    nm = normalize_to_unimodular(T, config)
-    es = real_schur_2x2(nm.unit, config)
+    m, es = _circle_map(T, a, config)
     if isinstance(es.kind, ComplexPair):
-        return find_fixed_point_complex(T, a, config)
+        return _complex_point(m, es, config)
     if _top_real_eigenvalue(es.kind) > 0.0:
-        return find_fixed_point_real_positive(T, a, config)
-    if float(np.max(np.abs(nm.unit + np.eye(2)))) <= config.classify_tol:
-        return minus_id_period2_points(np.asarray(a, dtype=float) / det_root(T, config), config)
+        return _real_positive_point(m, es, config)
+    if float(np.max(np.abs(m.matrix + np.eye(2)))) <= config.classify_tol:
+        return minus_id_period2_points(m.translation, config)
     raise OutsideCoveredClasses(
         "both eigenvalues negative and T is not -Id: no construction for this a; "
         "try the witness command"
@@ -297,10 +279,11 @@ def find_fixed_point_real_positive(T, a, config: Config = DEFAULT_CONFIG) -> Fix
     negative second eigenvalue, the generic two-coordinate bracket, and
     the defective (Jordan) bracket.
     """
-    T, a = _circle_inputs(T, a)
-    T_hat, a_hat, _ = _normalized_pair(T, a, config)
-    _require_homeomorphism(T_hat, a_hat, config)
-    es = real_schur_2x2(T_hat, config)
+    return _real_positive_point(*_circle_map(T, a, config), config)
+
+
+def _real_positive_point(m: AffineSphereMap, es, config: Config) -> FixedPointResult:
+    """find_fixed_point_real_positive on the prepared map ``m``."""
     if isinstance(es.kind, ComplexPair):
         raise NoPositiveRealEigenvalue("spectrum is complex")
     jordan = isinstance(es.kind, JordanBlock)
@@ -309,19 +292,19 @@ def find_fixed_point_real_positive(T, a, config: Config = DEFAULT_CONFIG) -> Fix
         raise NoPositiveRealEigenvalue(
             "defective eigenvalue is not positive" if jordan else "both real eigenvalues are negative"
         )
-    m = AffineSphereMap.create(T_hat, a_hat, config)
+    a_hat = m.translation
     A = es.kind.basis
     coords = matrix_inverse(A, config) @ a_hat
     a1, a2 = float(coords[0]), float(coords[1])
     ztol = config.coordinate_zero_tol * float(np.linalg.norm(coords))
-    guard = config.guard_offset * operator_norm(T_hat)
+    guard = config.guard_offset * operator_norm(m.matrix)
 
     if abs(a2) <= ztol:
         gamma = float(np.linalg.norm(a_hat)) + t
         return _fixed_point(m, unit_vector(a_hat), gamma, BRANCH_ALIGNED_MAJOR, config)
     if jordan:
         return _bracketed_point(
-            m, es, a_hat, t - guard, BRANCH_BISECTION_DEFECTIVE, "defective resolvent", config
+            m, es, t - guard, BRANCH_BISECTION_DEFECTIVE, "defective resolvent", config
         )
     s = es.kind.eig_minor
     if abs(a1) <= ztol and s > 0.0:
@@ -338,7 +321,7 @@ def find_fixed_point_real_positive(T, a, config: Config = DEFAULT_CONFIG) -> Fix
         return _fixed_point(m, unit_vector(x0 * u + c * v), t, BRANCH_MINOR_CROSSING, config)
     t0 = min(t, s) if s > 0.0 else t
     return _bracketed_point(
-        m, es, a_hat, t0 - guard, BRANCH_BISECTION, "diagonalizable resolvent", config
+        m, es, t0 - guard, BRANCH_BISECTION, "diagonalizable resolvent", config
     )
 
 
@@ -351,27 +334,25 @@ def find_fixed_point_complex(T, a, config: Config = DEFAULT_CONFIG) -> FixedPoin
     is bisected.  A failed inequality raises HypothesisNotMet naming the
     inequality; a wrong point is never returned.
     """
-    T, a = _circle_inputs(T, a)
-    if determinant(T) <= 0.0:
-        raise RealSpectrum("negative determinant forces real eigenvalues")
-    T_hat, a_hat, _ = _normalized_pair(T, a, config)
-    rho = _require_homeomorphism(T_hat, a_hat, config)
-    es = real_schur_2x2(T_hat, config)
+    return _complex_point(*_circle_map(T, a, config), config)
+
+
+def _complex_point(m: AffineSphereMap, es, config: Config) -> FixedPointResult:
+    """find_fixed_point_complex on the prepared map ``m``."""
     if not isinstance(es.kind, ComplexPair):
         raise RealSpectrum("eigenvalues are real; use the positive-eigenvalue branch")
     theta = es.kind.angle
     r1 = math.cos(theta)
     if r1 <= 0.0:
         raise HypothesisNotMet("nonpositive-cosine", f"cos(theta) = {r1:.6g}")
-    sin_bound = rho / es.conditioning
+    sin_bound = m.pullback_norm / es.conditioning
     if abs(math.sin(theta)) > sin_bound:
         raise HypothesisNotMet(
             "sine-exceeds-translation-bound",
             f"|sin(theta)| = {abs(math.sin(theta)):.6g} > {sin_bound:.6g}",
         )
-    m = AffineSphereMap.create(T_hat, a_hat, config)
     return _bracketed_point(
-        m, es, a_hat, es.kind.modulus * r1, BRANCH_BISECTION_ROTATION, "rotation resolvent", config
+        m, es, es.kind.modulus * r1, BRANCH_BISECTION_ROTATION, "rotation resolvent", config
     )
 
 
@@ -415,7 +396,8 @@ def choose_nondistal_witness(T, config: Config = DEFAULT_CONFIG):
     T = as_matrix(T)
     if T.shape[0] != 2:
         raise DimensionUnsupported("witness selection works on the circle (d = 2)")
-    T_hat, _, s_div = _normalized_pair(T, np.zeros(2), config)
+    s_div = det_root(T, config)
+    T_hat = T / s_div
     es = real_schur_2x2(T_hat, config)
 
     if not isinstance(es.kind, ComplexPair):
@@ -445,7 +427,7 @@ def choose_nondistal_witness(T, config: Config = DEFAULT_CONFIG):
                 a_hat = ((1.0 / n2 + 1.0) / 2.0) * (T_hat @ Vh[0])
                 m = AffineSphereMap.create(T_hat, a_hat, config)
                 result = _bracketed_point(
-                    m, es, a_hat, 2.0 * es.kind.modulus * r1, BRANCH_BISECTION_DOUBLE_ANGLE,
+                    m, es, 2.0 * es.kind.modulus * r1, BRANCH_BISECTION_DOUBLE_ANGLE,
                     "double-angle resolvent", config,
                 )
                 return a_hat * s_div, result
@@ -464,7 +446,7 @@ def choose_nondistal_witness(T, config: Config = DEFAULT_CONFIG):
     a_hat = (min(6.0, (5.0 + big_norm) / 2.0) / big_norm) * (T_hat @ w)
     m = AffineSphereMap.create(T_hat, a_hat, config)
     result = _bracketed_point(
-        m, es, a_hat, es.kind.modulus, BRANCH_BISECTION_LARGE_TRANSLATION,
+        m, es, es.kind.modulus, BRANCH_BISECTION_LARGE_TRANSLATION,
         "large-translation resolvent", config,
     )
     return a_hat * s_div, result

@@ -47,12 +47,18 @@ def determinant(T: np.ndarray) -> float:
     return float(np.linalg.det(T))
 
 
-def matrix_inverse(T: np.ndarray, config: Config = DEFAULT_CONFIG) -> np.ndarray:
-    """Inverse with an explicit singularity gate."""
-    T = as_matrix(T)
+def _nonsingular_det(T: np.ndarray, config: Config) -> float:
+    """The determinant of a validated matrix, behind the one singularity gate."""
     det = determinant(T)
     if abs(det) <= config.singular_tol:
         raise SingularMatrix(f"|det| = {abs(det):.3e} below tolerance")
+    return det
+
+
+def matrix_inverse(T: np.ndarray, config: Config = DEFAULT_CONFIG) -> np.ndarray:
+    """Inverse with an explicit singularity gate."""
+    T = as_matrix(T)
+    det = _nonsingular_det(T, config)
     if T.shape[0] == 2:
         return np.array([[T[1, 1], -T[0, 1]], [-T[1, 0], T[0, 0]]]) / det
     return np.linalg.solve(T, np.eye(T.shape[0]))
@@ -124,11 +130,9 @@ def normalize_to_unimodular(T, config: Config = DEFAULT_CONFIG) -> NormalizedMat
 def det_root(T: np.ndarray, config: Config = DEFAULT_CONFIG) -> float:
     """|det T|^(1/d) of a validated d x d matrix, behind the singularity gate."""
     d = T.shape[0]
-    det = determinant(T)
+    det = _nonsingular_det(T, config)  # a non-finite det never trips the gate
     if not math.isfinite(det):
         raise SingularMatrix("determinant overflowed")
-    if abs(det) <= config.singular_tol:
-        raise SingularMatrix(f"|det| = {abs(det):.3e} below tolerance")
     adet = abs(det)
     if d == 2:
         return math.sqrt(adet)
@@ -221,9 +225,7 @@ def real_schur_2x2(T, config: Config = DEFAULT_CONFIG) -> EigenStructure:
     T = as_matrix(T)
     if T.shape[0] != 2:
         raise DimensionUnsupported("real_schur_2x2 requires d = 2")
-    det = determinant(T)
-    if abs(det) <= config.singular_tol:
-        raise SingularMatrix(f"|det| = {abs(det):.3e} below tolerance")
+    det = _nonsingular_det(T, config)
     scale = operator_norm(T)
     tr = float(T[0, 0] + T[1, 1])
     disc = tr * tr - 4.0 * det
@@ -472,9 +474,7 @@ def contraction_subspace(T, config: Config = DEFAULT_CONFIG) -> np.ndarray:
     eigenvalues counted are those below 1 - spectral tolerance in modulus.
     """
     T = as_matrix(T)
-    det = determinant(T)
-    if abs(det) <= config.singular_tol:
-        raise SingularMatrix(f"|det| = {abs(det):.3e} below tolerance")
+    _nonsingular_det(T, config)
     cutoff = 1.0 - config.spectral_tol
     return invariant_subspace(T, lambda mu: abs(mu) < cutoff)
 

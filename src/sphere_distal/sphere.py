@@ -23,7 +23,7 @@ from .errors import (
     NonInjectiveWarning,
     ZeroTranslation,
 )
-from .linalg import as_matrix, matrix_inverse
+from .linalg import _nonsingular_det, as_matrix, matrix_inverse
 
 
 def unit_vector(v: np.ndarray) -> np.ndarray:
@@ -114,7 +114,7 @@ class AffineSphereMap:
         if a.shape != (d,):
             raise DimensionMismatch("translation must match the matrix dimension")
         if float(np.linalg.norm(a)) == 0.0:
-            matrix_inverse(T, config)  # invertibility gate
+            _nonsingular_det(T, config)
             return cls(T, a, Regime.PROJECTIVE, 0.0)
         report = affine_is_homeomorphism(T, a, config)
         return cls(T, a, report.regime, report.pullback_norm)

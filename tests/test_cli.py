@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from sphere_distal.cli import main
+from sphere_distal.linalg import rotation
 from sphere_distal.serialize import orbit_to_svg, parse_matrix
 from sphere_distal.errors import SpecParseError
 
@@ -455,3 +456,38 @@ def test_parser_keeps_no_state_between_calls(tmp_path, capsys):
     assert json.dumps(again["result"], sort_keys=True) == json.dumps(first["result"], sort_keys=True)
     assert again == first
     assert first["result"]["result"]["recurrence_times"]
+
+
+@pytest.mark.parametrize("outputs", [("o.csv", "missing/x.svg"), ("missing/o.csv", "o.svg")])
+def test_orbit_unwritable_output_creates_no_file(tmp_path, capsys, outputs):
+    path = write_matrix(tmp_path / "shear.json", SHEAR)
+    csv_path, svg_path = (tmp_path / name for name in outputs)
+    argv = ["orbit", path, "--steps", "3", "--csv", str(csv_path), "--svg", str(svg_path)]
+    code, report, err = run_cli(capsys, argv)
+    assert code == 64 and report is None and err.startswith("error:")
+    assert not csv_path.exists() and not svg_path.exists()
+
+
+@pytest.mark.parametrize(
+    "rows, a, expected",
+    [
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "0,0,0", 66),
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "2,0,0", 66),
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]], "0.1,0,0", 65),
+    ],
+)
+def test_fixed_point_3x3_reports_the_translation_or_determinant_first(
+        tmp_path, capsys, rows, a, expected):
+    path = write_matrix(tmp_path / "m3.json", rows)
+    code, report, _ = run_cli(capsys, ["fixed-point", path, "--a", a])
+    assert code == expected and report is None
+
+
+def test_semigroup_zero_budget_with_four_generators(tmp_path, capsys):
+    spec = tmp_path / "four.json"
+    gens = [{"dim": 2, "rows": rotation(theta).tolist()} for theta in (0.3, 0.7, 1.1, 1.9)]
+    spec.write_text(json.dumps({"generators": gens, "word_length_budget": 0}))
+    code, report, _ = run_cli(capsys, ["semigroup", str(spec)])
+    assert code == 0
+    assert report["result"]["verdict"] == "distal"
+    assert report["result"]["certificate"]["parameters"]["words_checked"] == 0

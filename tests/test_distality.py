@@ -706,3 +706,10 @@ def test_collapsed_pair_stops_walking_blocks(monkeypatch):
     assert cert.separation_final == 0.0
     assert len(calls) <= cert.steps // 64 + 2
     assert len(calls) < DEFAULT_CONFIG.oracle.iterations // 64
+
+
+def test_semigroup_zero_budget_with_four_generators_sweeps_no_words():
+    gens = tuple(rotation(theta) for theta in (0.3, 0.7, 1.1, 1.9))
+    v = semigroup_distality_test(SemigroupSpec(gens, word_length_budget=0))
+    assert v.verdict is Verdict.DISTAL
+    assert v.certificate.parameters["words_checked"] == 0

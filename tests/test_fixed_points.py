@@ -419,3 +419,29 @@ def test_recurrence_scan_bound_and_shortcuts_match_the_full_array_scan():
     assert _recurrence_times(rational, Config()) == (7, 14, 21)
     assert naive_recurrence_times(rational, Config()) == (7, 14, 21)
     assert _recurrence_times(0.0, Config()) == (1, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "T, a",
+    [(np.array([[2.0, 1.0], [0.0, 0.5]]), [0.3, 0.2]), (rotation(0.1), [0.5, 0.0])],
+    ids=["positive-real", "complex"],
+)
+def test_find_fixed_point_prepares_the_map_once(monkeypatch, T, a):
+    from sphere_distal import fixed_points, sphere
+
+    calls = {}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(fixed_points, "real_schur_2x2")
+    counted(fixed_points, "det_root")
+    counted(sphere, "affine_is_homeomorphism")
+    assert isinstance(fixed_points.find_fixed_point(T, a), FixedPointResult)
+    assert calls == {"real_schur_2x2": 1, "det_root": 1, "affine_is_homeomorphism": 1}
