@@ -172,20 +172,23 @@ def _solution_to_json(result) -> dict:
 
 
 def _open_outputs(*paths) -> list:
-    """A file open for writing for each path (None for None), or none at
-    all: when a path cannot be opened, the files this call created are
-    removed again (an existing file opened before it is left empty)."""
+    """An emptied file open for writing for each path (None for None), or
+    none at all: every path is opened without truncating it, and emptied
+    only once all are open.  When a path cannot be opened, the files this
+    call created are removed again and existing ones keep their contents."""
     created = [p for p in paths if p is not None and not os.path.exists(p)]
     files = []
     try:
         for path in paths:
-            files.append(None if path is None else open(path, "w", encoding="utf-8"))
+            files.append(None if path is None else open(path, "a", encoding="utf-8"))
     except OSError as exc:
         for fh in filter(None, files):
             fh.close()
             if fh.name in created:
                 os.remove(fh.name)
         raise SpecParseError(f"cannot write {path}: {exc}") from exc
+    for fh in filter(None, files):
+        fh.truncate(0)
     return files
 
 

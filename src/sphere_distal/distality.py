@@ -26,6 +26,8 @@ from .errors import (
     SpecParseError,
 )
 from .linalg import (
+    _SCREEN_SLACK,
+    _norm_screen,
     _operator_norm,
     _operator_norms,
     as_matrix,
@@ -373,14 +375,15 @@ def _word_product(units: list, word) -> np.ndarray:
 
 
 def _word_levels(units: list, max_len: int):
-    """Yield (products, norms) for each word length 1..max_len.
+    """Yield (products, screen) for each word length 1..max_len.
 
     ``products[k]`` is the product of the k-th word of that length in
-    ``itertools.product`` order (see ``_word_at``) and ``norms[k]`` its
-    ``_operator_norm``.  Each level comes from the one before in one stacked
-    matmul: the product of ``word + (i,)`` is the product of ``word`` times
-    ``units[i]``, the same left fold as ``_word_product``, so every product
-    and norm is bit-identical to it.  Only the previous level is kept.
+    ``itertools.product`` order (see ``_word_at``) and ``screen[k]`` its
+    ``_norm_screen`` value, within ``_SCREEN_SLACK`` of its norm.  Each level
+    comes from the one before in one stacked matmul: the product of
+    ``word + (i,)`` is the product of ``word`` times ``units[i]``, the same
+    left fold as ``_word_product``, so every product is bit-identical to it.
+    Only the previous level is kept.
     """
     U = np.stack(units)
     d = U.shape[1]
@@ -388,7 +391,7 @@ def _word_levels(units: list, max_len: int):
     for length in range(1, max_len + 1):
         if length > 1:
             level = (level[:, None] @ U[None]).reshape(-1, d, d)
-        yield level, _operator_norms(level)
+        yield level, _norm_screen(level)
 
 
 def _word_at(index: int, g: int, length: int) -> tuple:
@@ -467,17 +470,22 @@ def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFI
 
     # every word up to length 8 for <= 3 generators, level by level; the
     # sweep ends at the first norm above the bound, so every product a level
-    # extends is bounded and needs no finiteness check
+    # extends is bounded and needs no finiteness check.  Only the words whose
+    # screen is within the slack of min(bound, the level's top screen) get an
+    # exact norm (a d >= 3 screen is one already): they hold every norm above
+    # the bound and the level's largest norm.
     exhaustive_len = min(max_len, 8) if g <= 3 else 0
     words_checked = 0
     max_norm = 0.0
-    for length, (_, norms) in enumerate(_word_levels(units, exhaustive_len), 1):
-        top = max(norms)
+    for length, (level, screen) in enumerate(_word_levels(units, exhaustive_len), 1):
+        idx = np.flatnonzero(screen > min(bound, screen.max()) * (1.0 - _SCREEN_SLACK))
+        norms = _operator_norms(level.take(idx, axis=0)) if d == 2 else screen[idx]
+        top = float(norms.max())
         if top > bound:
-            k = next(k for k, norm in enumerate(norms) if norm > bound)
-            return unbounded(_word_at(k, g, length), norms[k])
-        words_checked += len(norms)
+            j = int(np.argmax(norms > bound))
+            return unbounded(_word_at(int(idx[j]), g, length), norms[j])
         max_norm = max(max_norm, top)
+        words_checked += len(screen)
     # random words beyond, one at a time; those longer than 1 join the
     # oracle's candidates after every swept word of length >= 2
     tail: list[tuple] = []

@@ -468,6 +468,27 @@ def test_orbit_unwritable_output_creates_no_file(tmp_path, capsys, outputs):
     assert not csv_path.exists() and not svg_path.exists()
 
 
+@pytest.mark.parametrize("outputs", [("o.csv", "missing/x.svg"), ("missing/o.csv", "o.svg")])
+def test_orbit_unwritable_output_keeps_existing_files(tmp_path, capsys, outputs):
+    path = write_matrix(tmp_path / "shear.json", SHEAR)
+    csv_path, svg_path = (tmp_path / name for name in outputs)
+    existing = csv_path if csv_path.parent == tmp_path else svg_path
+    existing.write_text("old contents\n")
+    argv = ["orbit", path, "--steps", "3", "--csv", str(csv_path), "--svg", str(svg_path)]
+    code, report, _ = run_cli(capsys, argv)
+    assert code == 64 and report is None
+    assert existing.read_text() == "old contents\n"
+
+
+def test_orbit_replaces_a_longer_existing_output(tmp_path, capsys):
+    path = write_matrix(tmp_path / "shear.json", SHEAR)
+    fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+    reused.write_text("x" * 100_000)
+    for csv_path in (fresh, reused):
+        assert main(["orbit", path, "--steps", "3", "--csv", str(csv_path)]) == 0
+    assert reused.read_text() == fresh.read_text() != ""
+
+
 @pytest.mark.parametrize(
     "rows, a, expected",
     [

@@ -41,7 +41,13 @@ from sphere_distal.distality import (
     _word_product,
 )
 from sphere_distal.fixed_points import _circle_pair_search
-from sphere_distal.linalg import matrix_inverse, spectral_summary
+from sphere_distal.linalg import (
+    _SCREEN_SLACK,
+    _norm_screen,
+    _operator_norms,
+    matrix_inverse,
+    spectral_summary,
+)
 from sphere_distal.serialize import dump_json, verdict_to_json
 from sphere_distal.sphere import apply_many
 
@@ -410,14 +416,15 @@ def test_enumerate_words_matches_the_naive_fold(g, d):
     for max_len in range(1, 9):
         levels = list(_word_levels(units, max_len))
         assert len(levels) == max_len
-        for length, (products, norms) in enumerate(levels, 1):
+        for length, (products, screen) in enumerate(levels, 1):
             words = list(itertools.product(range(g), repeat=length))
-            assert products.shape == (len(words), d, d) and len(norms) == len(words)
+            assert products.shape == (len(words), d, d) and screen.shape == (len(words),)
+            exact = _operator_norms(products) if d == 2 else screen.tolist()
             for k, word in enumerate(words):
                 assert _word_at(k, g, length) == word
                 assert np.array_equal(products[k], reference[word]), word
-                assert type(norms[k]) is float
-                assert norms[k] == operator_norm(reference[word]), word
+                assert exact[k] == operator_norm(reference[word]), word
+                assert abs(screen[k] - exact[k]) <= _SCREEN_SLACK * exact[k], word
 
 
 @pytest.mark.parametrize("g, max_len", [(4, 6), (3, 11)])
@@ -442,6 +449,32 @@ def test_word_at_decodes_product_order(g):
         words = list(itertools.product(range(g), repeat=length))
         assert [_word_at(k, g, length) for k in range(len(words))] == words
         assert all(type(i) is int for i in _word_at(len(words) - 1, g, length))
+
+
+def test_norm_screen_is_within_a_few_ulps_of_the_exact_norm():
+    rng = np.random.default_rng(2024)
+    Ts = rng.standard_normal((20000, 2, 2)) * 10.0 ** rng.uniform(-9, 9, (20000, 2, 2))
+    exact = _operator_norms(Ts)
+    gap = float(np.max(np.abs(_norm_screen(Ts) - exact) / exact))
+    assert gap <= 4 * np.finfo(float).eps
+    assert 1000 * gap <= _SCREEN_SLACK
+
+
+def test_sweep_confirms_a_screen_above_the_exact_norm():
+    # conjugated rotations, the first one whose screen rounds above its norm
+    rng = np.random.default_rng(5)
+
+    def draw():
+        C = random_conjugator(rng)
+        return normalize_to_unimodular(C @ rotation(rng.uniform(0, 2 * math.pi)) @ matrix_inverse(C)).unit
+
+    U = next(U for U in (draw() for _ in range(5000)) if _norm_screen(U[None])[0] > operator_norm(U))
+    exact = operator_norm(U)
+    spec = SemigroupSpec((U,), word_length_budget=1, sample_count=0)
+    v = semigroup_distality_test(spec, Config(growth_factor=exact / 2))
+    assert v.verdict is Verdict.DISTAL
+    assert v.budget["growth_bound"] == exact
+    assert v.certificate.parameters["max_word_norm"] == exact
 
 
 def test_operator_norm_still_validates():
