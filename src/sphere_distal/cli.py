@@ -171,24 +171,27 @@ def _solution_to_json(result) -> dict:
     return periodic_points_to_json(result)
 
 
+def _keep_contents(path, flags):
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _open_outputs(*paths) -> list:
-    """An emptied file open for writing for each path (None for None), or
-    none at all: every path is opened without truncating it, and emptied
-    only once all are open.  When a path cannot be opened, the files this
-    call created are removed again and existing ones keep their contents."""
+    """A file open for writing at offset 0 for each path (None for None), or
+    none at all.  No file is truncated here: the caller writes, then calls
+    ``truncate()`` at the end of what it wrote.  When a path cannot be
+    opened, the files this call created are removed again and existing
+    ones keep their contents."""
     created = [p for p in paths if p is not None and not os.path.exists(p)]
     files = []
     try:
         for path in paths:
-            files.append(None if path is None else open(path, "a", encoding="utf-8"))
+            files.append(None if path is None else open(path, "w", encoding="utf-8", opener=_keep_contents))
     except OSError as exc:
         for fh in filter(None, files):
             fh.close()
             if fh.name in created:
                 os.remove(fh.name)
         raise SpecParseError(f"cannot write {path}: {exc}") from exc
-    for fh in filter(None, files):
-        fh.truncate(0)
     return files
 
 
@@ -271,6 +274,8 @@ def _run(args, config) -> tuple[int, object]:
             orbit_to_csv(record, csv_fh or sys.stdout)
             if svg_fh is not None:
                 svg_fh.write(svg)
+            for fh in filter(None, (csv_fh, svg_fh)):
+                fh.truncate()  # drop what is left of a longer old file
         if csv_fh is None:
             return EXIT_DISTAL, None  # stdout already holds the CSV payload
         payload = {

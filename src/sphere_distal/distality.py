@@ -32,6 +32,7 @@ from .linalg import (
     _operator_norms,
     as_matrix,
     contraction_subspace,
+    det_root,
     determinant,
     invariant_subspace,
     matrix_inverse,
@@ -291,8 +292,13 @@ def classify_projective_distality(T, config: Config = DEFAULT_CONFIG) -> Distali
     T = as_matrix(T)
     if T.shape[0] not in (2, 3):
         raise DimensionUnsupported("classifier supports d in {2, 3}")
-    nm = normalize_to_unimodular(T, config)
-    summary = spectral_summary(nm.unit, config)
+    return _classify(T, T / det_root(T, config), config)
+
+
+def _classify(T: np.ndarray, unit: np.ndarray, config: Config) -> DistalityVerdict:
+    """``classify_projective_distality`` of a validated T whose unimodular
+    normalization ``unit`` the caller has already computed."""
+    summary = spectral_summary(unit, config)
     moduli = [abs(lam) for lam in summary.eigenvalues]
     budget = {
         "spectral_tol": config.spectral_tol,
@@ -326,10 +332,10 @@ def classify_projective_distality(T, config: Config = DEFAULT_CONFIG) -> Distali
             )
             return DistalityVerdict(Verdict.INCONCLUSIVE, cert, budget, seed)
         # defective with unimodular spectrum: shear-type collapse
-        x, y = _jordan_collapse_pair(nm.unit, summary.defective_eigenvalue, config)
+        x, y = _jordan_collapse_pair(unit, summary.defective_eigenvalue, config)
         return DistalityVerdict(Verdict.NOT_DISTAL, measured_pair(x, y), budget, seed)
 
-    pair = _split_moduli_pair(nm.unit, config)
+    pair = _split_moduli_pair(unit, config)
     if pair is None:
         # moduli straddle the band edge too tightly to split; fall back to the oracle
         m = AffineSphereMap.create(T, config=config)
@@ -437,6 +443,8 @@ def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFI
     d = gens[0].shape[0]
     if any(G.shape[0] != d for G in gens):
         raise DimensionMismatch("all generators must share one dimension")
+    if d not in (2, 3):
+        raise DimensionUnsupported("classifier supports d in {2, 3}")
 
     max_len = spec.word_length_budget if spec.word_length_budget is not None else config.max_word_length
     n_oracle = spec.sample_count if spec.sample_count is not None else config.oracle_words
@@ -448,9 +456,13 @@ def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFI
         "growth_bound": config.growth_factor * d,
     }
 
+    # each generator is normalized just before it is classified, so a
+    # non-distal generator is reported even when a later one is singular
+    units = []
     ambiguous = False
     for i, G in enumerate(gens):
-        v = classify_projective_distality(G, config)
+        unit = G / det_root(G, config)
+        v = _classify(G, unit, config)
         if v.verdict is Verdict.NOT_DISTAL:
             cert = v.certificate
             if isinstance(cert, ProximalPair):
@@ -458,8 +470,7 @@ def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFI
             return DistalityVerdict(Verdict.NOT_DISTAL, cert, budget, seed)
         if v.verdict is Verdict.INCONCLUSIVE:
             ambiguous = True
-
-    units = [normalize_to_unimodular(G, config).unit for G in gens]
+        units.append(unit)
     g = len(units)
     bound = config.growth_factor * d
     rng = np.random.default_rng(seed)
@@ -471,21 +482,29 @@ def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFI
     # every word up to length 8 for <= 3 generators, level by level; the
     # sweep ends at the first norm above the bound, so every product a level
     # extends is bounded and needs no finiteness check.  Only the words whose
-    # screen is within the slack of min(bound, the level's top screen) get an
-    # exact norm (a d >= 3 screen is one already): they hold every norm above
-    # the bound and the level's largest norm.
+    # screen is within the slack of min(bound, the level's top screen) need
+    # an exact norm (a d >= 3 screen is one already): they hold every norm
+    # above the bound and the level's largest norm.  A 2x2 level whose top
+    # screen is at most bound * (1 - slack) holds no norm above the bound,
+    # so its near-top products are kept for ``max_word_norm``, which only a
+    # Distal verdict reports, and their exact norms are taken there.
     exhaustive_len = min(max_len, 8) if g <= 3 else 0
     words_checked = 0
     max_norm = 0.0
+    near_top = []
     for length, (level, screen) in enumerate(_word_levels(units, exhaustive_len), 1):
-        idx = np.flatnonzero(screen > min(bound, screen.max()) * (1.0 - _SCREEN_SLACK))
+        words_checked += len(screen)
+        screen_top = screen.max()
+        idx = np.flatnonzero(screen > min(bound, screen_top) * (1.0 - _SCREEN_SLACK))
+        if d == 2 and screen_top <= bound * (1.0 - _SCREEN_SLACK):
+            near_top.append(level.take(idx, axis=0))
+            continue
         norms = _operator_norms(level.take(idx, axis=0)) if d == 2 else screen[idx]
         top = float(norms.max())
         if top > bound:
             j = int(np.argmax(norms > bound))
             return unbounded(_word_at(int(idx[j]), g, length), norms[j])
         max_norm = max(max_norm, top)
-        words_checked += len(screen)
     # random words beyond, one at a time; those longer than 1 join the
     # oracle's candidates after every swept word of length >= 2
     tail: list[tuple] = []
@@ -521,6 +540,8 @@ def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFI
     if ambiguous:
         cert = BudgetExhausted({"reason": "ambiguous-generator", **budget})
         return DistalityVerdict(Verdict.INCONCLUSIVE, cert, budget, seed)
+    if near_top:
+        max_norm = max(max_norm, float(_operator_norms(np.concatenate(near_top)).max()))
     cert = BudgetExhausted(
         {
             "words_checked": words_checked,

@@ -237,6 +237,29 @@ def _rank_band(sigma: float, threshold: float) -> int:
     return 0
 
 
+def _spectrum_2x2(T: np.ndarray, config: Config) -> tuple:
+    """(scale, trace, eigenvalues) of a validated invertible 2x2 matrix.
+
+    The characteristic discriminant tr^2 - 4 det (det behind the singularity
+    gate) against the gap band (cluster_tol * scale)^2 picks the branch:
+    below it a complex pair (re + i*im, re - i*im) with im > 0, above it two
+    real eigenvalues (larger first), inside it ``eigenvalues`` is None, a
+    double-eigenvalue cluster that only a rank test of T - (tr/2) I resolves.
+    """
+    det = _nonsingular_det(T, config)
+    scale = _operator_norm(T)
+    tr = float(T[0, 0] + T[1, 1])
+    disc = tr * tr - 4.0 * det
+    gap_band = (config.cluster_tol * scale) ** 2
+    if disc < -gap_band:
+        re, im = tr / 2.0, math.sqrt(-disc) / 2.0
+        return scale, tr, (complex(re, im), complex(re, -im))
+    if disc > gap_band:
+        rt = math.sqrt(disc)
+        return scale, tr, (complex((tr + rt) / 2.0), complex((tr - rt) / 2.0))
+    return scale, tr, None
+
+
 def real_schur_2x2(T, config: Config = DEFAULT_CONFIG) -> EigenStructure:
     """Real canonical decomposition of an invertible 2x2 matrix.
 
@@ -248,48 +271,31 @@ def real_schur_2x2(T, config: Config = DEFAULT_CONFIG) -> EigenStructure:
     T = as_matrix(T)
     if T.shape[0] != 2:
         raise DimensionUnsupported("real_schur_2x2 requires d = 2")
-    det = _nonsingular_det(T, config)
-    scale = operator_norm(T)
-    tr = float(T[0, 0] + T[1, 1])
-    disc = tr * tr - 4.0 * det
-    gap_band = (config.cluster_tol * scale) ** 2
-
-    if disc < -gap_band:
-        # complex conjugate pair: re +/- i*im, im > 0
-        im = math.sqrt(-disc) / 2.0
-        re = tr / 2.0
-        modulus = math.hypot(re, im)
-        angle = math.atan2(im, re)  # in (0, pi)
-        # the eigenvector of the conjugate eigenvalue re - i*im yields
+    scale, tr, eigenvalues = _spectrum_2x2(T, config)
+    if eigenvalues is None:
+        return _double_eigenvalue_2x2(T, scale, tr, config)
+    hi, lo = eigenvalues
+    if hi.imag > 0.0:
+        # complex conjugate pair: re +/- i*im.  The eigenvector of the
+        # conjugate eigenvalue lo = re - i*im yields
         # T @ [Re z, Im z] = [Re z, Im z] @ (modulus * Rot(+angle))
-        lam = complex(re, -im)
-        z = _complex_null_direction(T.astype(complex) - lam * np.eye(2))
+        z = _complex_null_direction(T.astype(complex) - lo * np.eye(2))
         M = np.column_stack([z.real, z.imag])
         A = M / math.sqrt(abs(determinant(M)))
-        cond = operator_norm(A) * operator_norm(matrix_inverse(A, config))
-        return EigenStructure(
-            eigenvalues=(complex(re, im), complex(re, -im)),
-            semisimple=True,
-            kind=ComplexPair(modulus, angle, A),
-            conditioning=cond,
-        )
-
-    if disc > gap_band:
-        rt = math.sqrt(disc)
-        lam1 = (tr + rt) / 2.0
-        lam2 = (tr - rt) / 2.0
-        v1 = _null_direction(T - lam1 * np.eye(2))
-        v2 = _null_direction(T - lam2 * np.eye(2))
+        re, im = hi.real, hi.imag
+        kind = ComplexPair(math.hypot(re, im), math.atan2(im, re), A)  # angle in (0, pi)
+    else:
+        v1 = _null_direction(T - hi.real * np.eye(2))
+        v2 = _null_direction(T - lo.real * np.eye(2))
         A = np.column_stack([v1, v2])
-        cond = operator_norm(A) * operator_norm(matrix_inverse(A, config))
-        return EigenStructure(
-            eigenvalues=(complex(lam1), complex(lam2)),
-            semisimple=True,
-            kind=RealDiagonalizable(lam1, lam2, A),
-            conditioning=cond,
-        )
+        kind = RealDiagonalizable(hi.real, lo.real, A)
+    cond = operator_norm(A) * operator_norm(matrix_inverse(A, config))
+    return EigenStructure(eigenvalues=eigenvalues, semisimple=True, kind=kind, conditioning=cond)
 
-    # double real eigenvalue cluster
+
+def _double_eigenvalue_2x2(T: np.ndarray, scale: float, tr: float, config: Config) -> EigenStructure:
+    """``real_schur_2x2`` for a spectrum inside the cluster band: one double
+    eigenvalue lam = tr/2, semisimple or not by the rank of T - lam*I."""
     lam = tr / 2.0
     M = T - lam * np.eye(2)
     sigma = operator_norm(M)
@@ -429,11 +435,21 @@ class SpectralSummary:
 
 
 def spectral_summary(T, config: Config = DEFAULT_CONFIG) -> SpectralSummary:
-    """Eigenvalues and semisimplicity for d in {2, 3}."""
+    """Eigenvalues and semisimplicity for d in {2, 3}.
+
+    For d = 2 the characteristic discriminant decides alone unless the
+    eigenvalues fall inside the cluster band; only then is the rank of
+    T - lam*I tested, as ``real_schur_2x2`` does, and no eigenbasis or
+    conditioning is built.  The result equals the summary of
+    ``real_schur_2x2(T)`` bit for bit.
+    """
     T = as_matrix(T)
     d = T.shape[0]
     if d == 2:
-        es = real_schur_2x2(T, config)
+        scale, tr, eigenvalues = _spectrum_2x2(T, config)
+        if eigenvalues is not None:
+            return SpectralSummary(eigenvalues, True)
+        es = _double_eigenvalue_2x2(T, scale, tr, config)
         defective = es.kind.eigenvalue if es.semisimple is False else None
         return SpectralSummary(es.eigenvalues, es.semisimple, defective)
     if d != 3:

@@ -31,13 +31,11 @@ def parse_matrix(data) -> np.ndarray:
     """Parse {"dim": d, "rows": [...]}, rejecting non-finite entries."""
     if not isinstance(data, dict):
         raise SpecParseError("matrix JSON must be an object")
-    try:
-        dim = int(data["dim"])
-        rows = data["rows"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecParseError(f"matrix JSON needs integer 'dim' and 'rows': {exc}") from exc
+    if "dim" not in data or "rows" not in data:
+        raise SpecParseError("matrix JSON needs integer 'dim' and 'rows'")
+    dim, rows = json_count("dim", data["dim"], "matrix"), data["rows"]
     if dim < 2:
-        raise SpecParseError("matrix dimension must be at least 2")
+        raise SpecParseError(f"matrix field dim must be at least 2, got {dim}")
     if not isinstance(rows, list) or len(rows) != dim:
         raise SpecParseError(f"expected {dim} rows")
     out = np.empty((dim, dim))

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -368,6 +369,25 @@ def test_parse_matrix_rejects_bad_shapes():
         parse_matrix({"rows": [[1.0, 0.0], [0.0, 1.0]]})
     with pytest.raises(SpecParseError):
         parse_matrix({"dim": 2, "rows": [[1.0, "x"], [0.0, 1.0]]})
+
+
+@pytest.mark.parametrize("dim", [2.9, "2", True, None, [2], 1, -2])
+def test_parse_matrix_rejects_a_dim_that_is_not_a_count_of_at_least_2(dim):
+    with pytest.raises(SpecParseError, match=r"\bdim\b"):
+        parse_matrix({"dim": dim, "rows": [[1.0, 0.0], [0.0, 1.0]]})
+
+
+def test_parse_matrix_accepts_an_integral_float_dim():
+    assert np.array_equal(parse_matrix({"dim": 2.0, "rows": [[1.0, 0.0], [0.0, 1.0]]}), np.eye(2))
+
+
+@pytest.mark.parametrize("dim", [2.9, "2", True])
+def test_classify_rejects_a_bad_dim_with_exit_64(tmp_path, capsys, dim):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"dim": dim, "rows": [[0.0, -1.0], [1.0, 0.0]]}))
+    code, report, err = run_cli(capsys, ["classify", str(path)])
+    assert code == 64 and report is None
+    assert err.startswith("error:") and re.search(r"\bdim\b", err)
 
 
 @pytest.mark.parametrize(

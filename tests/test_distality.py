@@ -649,6 +649,40 @@ def test_clean_sweep_matches_the_reference(monkeypatch, samples, budget, d):
     assert v.certificate.parameters["words_checked"] == swept
 
 
+@pytest.mark.parametrize("budget", range(1, 9))
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_clean_sweep_max_word_norm_matches_the_reference(monkeypatch, g, budget):
+    """Conjugated rotations with a small stretch: every 2x2 level stays below
+    the bound, so its exact norms are taken only for the Distal certificate."""
+    rng = np.random.default_rng(10 * g + budget)
+    gens = _conjugated_rotations(rng, g, 2, 0.05)
+    v = assert_matches_reference(monkeypatch, SemigroupSpec(gens, word_length_budget=budget, sample_count=0))
+    assert v.verdict is Verdict.DISTAL
+    assert v.certificate.parameters["max_word_norm"] > 1.0
+
+
+def test_clean_sweep_reports_the_exact_norm_not_the_screen():
+    # the first seeded elliptic unimodular matrices whose screen rounds above and
+    # below their norm; the default bound puts their level far below it
+    rng = np.random.default_rng(5)
+    units = [normalize_to_unimodular(rng.standard_normal((2, 2))).unit for _ in range(5000)]
+    for sign in (1.0, -1.0):
+        U = next(U for U in units if sign * (_norm_screen(U[None])[0] - operator_norm(U)) > 0.0
+                 and abs(np.trace(U)) < 2.0)  # elliptic, so the cyclic test passes
+        v = semigroup_distality_test(SemigroupSpec((U,), word_length_budget=1, sample_count=0))
+        assert v.verdict is Verdict.DISTAL
+        assert v.certificate.parameters["max_word_norm"] == operator_norm(U)
+
+
+def test_semigroup_reports_a_non_distal_generator_before_a_later_singular_one():
+    spec = SemigroupSpec(generators=(np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[1.0, 2.0], [0.5, 1.0]])))
+    v = semigroup_distality_test(spec)
+    assert v.verdict is Verdict.NOT_DISTAL
+    assert v.certificate.word == (0,)
+    with pytest.raises(SingularMatrix):
+        semigroup_distality_test(replace(spec, generators=spec.generators[::-1]))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 4])
 def test_oracle_hit_on_a_picked_word_matches_the_reference(monkeypatch, seed):
     """Two elliptic generators under different changes of basis: every word

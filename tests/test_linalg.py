@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -118,6 +119,56 @@ def test_schur_reconstruction_random(seed):
         es = real_schur_2x2(T)
         assert np.allclose(reconstruct(es), T, atol=1e-9 * operator_norm(T))
         assert es.conditioning >= 1.0
+
+
+def _summary_from_schur(T):
+    es = real_schur_2x2(T)
+    defective = es.kind.eigenvalue if es.semisimple is False else None
+    return es.eigenvalues, es.semisimple, defective
+
+
+def _branch(es):
+    if es.semisimple is None:
+        return "ambiguous"
+    if isinstance(es.kind, ComplexPair):
+        return "complex"
+    if isinstance(es.kind, JordanBlock):
+        return "jordan-negative" if es.kind.eigenvalue < 0 else "jordan"
+    major, minor = es.kind.eig_major, es.kind.eig_minor
+    if major == minor:
+        return "scalar"
+    return "real-negative" if minor < 0 else "real"
+
+
+def test_spectral_summary_2x2_matches_the_schur_form_bit_for_bit():
+    rng = np.random.default_rng(31)
+    middles = {
+        "complex": lambda: rng.uniform(0.5, 2.0) * rotation(rng.uniform(0.01, 3.1)),
+        "real": lambda: np.diag(rng.uniform(0.3, 3.0, 2)),
+        "real-negative": lambda: np.diag([rng.uniform(0.3, 3.0), -rng.uniform(0.3, 3.0)]),
+        "scalar": lambda: rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 3.0) * np.eye(2),
+        "jordan": lambda: rng.uniform(0.3, 3.0) * np.array([[1.0, 1.0], [0.0, 1.0]]),
+        "jordan-negative": lambda: -rng.uniform(0.3, 3.0) * np.array([[1.0, 1.0], [0.0, 1.0]]),
+        # an off-diagonal entry inside the rank band of T - lam*I
+        "ambiguous": lambda: np.array([[1.0, 10.0 ** rng.uniform(-8.5, -7.5)], [0.0, 1.0]]),
+    }
+    branches, singular = set(), 0
+    for kind, middle in middles.items():
+        for _ in range(60):
+            C = np.eye(2) if kind in ("scalar", "ambiguous") else random_conjugator(rng)
+            T = C @ middle() @ matrix_inverse(C) * 10.0 ** rng.uniform(-150.0, 150.0)
+            try:
+                want = _summary_from_schur(T)
+            except SingularMatrix as exc:
+                with pytest.raises(SingularMatrix, match=re.escape(str(exc))):
+                    spectral_summary(T)
+                singular += 1
+                continue
+            got = spectral_summary(T)
+            assert repr((got.eigenvalues, got.semisimple, got.defective_eigenvalue)) == repr(want)
+            branches.add(_branch(real_schur_2x2(T)))
+    assert branches == set(middles)
+    assert 0 < singular < 7 * 60
 
 
 def test_operator_norm_values():
