@@ -43,6 +43,8 @@ class OracleBudget:
 
     def __post_init__(self):
         _check_fields(self)
+        if not self.delta < 2.0:
+            raise ValueError("oracle delta must be below 2, the diameter of the sphere")
 
 
 @dataclass(frozen=True)

@@ -222,6 +222,8 @@ def proximal_pair_search(
     seed = config.rng_seed if seed is None else seed
     if not eps < delta:
         raise ValueError("eps must be smaller than delta")
+    if not delta < 2.0:
+        raise ValueError("delta must be below 2, the diameter of the sphere")
     if m.regime not in (Regime.PROJECTIVE, Regime.HOMEOMORPHISM):
         raise InvalidTranslation("oracle requires an invertible regime")
 
@@ -571,7 +573,7 @@ def replay_certificate(
     certificates have nothing to falsify and return True.
     """
     units = None if generators is None else [
-        normalize_to_unimodular(as_matrix(G), config).unit for G in generators
+        normalize_to_unimodular(G, config).unit for G in generators
     ]
     if isinstance(cert, UnboundedWord):
         if units is None:
@@ -584,7 +586,7 @@ def replay_certificate(
         if cert.word is not None and units is not None:
             m = AffineSphereMap.create(_word_product(units, cert.word), config=config)
         elif matrix is not None:
-            m = AffineSphereMap.create(as_matrix(matrix), config=config)
+            m = AffineSphereMap.create(matrix, config=config)
         else:
             raise ValueError("replaying a proximal pair needs a matrix, or a word and its generators")
         for _, S in _separations(m, cert.x, cert.y, cert.steps):

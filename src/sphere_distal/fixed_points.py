@@ -39,7 +39,6 @@ from .linalg import (
     as_matrix,
     det_root,
     determinant,
-    eigenvalues_3x3,
     is_orthogonal,
     matrix_inverse,
     operator_norm,
@@ -153,26 +152,22 @@ def resolvent_norm(T, a, gamma: float, config: Config = DEFAULT_CONFIG) -> float
 
     For d = 2 the resolvent of the diagonal, Jordan, or rotation factor
     is applied to the coordinates of a in the canonical basis, so the
-    value matches the closed forms the bracketing arguments use.
+    value matches the closed forms the bracketing arguments use; d >= 3
+    solves directly, gated on LAPACK's eigenvalues.
     """
     T = as_matrix(T)
     a = np.asarray(a, dtype=float)
     if a.shape != (T.shape[0],):
         raise DimensionMismatch("translation must match the matrix dimension")
-    scale = operator_norm(T)
-    gap = config.spectrum_gap_tol * scale
-    if T.shape[0] == 2:
-        es = real_schur_2x2(T, config)
-        for lam in es.eigenvalues:
-            if math.hypot(gamma - lam.real, lam.imag) <= gap:
-                raise SpectrumCollision(f"gamma = {gamma} touches the spectrum")
-        coords = matrix_inverse(es.kind.basis, config) @ a
-        return float(np.linalg.norm(_resolvent_vector(es.kind, coords, gamma)))
-    if T.shape[0] == 3:
-        for lam in eigenvalues_3x3(T, config):
-            if math.hypot(gamma - lam.real, lam.imag) <= gap:
-                raise SpectrumCollision(f"gamma = {gamma} touches the spectrum")
-    return float(np.linalg.norm(np.linalg.solve(gamma * np.eye(T.shape[0]) - T, a)))
+    gap = config.spectrum_gap_tol * operator_norm(T)
+    es = real_schur_2x2(T, config) if T.shape[0] == 2 else None
+    for lam in np.linalg.eigvals(T) if es is None else es.eigenvalues:
+        if math.hypot(gamma - lam.real, lam.imag) <= gap:
+            raise SpectrumCollision(f"gamma = {gamma} touches the spectrum")
+    if es is None:
+        return float(np.linalg.norm(np.linalg.solve(gamma * np.eye(T.shape[0]) - T, a)))
+    coords = matrix_inverse(es.kind.basis, config) @ a
+    return float(np.linalg.norm(_resolvent_vector(es.kind, coords, gamma)))
 
 
 def _resolvent_vector(kind, coords: np.ndarray, gamma: float) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Small dense linear algebra: determinants, norms, real canonical forms.
 
-Everything is closed-form for d = 2; d = 3 splits one guaranteed real
-root of the characteristic cubic by bracketed bisection and reduces to
-a quadratic.  Dimensions above 3 are supported only by
+Everything is closed-form for d = 2; d = 3 takes its eigenvalues from
+LAPACK and merges multiple roots by characteristic-polynomial tests.
+Dimensions above 3 are supported only by
 ``operator_norm``, ``contraction_subspace`` and orthogonality checks.
 """
 
@@ -334,91 +334,47 @@ def _double_eigenvalue_2x2(T: np.ndarray, scale: float, tr: float, config: Confi
 # --- spectra for d = 3 ------------------------------------------------------
 
 
-def _cubic_coefficients(T: np.ndarray) -> tuple[float, float, float]:
-    """Monic characteristic polynomial x^3 - c2 x^2 + c1 x - c0."""
-    c2 = float(np.trace(T))
-    c1 = float(
-        (T[1, 1] * T[2, 2] - T[1, 2] * T[2, 1])
-        + (T[0, 0] * T[2, 2] - T[0, 2] * T[2, 0])
-        + (T[0, 0] * T[1, 1] - T[0, 1] * T[1, 0])
-    )
-    c0 = determinant(T)
-    return c2, c1, c0
-
-
-# root-finding on the characteristic cubic merges roots closer than about
-# the cube root of the multiple-root detection threshold; rank tests treat
-# singular values inside this width as undecidable
+# the characteristic-polynomial tests of ``_multiple_roots_3x3`` merge roots
+# closer than about the cube root of their 1e-13 threshold; rank tests
+# treat singular values inside this width as undecidable
 _CUBIC_MERGE_WIDTH = 1e-4
 
 
-def eigenvalues_3x3(T, config: Config = DEFAULT_CONFIG) -> tuple:
-    """All three eigenvalues, splitting one real root by bracketed bisection.
-
-    Multiple roots are located structurally first (a triple root is the
-    root of p'', a double root is a root of p' where p vanishes), since
-    polynomial root-finding alone loses most digits at a multiple root.
-    The generic case brackets one guaranteed real root, bisects, and
-    deflates to a quadratic.
-    """
+def eigenvalues_3x3(T) -> tuple:
+    """LAPACK's eigenvalues of a 3x3 matrix: the real ones in descending
+    order, then a complex pair with its +imaginary member first."""
     T = as_matrix(T)
     if T.shape[0] != 3:
         raise DimensionUnsupported("eigenvalues_3x3 requires d = 3")
-    scale = operator_norm(T)
-    if scale == 0.0:
-        return (0j, 0j, 0j)
-    W = T / scale
-    c2, c1, c0 = _cubic_coefficients(W)
+    return _eigenvalues_3x3(T)
+
+
+def _eigenvalues_3x3(T: np.ndarray) -> tuple:
+    return tuple(sorted(map(complex, np.linalg.eigvals(T)), key=lambda z: (z.imag != 0.0, -z.real, -z.imag)))
+
+
+def _multiple_roots_3x3(T: np.ndarray, eigs: tuple, scale: float) -> tuple:
+    """The triple root, or the double root q as (q, q, c2 - 2q), that the
+    characteristic polynomial p(x) = x^3 - c2 x^2 + c1 x - c0 of T / scale
+    shows, else ``eigs``: root-finding loses most digits there, p does not."""
+    c2 = float(np.trace(T / scale))
+    l0, l1, l2 = (z / scale for z in eigs)
+    c1, c0 = (l0 * l1 + l0 * l2 + l1 * l2).real, (l0 * l1 * l2).real
 
     def p(x):
         return ((x - c2) * x + c1) * x - c0
 
-    def dp(x):
-        return (3.0 * x - 2.0 * c2) * x + c1
-
-    # coefficients of W are O(1), so absolute thresholds are meaningful
+    # coefficients of T / scale are O(1), so absolute thresholds are meaningful
     x3 = c2 / 3.0
-    if abs(p(x3)) <= 1e-13 and abs(dp(x3)) <= 1e-9:
-        lam = x3 * scale
-        return (complex(lam), complex(lam), complex(lam))
+    if abs(p(x3)) <= 1e-13 and abs((3.0 * x3 - 2.0 * c2) * x3 + c1) <= 1e-9:
+        return (complex(x3 * scale),) * 3
     disc_dp = c2 * c2 - 3.0 * c1
     if disc_dp >= 0.0:
         rt = math.sqrt(disc_dp)
         for q in ((c2 + rt) / 3.0, (c2 - rt) / 3.0):
             if abs(p(q)) <= 1e-13:
-                third = c2 - 2.0 * q
-                lam, mu = q * scale, third * scale
-                return (complex(lam), complex(lam), complex(mu))
-
-    bound = 1.0 + max(abs(c2), abs(c1), abs(c0))
-    lo, hi = -bound, bound  # p(lo) < 0 < p(hi) for a monic cubic
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if p(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < config.bisection_tol:
-            break
-    r = 0.5 * (lo + hi)
-    for _ in range(3):  # Newton polish
-        d = dp(r)
-        if d != 0.0:
-            r -= p(r) / d
-    # deflate: x^3 - c2 x^2 + c1 x - c0 = (x - r)(x^2 + alpha x + beta)
-    alpha = r - c2
-    beta = c1 + r * alpha
-    disc = alpha * alpha - 4.0 * beta
-    if disc >= 0.0:
-        rt = math.sqrt(disc)
-        roots = (r, (-alpha + rt) / 2.0, (-alpha - rt) / 2.0)
-        return tuple(complex(x * scale) for x in roots)
-    rt = math.sqrt(-disc) / 2.0
-    return (
-        complex(r * scale),
-        complex(-alpha / 2.0 * scale, rt * scale),
-        complex(-alpha / 2.0 * scale, -rt * scale),
-    )
+                return (complex(q * scale),) * 2 + (complex((c2 - 2.0 * q) * scale),)
+    return eigs
 
 
 @dataclass(frozen=True)
@@ -442,6 +398,9 @@ def spectral_summary(T, config: Config = DEFAULT_CONFIG) -> SpectralSummary:
     T - lam*I tested, as ``real_schur_2x2`` does, and no eigenbasis or
     conditioning is built.  The result equals the summary of
     ``real_schur_2x2(T)`` bit for bit.
+
+    For d = 3 LAPACK's eigenvalues, or the multiple root the characteristic
+    polynomial shows, cluster; the singular values of T - lam*I decide.
     """
     T = as_matrix(T)
     d = T.shape[0]
@@ -454,18 +413,19 @@ def spectral_summary(T, config: Config = DEFAULT_CONFIG) -> SpectralSummary:
         return SpectralSummary(es.eigenvalues, es.semisimple, defective)
     if d != 3:
         raise DimensionUnsupported("spectral_summary supports d in {2, 3}")
-    eigs = eigenvalues_3x3(T, config)
-    scale = operator_norm(T)
+    scale = _operator_norm(T)
+    eigs = _eigenvalues_3x3(T)
+    if scale > 0.0:  # the zero matrix has three exact zero eigenvalues
+        eigs = _multiple_roots_3x3(T, eigs, scale)
     cluster_gap = config.cluster_tol * max(scale, 1e-300)
     # complex pairs cannot be defective in dimension 3; a pair with a
     # negligible imaginary part is really two nearby real eigenvalues
     reals = sorted(lam.real for lam in eigs if abs(lam.imag) <= cluster_gap)
-    semisimple: bool | None = True
-    # the cubic path cannot separate roots inside its merge width, so a
-    # rank decision is only confident outside that band
+    # the polynomial tests cannot separate roots inside their merge width,
+    # so a rank decision is only confident outside that band
     upper = max(10.0 * config.rank_tol, _CUBIC_MERGE_WIDTH) * scale
     lower = config.rank_tol * scale / 10.0
-    defective = None
+    semisimple, defective = True, None  # three reals hold at most one cluster
     idx = 0
     while idx < len(reals):
         j = idx
@@ -475,15 +435,11 @@ def spectral_summary(T, config: Config = DEFAULT_CONFIG) -> SpectralSummary:
         if k >= 2:
             lam = sum(reals[idx : j + 1]) / k
             sigmas = np.linalg.svd(T - lam * np.eye(3), compute_uv=False)
-            rank_min = sum(1 for s in sigmas if s >= upper)
-            rank_max = sum(1 for s in sigmas if s > lower)
-            geo_min = 3 - rank_max
-            geo_max = 3 - rank_min
+            geo_min = 3 - int(np.sum(sigmas > lower))
+            geo_max = 3 - int(np.sum(sigmas >= upper))
             if geo_max < k:
-                semisimple = False
-                if defective is None:
-                    defective = lam
-            elif geo_min < k and semisimple is True:
+                semisimple, defective = False, lam
+            elif geo_min < k:
                 semisimple = None
         idx = j + 1
     return SpectralSummary(eigs, semisimple, defective)

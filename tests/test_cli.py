@@ -291,6 +291,23 @@ def test_witness_cli_3d(tmp_path, capsys):
     assert body["result"]["separation_final"] < 1e-3
 
 
+@pytest.mark.parametrize("delta", [2.0, 3.0])
+@pytest.mark.parametrize("command", ["semigroup", "witness"])
+def test_oracle_delta_of_the_sphere_diameter_or_more_exits_64(tmp_path, capsys, command, delta):
+    c, s = math.cos(1.0), math.sin(1.0)
+    rows = [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]
+    if command == "semigroup":
+        target = tmp_path / "spec.json"
+        target.write_text(json.dumps({"generators": [{"dim": 3, "rows": rows}]}))
+    else:
+        target = write_matrix(tmp_path / "rot3.json", rows)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"oracle": {"delta": delta}}))
+    code, report, err = run_cli(capsys, ["--config", str(cfg), command, str(target)])
+    assert code == 64 and report is None
+    assert err.startswith("error:") and "diameter" in err
+
+
 def test_witness_uncovered_exit_3(capsys):
     code, _, _ = run_cli(capsys, ["witness", "--rot", "2.5"])
     assert code == 3

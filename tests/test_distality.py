@@ -188,6 +188,15 @@ def test_oracle_validates_budget():
         proximal_pair_search(m, eps=0.5, delta=0.1)
 
 
+@pytest.mark.parametrize("delta", [2.0, 3.0])
+def test_oracle_rejects_delta_of_the_sphere_diameter_or_more(delta):
+    m = AffineSphereMap.create(rotation(1.0))
+    with pytest.raises(ValueError, match="diameter"):
+        proximal_pair_search(m, delta=delta)
+    with pytest.raises(ValueError, match="diameter"):
+        OracleBudget(delta=delta)
+
+
 def test_oracle_classifier_agreement():
     """Classifier NotDistal <=> oracle finds a pair, on a corpus of random
     matrices with eigen-moduli at least 0.05 away from 1 or exactly

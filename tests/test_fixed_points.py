@@ -83,6 +83,17 @@ def test_resolvent_spectrum_collision():
         resolvent_norm(np.diag([2.0, 0.5]), [0.1, 0.1], 2.0)
 
 
+def test_resolvent_spectrum_collision_d4():
+    with pytest.raises(SpectrumCollision):
+        resolvent_norm(2.0 * np.eye(4), [1.0, 0.0, 0.0, 0.0], 2.0)
+
+
+def test_resolvent_spectrum_collision_d4_inside_the_gap():
+    # 1e-14 from the eigenvalue 2 lies inside spectrum_gap_tol * ||T|| = 2e-12
+    with pytest.raises(SpectrumCollision):
+        resolvent_norm(np.diag([2.0, 1.0, 1.0, 1.0]), [1.0, 0.0, 0.0, 0.0], 2.0 + 1e-14)
+
+
 def test_bisection_reports_invalid_bracket():
     # a same-sign bracket is an error, never silently widened
     from sphere_distal.config import DEFAULT_CONFIG

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import random_conjugator, random_invertible, reconstruct
+from helpers import random_conjugator, random_invertible, random_orthogonal_3x3, reconstruct
 from sphere_distal import (
     ComplexPair,
     JordanBlock,
@@ -295,6 +295,80 @@ def test_eigenvalues_3x3_against_numpy():
         ref = sorted(np.linalg.eigvals(T), key=lambda z: (z.real, z.imag))
         for a, b in zip(mine, ref):
             assert a == pytest.approx(b, abs=1e-8 * max(1.0, operator_norm(T)))
+
+
+def test_eigenvalues_3x3_order_and_multiset():
+    """Real eigenvalues first, descending, then the +imaginary member of a pair."""
+    rng = np.random.default_rng(9)
+    for _ in range(40):
+        T = random_invertible(rng, 3)
+        eigs = eigenvalues_3x3(T)
+        reals = [z.real for z in eigs if z.imag == 0.0]
+        assert all(z.imag == 0.0 for z in eigs[: len(reals)])
+        assert reals == sorted(reals, reverse=True)
+        if len(reals) == 1:
+            assert eigs[1] == eigs[2].conjugate() and eigs[1].imag > 0.0
+        ref = np.linalg.eigvals(T)
+        for lam in eigs:  # a multiset match: each eigenvalue pairs off once
+            k = int(np.argmin(np.abs(ref - lam)))
+            assert ref[k] == pytest.approx(lam, abs=1e-12 * operator_norm(T))
+            ref = np.delete(ref, k)
+
+
+def _rotation_3x3(angle):
+    R = np.eye(3)
+    R[:2, :2] = rotation(angle)
+    return R
+
+
+def _jordan_3x3(lam, k, rest=()):
+    J = np.diag([lam] * k + list(rest))
+    J[np.arange(k - 1), np.arange(1, k)] = 1.0
+    return J
+
+
+def _multiple_root_cases():
+    """(matrix, semisimple, defective): the decisions the earlier
+    bisection-based cubic solver made, pinned for the LAPACK spectrum."""
+    cases = [
+        ("rot-1e-2", _rotation_3x3(1e-2), True, False),
+        ("rot-1e-3", _rotation_3x3(1e-3), True, False),
+        ("rot-1e-4", _rotation_3x3(1e-4), True, False),
+        ("rot-3e-5", _rotation_3x3(3e-5), None, False),
+        ("rot-1e-5", _rotation_3x3(1e-5), None, False),
+        ("rot-1e-6", _rotation_3x3(1e-6), None, False),
+        ("rot-1e-7", _rotation_3x3(1e-7), None, False),
+        ("rot-1e-9", _rotation_3x3(1e-9), None, False),
+        ("rot-1e-12", _rotation_3x3(1e-12), True, False),
+        ("I", np.eye(3), True, False),
+        ("-I", -np.eye(3), True, False),
+        ("diag(2,2,1/4)", np.diag([2.0, 2.0, 0.25]), True, False),
+        ("J2(2)+1/4", _jordan_3x3(2.0, 2, [0.25]), False, True),
+        ("J3(1)", _jordan_3x3(1.0, 3), False, True),
+        ("J3(-1)", _jordan_3x3(-1.0, 3), False, True),
+        ("J2(1)+1", _jordan_3x3(1.0, 2, [1.0]), False, True),
+        ("J2(-1)+1", _jordan_3x3(-1.0, 2, [1.0]), False, True),
+        ("reflection", np.diag([1.0, 1.0, -1.0]), True, False),
+        ("rot-pi", _rotation_3x3(math.pi), True, False),
+    ]
+    split = {1e-4: (True, None, None), 1e-6: (None, False, None), 1e-8: (None, False, None),
+             1e-10: (True, False, True)}
+    for e, (diag, shear, unipotent) in split.items():
+        shear_split = np.array([[1.0, 1.0, 0.0], [0.0, 1.0 + e, 0.0], [0.0, 0.0, 1.0]])
+        cases += [
+            (f"diag(1,1+{e:g},1)", np.diag([1.0, 1.0 + e, 1.0]), diag, False),
+            (f"shear-split-{e:g}", shear_split, shear, shear is False),
+            (f"I+{e:g}E12", np.eye(3) + e * np.outer([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), unipotent, False),
+        ]
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("M,semisimple,defective", _multiple_root_cases())
+def test_spectral_summary_3x3_multiple_root_decisions(M, semisimple, defective):
+    Q = random_orthogonal_3x3(np.random.default_rng(11))
+    summary = spectral_summary(normalize_to_unimodular(Q @ M @ Q.T).unit)
+    assert summary.semisimple is semisimple
+    assert (summary.defective_eigenvalue is not None) is defective
 
 
 def test_spectral_summary_3x3_defective():
