@@ -30,6 +30,7 @@ from .linalg import (
     _norm_screen,
     _operator_norm,
     _operator_norms,
+    _spectral_summary,
     as_matrix,
     contraction_subspace,
     det_root,
@@ -38,7 +39,6 @@ from .linalg import (
     matrix_inverse,
     normalize_to_unimodular,
     operator_norm,
-    spectral_summary,
 )
 from .sphere import AffineSphereMap, Regime, apply_many, unit_vector
 
@@ -128,20 +128,33 @@ class SemigroupSpec:
 PAIR_BLOCK = 64
 
 
-def _pair_blocks(m: AffineSphereMap, P: np.ndarray):
-    """Endless stacks (k, n, d) holding the next k iterates of the rows of P.
+def _power_stack(m: AffineSphereMap) -> np.ndarray:
+    """The (k, d, d) stack of maps one block applies: row j of a block is W[j]
+    applied to the block's seed.
 
-    A projective map advances k = PAIR_BLOCK steps at once through its powers
-    T^1..T^k, each divided by its largest absolute entry so nothing overflows;
-    an affine map advances one step.  Blocks walked again from P are bit-identical.
+    A projective map gets k = PAIR_BLOCK powers T^1..T^k, each divided by its
+    largest absolute entry so nothing overflows; each doubling multiplies the
+    powers so far by the last as one 2-D GEMM.  An affine map gets T alone.
     """
     W = m.matrix[None]
     if m.regime is Regime.PROJECTIVE:
+        d = m.dim
         W = W / np.max(np.abs(W))
         while len(W) < PAIR_BLOCK:  # T^(n+j) = T^j T^n
-            W = np.concatenate([W, W[: PAIR_BLOCK - len(W)] @ W[-1]])
+            j = PAIR_BLOCK - len(W)
+            W = np.concatenate([W, (W[:j].reshape(-1, d) @ W[-1]).reshape(-1, d, d)])
             W = W / np.max(np.abs(W), axis=(1, 2), keepdims=True)
-    stacked = replace(m, matrix=W)
+    return W
+
+
+def _pair_blocks(m: AffineSphereMap, P: np.ndarray):
+    """Endless stacks (k, n, d) holding the next k iterates of the rows of P.
+
+    Each block applies the ``_power_stack`` of m to the last row of the block
+    before it, so only that row carries over.  Blocks walked again from P are
+    bit-identical.
+    """
+    stacked = replace(m, matrix=_power_stack(m))
     while True:
         P = apply_many(stacked, P)
         yield P
@@ -151,18 +164,40 @@ def _pair_blocks(m: AffineSphereMap, P: np.ndarray):
 def _separations(m: AffineSphereMap, X, Y, steps: int):
     """Yield (first, S) over steps 1..steps: S[k, j] is |X_j - Y_j| after first + k steps.
 
-    The norm is the expression ``np.linalg.norm(D, axis=-1)`` evaluates for
-    real input, without its wrapper, so S is bit-identical to it.  A caller
-    may stop early; the blocks are lazy.
+    The norms come from ``_distances``.  A caller may stop early; the blocks
+    are lazy.
     """
     X, Y = np.atleast_2d(X), np.atleast_2d(Y)
     blocks = _pair_blocks(m, np.concatenate([X, Y]).astype(float))
     done = 0
     while done < steps:
         Q = next(blocks)[: steps - done]
-        D = Q[:, : len(X)] - Q[:, len(X) :]
-        yield done + 1, np.sqrt(np.add.reduce(D * D, axis=-1))
+        yield done + 1, _distances(Q[:, : len(X)] - Q[:, len(X) :])
         done += len(Q)
+
+
+def _distances(D: np.ndarray) -> np.ndarray:
+    """The expression ``np.linalg.norm(D, axis=-1)`` evaluates for real D,
+    without its wrapper, so the result is bit-identical to it."""
+    return np.sqrt(np.add.reduce(D * D, axis=-1))
+
+
+def _separation_after(m: AffineSphereMap, x, y, steps: int) -> float:
+    """|x - y| after ``steps`` >= 1 iterations, bit-identical to the last row
+    ``_separations`` yields.
+
+    Block q of ``_pair_blocks`` holds steps qk+1..qk+k and passes on only its
+    last row.  So with steps - 1 = qk + r the walk applies the last power of
+    the stack q times, then row r of the stack once, one matrix per call.
+    """
+    W = _power_stack(m)
+    q, r = divmod(steps - 1, len(W))
+    P = np.array([x, y], dtype=float)
+    last = replace(m, matrix=W[-1])
+    for _ in range(q):
+        P = apply_many(last, P)
+    P = apply_many(replace(m, matrix=W[r]), P)
+    return float(_distances(P[0] - P[1]))
 
 
 def _first_proximal(m: AffineSphereMap, X0, Y0, iterations: int, eps: float):
@@ -300,7 +335,7 @@ def classify_projective_distality(T, config: Config = DEFAULT_CONFIG) -> Distali
 def _classify(T: np.ndarray, unit: np.ndarray, config: Config) -> DistalityVerdict:
     """``classify_projective_distality`` of a validated T whose unimodular
     normalization ``unit`` the caller has already computed."""
-    summary = spectral_summary(unit, config)
+    summary = _spectral_summary(unit, config)
     moduli = [abs(lam) for lam in summary.eigenvalues]
     budget = {
         "spectral_tol": config.spectral_tol,
@@ -309,11 +344,12 @@ def _classify(T: np.ndarray, unit: np.ndarray, config: Config) -> DistalityVerdi
     seed = config.rng_seed
 
     def measured_pair(x, y):
-        m = AffineSphereMap.create(T, config=config)
+        # T passed det_root's singularity gate, so the map needs no second check
+        m = AffineSphereMap(T, np.zeros(len(T)), Regime.PROJECTIVE, 0.0)
         sep0 = float(np.linalg.norm(x - y))
         steps, best = 0, sep0
         for first, S in _separations(m, x, y, config.oracle.iterations):
-            k = int(np.argmin(S[:, 0]))
+            k = int(S[:, 0].argmin())
             if S[k, 0] < best:  # earliest minimum within the budget
                 steps, best = first + k, float(S[k, 0])
                 if best == 0.0:  # no later step can come closer
@@ -589,8 +625,7 @@ def replay_certificate(
             m = AffineSphereMap.create(matrix, config=config)
         else:
             raise ValueError("replaying a proximal pair needs a matrix, or a word and its generators")
-        for _, S in _separations(m, cert.x, cert.y, cert.steps):
-            sep = float(S[-1, 0])
+        sep = _separation_after(m, cert.x, cert.y, cert.steps)
         floor = max(cert.separation_final, 1e-15)
         return abs(sep - cert.separation_final) <= tolerance * floor
     return True

@@ -402,7 +402,11 @@ def spectral_summary(T, config: Config = DEFAULT_CONFIG) -> SpectralSummary:
     For d = 3 LAPACK's eigenvalues, or the multiple root the characteristic
     polynomial shows, cluster; the singular values of T - lam*I decide.
     """
-    T = as_matrix(T)
+    return _spectral_summary(as_matrix(T), config)
+
+
+def _spectral_summary(T: np.ndarray, config: Config) -> SpectralSummary:
+    """``spectral_summary`` of a validated matrix."""
     d = T.shape[0]
     if d == 2:
         scale, tr, eigenvalues = _spectrum_2x2(T, config)

@@ -167,17 +167,27 @@ def apply_affine(m: AffineSphereMap, x, config: Config = DEFAULT_CONFIG) -> np.n
 def apply_many(m: AffineSphereMap, X: np.ndarray) -> np.ndarray:
     """Vectorized map application on rows of X (no per-point validation).
 
-    A (k, d, d) stack as ``matrix`` gives the (k, n, d) images under each.
-    This is the orbit-pair kernel's one step, so it skips the NumPy
-    wrappers: a projective map adds no (all-zero) translation, and the row
-    norm is the expression ``np.linalg.norm(V, axis=-1)`` evaluates for
-    real input, so the images are bit-identical to that formula up to the
-    sign of zero entries.
+    A (k, d, d) stack as ``matrix`` gives the (k, n, d) images under each,
+    the same numbers as the batched ``X @ matrix.swapaxes(-1, -2)``.  They
+    come from one 2-D GEMM of X against the k stacked matrices side by side,
+    normalized as (n, k, d) and returned as a (k, n, d) view, because a
+    batched matmul makes one small BLAS call per matrix.  This is the
+    orbit-pair kernel's one step, so it skips the NumPy wrappers: a
+    projective map adds no (all-zero) translation, and the row norm is the
+    expression ``np.linalg.norm(V, axis=-1)`` evaluates for real input, so
+    the images are bit-identical to that formula up to the sign of zero
+    entries.
     """
-    V = X @ m.matrix.swapaxes(-1, -2)
+    W = m.matrix
+    if W.ndim == 3:
+        k, d = W.shape[0], W.shape[-1]
+        V = (X @ W.reshape(-1, d).T).reshape(X.shape[:-1] + (k, d))
+    else:
+        V = X @ W.T
     if m.regime is not Regime.PROJECTIVE:
         V = V + m.translation
-    return V / np.sqrt(np.add.reduce(V * V, axis=-1, keepdims=True))
+    V = V / np.sqrt(np.add.reduce(V * V, axis=-1, keepdims=True))
+    return V.swapaxes(0, 1) if V.ndim == 3 else V
 
 
 def affine_inverse_image(m: AffineSphereMap, y, config: Config = DEFAULT_CONFIG) -> np.ndarray:

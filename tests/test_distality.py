@@ -35,6 +35,8 @@ from sphere_distal.distality import (
     _pair_blocks,
     _random_words,
     _sample_far_pairs,
+    _separation_after,
+    _separations,
     _split_moduli_pair,
     _word_at,
     _word_levels,
@@ -365,6 +367,23 @@ def test_replay_reproduces_classifier_separation_exactly():
         v = classify_projective_distality(T)
         if v.verdict is Verdict.NOT_DISTAL:
             assert replay_certificate(v.certificate, matrix=T, tolerance=0.0)
+
+
+def test_replay_endpoint_walk_matches_the_kernel_bit_for_bit():
+    rng = np.random.default_rng(12)
+    affine = AffineSphereMap.create(np.diag([2.0, 0.5]), [0.3, 0.2])
+    assert affine.regime.value == "homeomorphism"  # its blocks are one step long
+    for m in [AffineSphereMap.create(T) for T in _kernel_cases()] + [affine]:
+        x, y = rng.standard_normal((2, m.dim))
+        x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
+        sep0 = float(np.linalg.norm(x - y))
+        for steps in (1, 63, 64, 65, 127, 128, 1999, 2000):
+            for _, S in _separations(m, x, y, steps):
+                want = float(S[-1, 0])
+            assert _separation_after(m, x, y, steps) == want, (m.matrix, steps)
+            if m.regime.value == "projective" and want < sep0:
+                cert = ProximalPair(x, y, steps, sep0, want)
+                assert replay_certificate(cert, matrix=m.matrix, tolerance=0.0)
 
 
 def _naive_first_hit(m, X0, Y0, iterations, eps):
@@ -782,6 +801,23 @@ def test_collapsed_pair_stops_walking_blocks(monkeypatch):
     assert cert.separation_final == 0.0
     assert len(calls) <= cert.steps // 64 + 2
     assert len(calls) < DEFAULT_CONFIG.oracle.iterations // 64
+
+
+def test_replay_applies_one_matrix_per_block_endpoint(monkeypatch):
+    shear = np.array([[1.0, 0.1], [0.0, 1.0]])
+    cert = classify_projective_distality(shear).certificate
+    assert cert.separation_final > 0.0  # the pair never collapses: a full-budget walk
+    assert cert.steps > DEFAULT_CONFIG.oracle.iterations - 64
+    calls = []
+
+    def counting(m, X):
+        calls.append(m)
+        return apply_many(m, X)
+
+    monkeypatch.setattr(distality, "apply_many", counting)
+    assert replay_certificate(cert, matrix=shear, tolerance=0.0)
+    assert len(calls) <= cert.steps // 64 + 2
+    assert all(m.matrix.shape == shear.shape for m in calls)
 
 
 def test_semigroup_zero_budget_with_four_generators_sweeps_no_words():

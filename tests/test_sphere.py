@@ -229,9 +229,10 @@ def test_apply_many_matches_the_wrapped_formula(d):
     stack = rng.standard_normal((64, d, d))
     maps = [AffineSphereMap.create(T), AffineSphereMap.create(T, translation_with_pullback(rng, T, 0.5))]
     assert [m.regime for m in maps] == [Regime.PROJECTIVE, Regime.HOMEOMORPHISM]
-    for m in maps + [replace(m, matrix=stack) for m in maps]:
+    for m in maps + [replace(m, matrix=W) for m in maps for W in (stack, stack[:1])]:
         got = apply_many(m, X)
-        assert got.shape == (X.shape if m.matrix.ndim == 2 else (64,) + X.shape)
+        assert got.shape == (X.shape if m.matrix.ndim == 2 else (len(m.matrix),) + X.shape)
         # array_equal treats -0.0 and 0.0 as equal, the one allowed difference
         assert np.array_equal(got, naive_apply_many(m, X))
         assert np.array_equal(apply_many(m, X[0]), naive_apply_many(m, X[0]))
+        assert np.array_equal(apply_many(m, X[:1]), naive_apply_many(m, X[:1]))
