@@ -8,8 +8,8 @@ Exit codes
         --tol-residual, uncovered class, wrong spectrum, non-isometry,
         unsupported dimension)
     64  unparsable input (bad JSON, flags, schema, config values or spec
-        budgets, a vector flag of the wrong length, a point off the
-        sphere, an output path that cannot be written)
+        budgets, a non-finite angle, a vector flag of the wrong length, a
+        point off the sphere, an output path that cannot be written)
     65  singular matrix
     66  invalid translation (zero, degenerate, or non-injective regime)
     70  unexpected internal failure, or stdout closed before all output
@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import math
 import os
 import sys
 import time
@@ -38,19 +39,9 @@ from .distality import (
     semigroup_distality_test,
 )
 from .errors import (
-    DegenerateMap,
-    DimensionMismatch,
-    DimensionUnsupported,
-    HypothesisNotMet,
-    InvalidTranslation,
-    NoPositiveRealEigenvalue,
-    NotOrthogonal,
-    OutsideCoveredClasses,
-    RealSpectrum,
-    SingularMatrix,
-    SpecParseError,
-    SphereDistalError,
-    ZeroTranslation,
+    DegenerateMap, DimensionMismatch, DimensionUnsupported, HypothesisNotMet, InvalidTranslation,
+    NoPositiveRealEigenvalue, NotOrthogonal, OutsideCoveredClasses, RealSpectrum, SingularMatrix,
+    SpecParseError, SphereDistalError, ZeroTranslation,
 )
 from .fixed_points import (
     FixedPointResult,
@@ -94,16 +85,23 @@ _VERDICT_EXIT = {
     Verdict.INCONCLUSIVE: EXIT_INCONCLUSIVE,
 }
 
-
-class _CliUsage(Exception):
-    pass
+# library error class (or classes) -> exit code and stderr prefix; the first
+# entry the error is an instance of wins, so the base class comes last
+_ERROR_EXIT = {
+    SpecParseError: (EXIT_PARSE, ""),
+    SingularMatrix: (EXIT_SINGULAR, "singular matrix: "),
+    (InvalidTranslation, ZeroTranslation, DegenerateMap): (EXIT_TRANSLATION, "invalid translation: "),
+    (HypothesisNotMet, OutsideCoveredClasses, NoPositiveRealEigenvalue, RealSpectrum, NotOrthogonal,
+     DimensionUnsupported, DimensionMismatch): (EXIT_UNCOVERED, "not covered: "),
+    SphereDistalError: (EXIT_INTERNAL, ""),
+}
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 by default, which collides with the
     # Inconclusive verdict; route usage problems to the parse exit code.
     def error(self, message):
-        raise _CliUsage(message)
+        raise SpecParseError(message)
 
 
 def _parse_angle(text: str) -> float:
@@ -111,9 +109,12 @@ def _parse_angle(text: str) -> float:
     if "deg" in lowered or "°" in lowered:
         raise SpecParseError("angles are accepted in radians only")
     try:
-        return float(text)
+        angle = float(text)
+        if not math.isfinite(angle):
+            raise ValueError("the angle must be finite")
     except ValueError as exc:
         raise SpecParseError(f"bad angle {text!r}: {exc}") from exc
+    return angle
 
 
 def _parse_vector(text: str, dim: int) -> np.ndarray:
@@ -130,7 +131,7 @@ def _parse_vector(text: str, dim: int) -> np.ndarray:
 
 
 def _resolve_matrix(args) -> np.ndarray:
-    if getattr(args, "rot", None) is not None:
+    if args.rot is not None:
         if args.matrix is not None:
             raise SpecParseError("give either a matrix file or --rot, not both")
         return rotation(_parse_angle(args.rot))
@@ -195,6 +196,84 @@ def _open_outputs(*paths) -> list:
     return files
 
 
+def _verdict_result(verdict) -> tuple[int, dict]:
+    return _VERDICT_EXIT[verdict.verdict], verdict_to_json(verdict)
+
+
+def _classify(args, config):
+    return _verdict_result(classify_projective_distality(_resolve_matrix(args), config))
+
+
+def _semigroup(args, config):
+    return _verdict_result(semigroup_distality_test(load_semigroup_spec(args.spec), config))
+
+
+def _fixed_point(args, config):
+    T = _resolve_matrix(args)
+    a = _parse_vector(args.a, T.shape[0])
+    return EXIT_DISTAL, _solution_to_json(find_fixed_point(T, a, config))
+
+
+def _orbit(args, config):
+    T = _resolve_matrix(args)
+    d = T.shape[0]
+    a = _parse_vector(args.a, d) if args.a else None
+    x = _parse_vector(args.x, d) if args.x is not None else np.eye(d)[0]
+    m = AffineSphereMap.create(T, a, config)
+    try:
+        record = orbit(m, x, args.steps, config)
+    except ValueError as exc:  # negative --steps or a start point off the sphere
+        raise SpecParseError(str(exc)) from exc
+    # rendered before any output is opened: a rejected SVG leaves no file
+    svg = orbit_to_svg(record, proj_axis=args.proj_axis) if args.svg else None
+    csv_fh, svg_fh = _open_outputs(args.csv, args.svg or None)
+    with csv_fh or contextlib.nullcontext(), svg_fh or contextlib.nullcontext():
+        orbit_to_csv(record, csv_fh or sys.stdout)
+        if svg_fh is not None:
+            svg_fh.write(svg)
+        for fh in filter(None, (csv_fh, svg_fh)):
+            fh.truncate()  # drop what is left of a longer old file
+    if csv_fh is None:
+        return EXIT_DISTAL, None  # stdout already holds the CSV payload
+    return EXIT_DISTAL, {
+        "map": m.describe(),
+        "steps": int(args.steps),
+        "first": [float(v) for v in record.points[0]],
+        "last": [float(v) for v in record.points[-1]],
+        "csv": args.csv,
+        "svg": args.svg,
+    }
+
+
+def _witness(args, config):
+    T = _resolve_matrix(args)
+    if T.shape[0] == 2:
+        a, result = choose_nondistal_witness(T, config)
+        body = _solution_to_json(result)
+    else:
+        a, pair = isometry_even_sphere_witness(T, config)
+        body = certificate_to_json(pair)
+    return EXIT_DISTAL, {"a": [float(v) for v in a], "result": body}
+
+
+def _inverse_image(args, config):
+    T = _resolve_matrix(args)
+    d = T.shape[0]
+    a = _parse_vector(args.a, d)
+    y = _parse_vector(args.y, d)
+    m = AffineSphereMap.create(T, a, config)
+    try:
+        x = affine_inverse_image(m, y, config)
+    except ValueError as exc:  # a target point off the sphere
+        raise SpecParseError(str(exc)) from exc
+    forward = apply_affine(m, x, config)
+    return EXIT_DISTAL, {
+        "matrix": matrix_to_json(T),
+        "point": [float(v) for v in x],
+        "forward_residual": float(np.linalg.norm(forward - np.asarray(y, float))),
+    }
+
+
 @functools.cache
 def build_parser() -> _Parser:
     """The argument parser, built once per process and shared by every
@@ -207,19 +286,21 @@ def build_parser() -> _Parser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_matrix_arg(p):
-        p.add_argument("matrix", nargs="?", help="matrix JSON file")
-        p.add_argument("--rot", help="build a 2x2 rotation by this angle (radians)")
+    def command(name, run, summary, matrix=True):
+        # run(args, config) returns (exit code, result payload or None)
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        if matrix:
+            p.add_argument("matrix", nargs="?", help="matrix JSON file")
+            p.add_argument("--rot", help="build a 2x2 rotation by this angle (radians)")
+        return p
 
-    p = sub.add_parser("classify", help="distality verdict for one matrix")
-    add_matrix_arg(p)
+    command("classify", _classify, "distality verdict for one matrix")
 
-    p = sub.add_parser("fixed-point", help="fixed/period-2 point of the affine map")
-    add_matrix_arg(p)
+    p = command("fixed-point", _fixed_point, "fixed/period-2 point of the affine map")
     p.add_argument("--a", required=True, help="translation, comma separated")
 
-    p = sub.add_parser("orbit", help="record an orbit as CSV (and optionally SVG)")
-    add_matrix_arg(p)
+    p = command("orbit", _orbit, "record an orbit as CSV (and optionally SVG)")
     p.add_argument("--a", default=None, help="translation, comma separated (default 0)")
     p.add_argument("--x", default=None, help="start point (default first basis vector)")
     p.add_argument("--steps", type=int, default=50)
@@ -227,100 +308,16 @@ def build_parser() -> _Parser:
     p.add_argument("--svg", default=None, help="SVG path")
     p.add_argument("--proj-axis", type=int, default=3, help="dropped axis for d=3 SVG")
 
-    p = sub.add_parser("semigroup", help="distality test for generated semigroup")
+    p = command("semigroup", _semigroup, "distality test for generated semigroup", matrix=False)
     p.add_argument("spec", help="semigroup spec JSON file")
 
-    p = sub.add_parser("witness", help="choose a non-distality witness translation")
-    add_matrix_arg(p)
+    command("witness", _witness, "choose a non-distality witness translation")
 
-    p = sub.add_parser("inverse-image", help="preimage of a point under the affine map")
-    add_matrix_arg(p)
+    p = command("inverse-image", _inverse_image, "preimage of a point under the affine map")
     p.add_argument("--a", required=True, help="translation, comma separated")
     p.add_argument("--y", required=True, help="target point, comma separated")
 
     return parser
-
-
-def _run(args, config) -> tuple[int, object]:
-    """Execute one subcommand; returns (exit_code, result payload)."""
-    if args.command == "classify":
-        T = _resolve_matrix(args)
-        verdict = classify_projective_distality(T, config)
-        return _VERDICT_EXIT[verdict.verdict], verdict_to_json(verdict)
-
-    if args.command == "fixed-point":
-        T = _resolve_matrix(args)
-        a = _parse_vector(args.a, T.shape[0])
-        return EXIT_DISTAL, _solution_to_json(find_fixed_point(T, a, config))
-
-    if args.command == "orbit":
-        T = _resolve_matrix(args)
-        d = T.shape[0]
-        a = _parse_vector(args.a, d) if args.a else None
-        if args.x is not None:
-            x = _parse_vector(args.x, d)
-        else:
-            x = np.zeros(d)
-            x[0] = 1.0
-        m = AffineSphereMap.create(T, a, config)
-        try:
-            record = orbit(m, x, args.steps, config)
-        except ValueError as exc:  # negative --steps or a start point off the sphere
-            raise SpecParseError(str(exc)) from exc
-        # rendered before any output is opened: a rejected SVG leaves no file
-        svg = orbit_to_svg(record, proj_axis=args.proj_axis) if args.svg else None
-        csv_fh, svg_fh = _open_outputs(args.csv, args.svg or None)
-        with csv_fh or contextlib.nullcontext(), svg_fh or contextlib.nullcontext():
-            orbit_to_csv(record, csv_fh or sys.stdout)
-            if svg_fh is not None:
-                svg_fh.write(svg)
-            for fh in filter(None, (csv_fh, svg_fh)):
-                fh.truncate()  # drop what is left of a longer old file
-        if csv_fh is None:
-            return EXIT_DISTAL, None  # stdout already holds the CSV payload
-        payload = {
-            "map": m.describe(),
-            "steps": int(args.steps),
-            "first": [float(v) for v in record.points[0]],
-            "last": [float(v) for v in record.points[-1]],
-            "csv": args.csv,
-            "svg": args.svg,
-        }
-        return EXIT_DISTAL, payload
-
-    if args.command == "semigroup":
-        spec = load_semigroup_spec(args.spec)
-        verdict = semigroup_distality_test(spec, config)
-        return _VERDICT_EXIT[verdict.verdict], verdict_to_json(verdict)
-
-    if args.command == "witness":
-        T = _resolve_matrix(args)
-        if T.shape[0] == 2:
-            a, result = choose_nondistal_witness(T, config)
-            body = _solution_to_json(result)
-        else:
-            a, pair = isometry_even_sphere_witness(T, config)
-            body = certificate_to_json(pair)
-        return EXIT_DISTAL, {"a": [float(v) for v in a], "result": body}
-
-    if args.command == "inverse-image":
-        T = _resolve_matrix(args)
-        d = T.shape[0]
-        a = _parse_vector(args.a, d)
-        y = _parse_vector(args.y, d)
-        m = AffineSphereMap.create(T, a, config)
-        try:
-            x = affine_inverse_image(m, y, config)
-        except ValueError as exc:  # a target point off the sphere
-            raise SpecParseError(str(exc)) from exc
-        forward = apply_affine(m, x, config)
-        return EXIT_DISTAL, {
-            "matrix": matrix_to_json(T),
-            "point": [float(v) for v in x],
-            "forward_residual": float(np.linalg.norm(forward - np.asarray(y, float))),
-        }
-
-    raise SpecParseError(f"unknown command {args.command!r}")
 
 
 def main(argv=None) -> int:
@@ -329,36 +326,16 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         args = parser.parse_args(argv)
-        config = load_config(args.config)
-        config = _apply_overrides(config, args)
-        code, payload = _run(args, config)
+        config = _apply_overrides(load_config(args.config), args)
+        code, payload = args.run(args, config)
         if payload is not None:
             report = run_report(argv, config, payload, time.perf_counter() - started, __version__)
             print(dump_json(report))
         return code
-    except (_CliUsage, SpecParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except SingularMatrix as exc:
-        print(f"error: singular matrix: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except (InvalidTranslation, ZeroTranslation, DegenerateMap) as exc:
-        print(f"error: invalid translation: {exc}", file=sys.stderr)
-        return EXIT_TRANSLATION
-    except (
-        HypothesisNotMet,
-        OutsideCoveredClasses,
-        NoPositiveRealEigenvalue,
-        RealSpectrum,
-        NotOrthogonal,
-        DimensionUnsupported,
-        DimensionMismatch,
-    ) as exc:
-        print(f"error: not covered: {exc}", file=sys.stderr)
-        return EXIT_UNCOVERED
     except SphereDistalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        code, prefix = next(v for k, v in _ERROR_EXIT.items() if isinstance(exc, k))
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
     except BrokenPipeError:
         # the reader closed stdout (say `| head`); point stdout at devnull so
         # the interpreter's final flush does not fail a second time

@@ -45,6 +45,8 @@ class OracleBudget:
         _check_fields(self)
         if not self.delta < 2.0:
             raise ValueError("oracle delta must be below 2, the diameter of the sphere")
+        if not self.eps < self.delta:
+            raise ValueError("oracle eps must be smaller than delta")
 
 
 @dataclass(frozen=True)
@@ -78,8 +80,6 @@ class Config:
 
     def __post_init__(self):
         _check_fields(self)
-        if not self.oracle.eps < self.oracle.delta:
-            raise ValueError("oracle eps must be smaller than delta")
 
     def replace(self, **kwargs) -> "Config":
         return dataclasses.replace(self, **kwargs)

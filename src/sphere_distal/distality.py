@@ -249,22 +249,16 @@ def proximal_pair_search(
     (x, y) wins, so the result does not depend on evaluation order.
     Absence of a find is evidence, not a distality proof.
     """
-    budget = config.oracle
-    samples = budget.samples if samples is None else samples
-    iterations = budget.iterations if iterations is None else iterations
-    eps = budget.eps if eps is None else eps
-    delta = budget.delta if delta is None else delta
+    given = {"samples": samples, "iterations": iterations, "eps": eps, "delta": delta}
+    # OracleBudget's own checks, the ones a config file passes, validate the overrides
+    budget = replace(config.oracle, **{k: v for k, v in given.items() if v is not None})
     seed = config.rng_seed if seed is None else seed
-    if not eps < delta:
-        raise ValueError("eps must be smaller than delta")
-    if not delta < 2.0:
-        raise ValueError("delta must be below 2, the diameter of the sphere")
     if m.regime not in (Regime.PROJECTIVE, Regime.HOMEOMORPHISM):
         raise InvalidTranslation("oracle requires an invertible regime")
 
     rng = np.random.default_rng(seed)
-    X0, Y0 = _sample_far_pairs(rng, m.dim, samples, delta)
-    return _first_proximal(m, X0, Y0, iterations, eps)
+    X0, Y0 = _sample_far_pairs(rng, m.dim, budget.samples, budget.delta)
+    return _first_proximal(m, X0, Y0, budget.iterations, budget.eps)
 
 
 # --- single-matrix classifier ------------------------------------------------

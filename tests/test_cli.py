@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sphere_distal import cli, errors
 from sphere_distal.cli import main
 from sphere_distal.linalg import rotation
 from sphere_distal.serialize import orbit_to_svg, parse_matrix
@@ -109,6 +110,51 @@ def test_degrees_rejected(capsys):
     code, _, err = run_cli(capsys, ["classify", "--rot", "90deg"])
     assert code == 64
     assert "radians" in err
+
+
+@pytest.mark.parametrize("angle", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("command", [["classify"], ["witness"], ["fixed-point", "--a", "0.1,0"]])
+def test_nonfinite_angle_exits_64(capsys, command, angle):
+    code, report, err = run_cli(capsys, [*command, f"--rot={angle}"])
+    assert code == 64 and report is None
+    assert err.startswith("error:") and "finite" in err
+
+
+# the documented exit code and stderr prefix of every library error class
+DOCUMENTED_ERROR_EXIT = {
+    errors.SpecParseError: (64, "error: "),
+    errors.SingularMatrix: (65, "error: singular matrix: "),
+    errors.InvalidTranslation: (66, "error: invalid translation: "),
+    errors.ZeroTranslation: (66, "error: invalid translation: "),
+    errors.DegenerateMap: (66, "error: invalid translation: "),
+    errors.HypothesisNotMet: (3, "error: not covered: "),
+    errors.OutsideCoveredClasses: (3, "error: not covered: "),
+    errors.NoPositiveRealEigenvalue: (3, "error: not covered: "),
+    errors.RealSpectrum: (3, "error: not covered: "),
+    errors.NotOrthogonal: (3, "error: not covered: "),
+    errors.DimensionUnsupported: (3, "error: not covered: "),
+    errors.DimensionMismatch: (3, "error: not covered: "),
+    errors.NotUnimodular: (70, "error: "),
+    errors.SpectrumCollision: (70, "error: "),
+    errors.SphereDistalError: (70, "error: "),
+}
+
+
+def test_every_library_error_class_has_a_documented_exit():
+    classes = set(errors.SphereDistalError.__subclasses__()) | {errors.SphereDistalError}
+    assert classes == set(DOCUMENTED_ERROR_EXIT)
+
+
+@pytest.mark.parametrize("cls", list(DOCUMENTED_ERROR_EXIT), ids=lambda cls: cls.__name__)
+def test_library_errors_map_to_their_documented_exit(capsys, monkeypatch, cls):
+    def fail(*args, **kwargs):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "classify_projective_distality", fail)
+    code, report, err = run_cli(capsys, ["classify", "--rot", "1.0"])
+    expected_code, prefix = DOCUMENTED_ERROR_EXIT[cls]
+    assert code == expected_code and report is None
+    assert err == f"{prefix}boom\n"
 
 
 def test_fixed_point_minor_axis(tmp_path, capsys):

@@ -190,6 +190,19 @@ def test_oracle_validates_budget():
         proximal_pair_search(m, eps=0.5, delta=0.1)
 
 
+@pytest.mark.parametrize(
+    "override",
+    [{"eps": 0.0}, {"eps": -1.0}, {"eps": math.nan}, {"samples": 2.5}, {"samples": -1}, {"iterations": -1}],
+)
+def test_oracle_rejects_every_override_the_budget_rejects(override):
+    # a shear is not distal, so a None here would read as a wrong verdict
+    m = AffineSphereMap.create([[1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(ValueError):
+        proximal_pair_search(m, **override)
+    with pytest.raises(ValueError):
+        OracleBudget(**override)
+
+
 @pytest.mark.parametrize("delta", [2.0, 3.0])
 def test_oracle_rejects_delta_of_the_sphere_diameter_or_more(delta):
     m = AffineSphereMap.create(rotation(1.0))
