@@ -26,6 +26,7 @@ import contextlib
 import functools
 import math
 import os
+import re
 import sys
 import time
 
@@ -98,6 +99,14 @@ _ERROR_EXIT = {
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only -1 and -.5 as negative numbers and takes any
+        # other word that starts with "-" for an option, so --rot -1e-3 and
+        # --a -0.5,0 would lose their values: a "-" or "-." followed by a
+        # digit is a value.  Subparsers are built from this class too.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     # argparse exits with status 2 by default, which collides with the
     # Inconclusive verdict; route usage problems to the parse exit code.
     def error(self, message):

@@ -13,11 +13,12 @@ in its certificate.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, Config
+from .config import DEFAULT_CONFIG, Config, check_count
 from .errors import (
     DimensionMismatch,
     DimensionUnsupported,
@@ -133,18 +134,45 @@ def _power_stack(m: AffineSphereMap) -> np.ndarray:
     applied to the block's seed.
 
     A projective map gets k = PAIR_BLOCK powers T^1..T^k, each divided by its
-    largest absolute entry so nothing overflows; each doubling multiplies the
-    powers so far by the last as one 2-D GEMM.  An affine map gets T alone.
+    largest absolute entry so nothing overflows; ``_projective_stack`` builds
+    them once per matrix and serves later calls on the same matrix from a
+    cache, as a read-only array.  An affine map gets T alone.
     """
-    W = m.matrix[None]
     if m.regime is Regime.PROJECTIVE:
-        d = m.dim
-        W = W / np.max(np.abs(W))
-        while len(W) < PAIR_BLOCK:  # T^(n+j) = T^j T^n
-            j = PAIR_BLOCK - len(W)
-            W = np.concatenate([W, (W[:j].reshape(-1, d) @ W[-1]).reshape(-1, d, d)])
-            W = W / np.max(np.abs(W), axis=(1, 2), keepdims=True)
-    return W
+        return _projective_stack(m.matrix.astype(float, copy=False).tobytes(), m.dim)
+    return m.matrix[None]
+
+
+# matrices whose projective stacks are kept: a classification and the replay of
+# its pair run on the same matrix one after the other
+STACK_CACHE = 16
+
+
+@functools.lru_cache(maxsize=STACK_CACHE)
+def _projective_stack(key: bytes, d: int) -> np.ndarray:
+    """The normalized powers T^1..T^PAIR_BLOCK of the d x d matrix T whose
+    float64 bytes are ``key``, filled into one preallocated array, read-only.
+
+    Each doubling writes T^(n+i) = T^i T^n, i = 1..j with j <= n, into the
+    next slab as one 2-D GEMM and divides each new power by its largest
+    absolute entry.  That is bit-identical to appending the slab and then
+    dividing every power so far: a power already normalized has largest
+    absolute entry exactly 1.0, and dividing by 1.0 changes nothing.
+    """
+    T = np.frombuffer(key).reshape(d, d)
+    F = np.empty((PAIR_BLOCK, d, d))
+    np.divide(T, np.abs(T).max(), out=F[0])
+    rows = F.reshape(-1, d)  # the stack as one (PAIR_BLOCK * d, d) matrix
+    flat = F.reshape(PAIR_BLOCK, -1)  # one power per row
+    n = 1
+    while n < PAIR_BLOCK:
+        j = min(n, PAIR_BLOCK - n)
+        np.matmul(rows[: j * d], F[n - 1], out=rows[n * d : (n + j) * d])
+        slab = flat[n : n + j]
+        np.divide(slab, np.maximum.reduce(np.abs(slab), axis=1, keepdims=True), out=slab)
+        n += j
+    F.flags.writeable = False
+    return F
 
 
 def _pair_blocks(m: AffineSphereMap, P: np.ndarray):
@@ -189,6 +217,8 @@ def _separation_after(m: AffineSphereMap, x, y, steps: int) -> float:
     Block q of ``_pair_blocks`` holds steps qk+1..qk+k and passes on only its
     last row.  So with steps - 1 = qk + r the walk applies the last power of
     the stack q times, then row r of the stack once, one matrix per call.
+    The stack comes from ``_power_stack``'s cache, so replaying a pair the
+    classifier just measured on the same matrix does not build it again.
     """
     W = _power_stack(m)
     q, r = divmod(steps - 1, len(W))
@@ -302,8 +332,14 @@ def _jordan_collapse_pair(U: np.ndarray, lam: float, config: Config):
 
 def _split_moduli_pair(U: np.ndarray, config: Config):
     """Pair sharing an expanding component plus a contracting perturbation."""
-    expanding = contraction_subspace(matrix_inverse(U, config), config)
-    contracting = contraction_subspace(U, config)
+    # U is the classifier's validated unimodular matrix, so no second gate
+    cutoff = 1.0 - config.spectral_tol
+
+    def contracts(mu):  # contraction_subspace's predicate
+        return abs(mu) < cutoff
+
+    expanding = invariant_subspace(matrix_inverse(U, config), contracts)
+    contracting = invariant_subspace(U, contracts)
     if expanding.shape[1] == 0 or contracting.shape[1] == 0:
         return None
     u = expanding[:, 0]
@@ -481,6 +517,7 @@ def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFI
     max_len = spec.word_length_budget if spec.word_length_budget is not None else config.max_word_length
     n_oracle = spec.sample_count if spec.sample_count is not None else config.oracle_words
     seed = spec.rng_seed if spec.rng_seed is not None else config.rng_seed
+    check_count("rng_seed", seed)  # the generator is created only after the sweep
     budget = {
         "word_length": max_len,
         "oracle_words": n_oracle,
@@ -505,7 +542,6 @@ def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFI
         units.append(unit)
     g = len(units)
     bound = config.growth_factor * d
-    rng = np.random.default_rng(seed)
 
     def unbounded(word, norm):
         cert = UnboundedWord(word=word, norm=float(norm), bound=float(bound))
@@ -538,7 +574,9 @@ def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFI
             return unbounded(_word_at(int(idx[j]), g, length), norms[j])
         max_norm = max(max_norm, top)
     # random words beyond, one at a time; those longer than 1 join the
-    # oracle's candidates after every swept word of length >= 2
+    # oracle's candidates after every swept word of length >= 2.  Nothing
+    # draws from the seeded generator before this point.
+    rng = np.random.default_rng(seed)
     tail: list[tuple] = []
     if max_len > exhaustive_len:
         for word, M in _random_words(units, exhaustive_len + 1, max_len, rng, config.random_words):

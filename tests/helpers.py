@@ -82,3 +82,15 @@ def reconstruct(es):
     else:
         B = k.modulus * rotation(k.angle)
     return k.basis @ B @ matrix_inverse(k.basis)
+
+
+def naive_power_stack(T, k=64):
+    """The k normalized powers of T by doubling: append T^j T^n for the first
+    j powers, then divide every power so far by its largest absolute entry."""
+    W = T[None] / np.max(np.abs(T))
+    d = len(T)
+    while len(W) < k:
+        j = k - len(W)
+        W = np.concatenate([W, (W[:j].reshape(-1, d) @ W[-1]).reshape(-1, d, d)])
+        W = W / np.max(np.abs(W), axis=(1, 2), keepdims=True)
+    return W

@@ -595,3 +595,26 @@ def test_semigroup_zero_budget_with_four_generators(tmp_path, capsys):
     assert code == 0
     assert report["result"]["verdict"] == "distal"
     assert report["result"]["certificate"]["parameters"]["words_checked"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["classify", "--rot", "-1e-3"], "--rot"),
+        (["fixed-point", "--rot", "1", "--a", "-0.5,0"], "--a"),
+        (["orbit", "--rot", "0.5", "--x", "-1,0", "--steps", "3"], "--x"),
+        (["inverse-image", "--rot", "0.5", "--a", "0.1,0", "--y", "-1,0"], "--y"),
+    ],
+)
+def test_a_negative_value_after_a_space_parses_as_with_equals(capsys, argv, flag):
+    i = argv.index(flag)
+    joined = argv[:i] + [f"{flag}={argv[i + 1]}"] + argv[i + 2 :]
+    runs = []
+    for args in (argv, joined):
+        code = main(args)
+        captured = capsys.readouterr()
+        # orbit without --csv prints the CSV itself; the others print a report
+        out = json.loads(captured.out)["result"] if captured.out.startswith("{") else captured.out
+        runs.append((code, json.dumps(out), captured.err))
+    assert runs[0] == runs[1]
+    assert "expected one argument" not in runs[0][2]

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import naive_apply_many, random_conjugator, random_orthogonal_3x3
+from helpers import naive_apply_many, naive_power_stack, random_conjugator, random_orthogonal_3x3
 from sphere_distal import (
     DEFAULT_CONFIG,
     AffineSphereMap,
@@ -33,6 +33,7 @@ from sphere_distal import distality
 from sphere_distal.distality import (
     _jordan_collapse_pair,
     _pair_blocks,
+    _power_stack,
     _random_words,
     _sample_far_pairs,
     _separation_after,
@@ -51,7 +52,7 @@ from sphere_distal.linalg import (
     spectral_summary,
 )
 from sphere_distal.serialize import dump_json, verdict_to_json
-from sphere_distal.sphere import apply_many
+from sphere_distal.sphere import Regime, apply_many
 
 
 def test_classify_shear_not_distal():
@@ -373,6 +374,59 @@ def test_pair_blocks_match_step_by_step():
         for step in range(2000):
             reference = apply_many(m, reference)
             assert np.max(np.abs(blocked[step] - reference)) <= 1e-12, (T, step + 1)
+
+
+def test_power_stack_matches_the_naive_doubling():
+    rng = np.random.default_rng(14)
+    jordan = np.eye(3) + 0.3 * np.diag([1.0, 1.0], k=1)
+    cases = _kernel_cases() + [jordan, np.eye(3) + 0.3 * np.diag([1.0, 0.0], k=1)]
+    cases += [rotation(theta) for theta in (1e-7, 0.5, np.pi / 2, 3.0)]
+    for i in range(200):
+        d = 2 + i % 2
+        cases.append(rng.standard_normal((d, d)) * 10.0 ** rng.uniform(-150.0, 150.0))
+    for T in cases:
+        T = np.asarray(T, float)
+        # built as the classifier builds it: at 1e-150 a 3x3 determinant underflows
+        W = _power_stack(AffineSphereMap(T, np.zeros(len(T)), Regime.PROJECTIVE, 0.0))
+        assert W.shape == (distality.PAIR_BLOCK, len(T), len(T))
+        assert np.array_equal(W, naive_power_stack(T, distality.PAIR_BLOCK)), T
+
+
+def test_power_stack_is_read_only_and_keyed_by_float_entries():
+    W = _power_stack(AffineSphereMap.create(rotation(0.3)))
+    assert not W.flags.writeable
+    with pytest.raises(ValueError):
+        W[0, 0, 0] = 2.0
+    affine = AffineSphereMap.create(np.diag([2.0, 0.5]), [0.3, 0.2])
+    assert np.array_equal(_power_stack(affine), affine.matrix[None])
+    # the cache key is the matrix's float64 bytes, whatever dtype it holds
+    shear = np.array([[1, 1], [0, 1]])
+    integral = AffineSphereMap(shear, np.zeros(2), Regime.PROJECTIVE, 0.0)
+    assert np.array_equal(_power_stack(integral), naive_power_stack(shear.astype(float)))
+
+
+@pytest.mark.parametrize(
+    "T", [np.array([[1.0, 0.1], [0.0, 1.0]]), np.diag([3.0, 1.0, 1.0 / 3.0])], ids=["shear", "split"]
+)
+def test_classify_and_replay_build_the_stack_once(T):
+    distality._projective_stack.cache_clear()
+    v = classify_projective_distality(T)
+    assert v.verdict is Verdict.NOT_DISTAL
+    assert replay_certificate(v.certificate, matrix=T, tolerance=0.0)
+    assert distality._projective_stack.cache_info().misses == 1  # one build, one hit
+    assert distality._projective_stack.cache_info().hits == 1
+
+
+def test_replay_after_an_in_place_change_uses_the_new_matrix():
+    T = np.array([[1.0, 0.1], [0.0, 1.0]])
+    cert = classify_projective_distality(T).certificate
+    T[0, 1] = 0.5  # same array, new entries: the cached stack of the old T must not serve it
+    warm = replay_certificate(cert, matrix=T, tolerance=0.0)
+    warm_sep = _separation_after(AffineSphereMap.create(T), cert.x, cert.y, cert.steps)
+    distality._projective_stack.cache_clear()
+    assert replay_certificate(cert, matrix=T, tolerance=0.0) == warm
+    assert _separation_after(AffineSphereMap.create(T), cert.x, cert.y, cert.steps) == warm_sep
+    assert warm_sep != cert.separation_final
 
 
 def test_replay_reproduces_classifier_separation_exactly():
@@ -838,3 +892,11 @@ def test_semigroup_zero_budget_with_four_generators_sweeps_no_words():
     v = semigroup_distality_test(SemigroupSpec(gens, word_length_budget=0))
     assert v.verdict is Verdict.DISTAL
     assert v.certificate.parameters["words_checked"] == 0
+
+
+def test_semigroup_rejects_a_negative_seed_before_an_early_unbounded_word():
+    C = np.diag([3.0, 1.0])
+    gens = (rotation(np.pi / 2), C @ rotation(np.pi / 2) @ matrix_inverse(C))
+    assert isinstance(semigroup_distality_test(SemigroupSpec(gens)).certificate, UnboundedWord)
+    with pytest.raises(ValueError, match="rng_seed"):
+        semigroup_distality_test(SemigroupSpec(gens, rng_seed=-1))
