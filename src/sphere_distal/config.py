@@ -80,6 +80,8 @@ class Config:
 
     def __post_init__(self):
         _check_fields(self)
+        if not isinstance(self.oracle, OracleBudget):
+            raise ValueError(f"oracle must be an OracleBudget, got {self.oracle!r}")
 
     def replace(self, **kwargs) -> "Config":
         return dataclasses.replace(self, **kwargs)

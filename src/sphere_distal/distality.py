@@ -114,13 +114,19 @@ class SemigroupSpec:
 
     ``sample_count`` is how many words are handed to the orbit oracle;
     ``word_length_budget`` caps the word search.  None fields fall back
-    to the Config defaults.
+    to the Config defaults; the others must be non-negative integers.
     """
 
     generators: tuple
     word_length_budget: int | None = None
     sample_count: int | None = None
     rng_seed: int | None = None
+
+    def __post_init__(self):
+        for name in ("word_length_budget", "sample_count", "rng_seed"):
+            value = getattr(self, name)
+            if value is not None:
+                check_count(name, value)
 
 
 # --- orbit-pair kernel ----------------------------------------------------------
@@ -517,7 +523,6 @@ def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFI
     max_len = spec.word_length_budget if spec.word_length_budget is not None else config.max_word_length
     n_oracle = spec.sample_count if spec.sample_count is not None else config.oracle_words
     seed = spec.rng_seed if spec.rng_seed is not None else config.rng_seed
-    check_count("rng_seed", seed)  # the generator is created only after the sweep
     budget = {
         "word_length": max_len,
         "oracle_words": n_oracle,

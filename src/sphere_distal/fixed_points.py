@@ -451,8 +451,9 @@ def choose_nondistal_witness(T, config: Config = DEFAULT_CONFIG):
 
 
 def _circle_pair_search(m: AffineSphereMap, plane: np.ndarray, iterations: int, config: Config):
-    """Proximal-pair search with both points confined to the invariant circle
-    spanned by ``plane``: 16 sampled pairs, hits below ``recurrence_eps``."""
+    """Proximal-pair search whose 16 sampled pairs start on the circle spanned
+    by ``plane`` and are iterated by the full map ``m``; a hit is a
+    separation below ``recurrence_eps``."""
     rng = np.random.default_rng(config.rng_seed)
     min_angle = 2.0 * math.asin(config.oracle.delta / 2.0)
     psi_x = rng.uniform(0.0, 2.0 * math.pi, 16)
@@ -487,13 +488,14 @@ def isometry_even_sphere_witness(T, config: Config = DEFAULT_CONFIG):
     """Translation and proximal pair showing an S^2 isometry map is not distal.
 
     For an orthogonal 3x3 matrix: if the spectrum is all real (T is an
-    involution) the problem restricts to an invariant coordinate plane
-    and delegates to the circle witness; otherwise T fixes an axis up to
-    sign, the translation is placed on that axis, and T factors into
-    commuting isometries T = U D with D acting only on the axis and U
-    only on the rotation plane.  The pair lives on the invariant circle
-    through the axis, converges under the D-part, and the recurrence
-    times of U (returned on the pair) are when the full map revisits it.
+    involution) the translation lies in an invariant coordinate plane and
+    comes from the circle witness; otherwise T fixes an axis up to sign,
+    the translation is placed on that axis, and T factors into commuting
+    isometries T = U D with D acting only on the axis and U only on the
+    rotation plane.  The pair starts on a great circle through the
+    translation but is iterated by the full map (T, a), which separates
+    it exactly as the D-part does.  The recurrence times of U (empty for
+    an involution) are when the full map revisits the pair's circle.
     """
     T = as_matrix(T)
     if T.shape[0] != 3:
@@ -501,47 +503,33 @@ def isometry_even_sphere_witness(T, config: Config = DEFAULT_CONFIG):
     if not is_orthogonal(T, config.classify_tol):
         raise NotOrthogonal("witness construction needs an isometry")
 
-    iterations = max(config.oracle.iterations, 4000)
-
     symmetric_defect = float(np.max(np.abs(T - T.T)))
     if symmetric_defect <= config.classify_tol:
         # involution: all eigenvalues are +-1, eigh gives exact invariant planes
-        eigvals, eigvecs = np.linalg.eigh((T + T.T) / 2.0)
+        _, eigvecs = np.linalg.eigh((T + T.T) / 2.0)
         plane = eigvecs[:, :2]  # ascending: prefers the negative pair
         T_plane = plane.T @ T @ plane
         a_plane, _ = choose_nondistal_witness(T_plane, config)
         a = plane @ a_plane
-        m_full = AffineSphereMap.create(T, a, config)
-        found = _circle_pair_search(m_full, plane, iterations, config)
-        if found is None:
-            raise SphereDistalError("invariant-plane pair search exhausted its budget")
-        return a, replace(found, recurrence_times=())
+        times = ()
+    else:
+        # exactly one real eigenvalue: its sign is the determinant
+        sigma = 1.0 if determinant(T) > 0.0 else -1.0
+        M = T - sigma * np.eye(3)
+        axis = np.linalg.svd(M)[2][-1]
+        axis = axis / np.linalg.norm(axis)
+        a = 0.5 * axis
+        D = np.eye(3) + (sigma - 1.0) * np.outer(axis, axis)
+        U = T @ D  # D is its own inverse
+        k = int(np.argmin(np.abs(axis)))
+        b = np.eye(3)[k] - axis[k] * axis
+        b = b / np.linalg.norm(b)
+        plane = np.column_stack([axis, b])
+        cos_phi = max(-1.0, min(1.0, (float(np.trace(U)) - 1.0) / 2.0))
+        times = _recurrence_times(math.acos(cos_phi), config)
 
-    # exactly one real eigenvalue: its sign is the determinant
-    sigma = 1.0 if determinant(T) > 0.0 else -1.0
-    M = T - sigma * np.eye(3)
-    axis = np.linalg.svd(M)[2][-1]
-    axis = axis / np.linalg.norm(axis)
-    a = 0.5 * axis
-    D = np.eye(3) + (sigma - 1.0) * np.outer(axis, axis)
-    U = T @ D  # D is its own inverse
-    k = int(np.argmin(np.abs(axis)))
-    b = np.eye(3)[k] - axis[k] * axis
-    b = b / np.linalg.norm(b)
-    plane = np.column_stack([axis, b])
-
-    m_axis = AffineSphereMap.create(D, a, config)
-    found = _circle_pair_search(m_axis, plane, iterations, config)
+    iterations = max(config.oracle.iterations, 4000)
+    found = _circle_pair_search(AffineSphereMap.create(T, a, config), plane, iterations, config)
     if found is None:
-        raise SphereDistalError("axis-circle pair search exhausted its budget")
-
-    cos_phi = max(-1.0, min(1.0, (float(np.trace(U)) - 1.0) / 2.0))
-    times = _recurrence_times(math.acos(cos_phi), config)
-
-    # verify against the full map; the U factor is an isometry, so the
-    # separations match the D-only search
-    m_full = AffineSphereMap.create(T, a, config)
-    pair = _first_proximal(m_full, found.x[None], found.y[None], iterations, config.recurrence_eps)
-    if pair is None:
-        raise SphereDistalError("even-sphere witness failed verification")
-    return a, replace(pair, recurrence_times=times)
+        raise SphereDistalError("even-sphere pair search exhausted its budget")
+    return a, replace(found, recurrence_times=times)

@@ -1,9 +1,21 @@
 """Shared random-matrix builders for the test suite."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 
-from sphere_distal import rotation
-from sphere_distal.linalg import JordanBlock, RealDiagonalizable, matrix_inverse, operator_norm, real_schur_2x2
+from sphere_distal import DEFAULT_CONFIG, AffineSphereMap, choose_nondistal_witness, rotation
+from sphere_distal.distality import _first_proximal
+from sphere_distal.fixed_points import _circle_pair_search, _recurrence_times
+from sphere_distal.linalg import (
+    JordanBlock,
+    RealDiagonalizable,
+    determinant,
+    matrix_inverse,
+    operator_norm,
+    real_schur_2x2,
+)
 
 
 def random_conjugator(rng, max_cond=8.0):
@@ -94,3 +106,28 @@ def naive_power_stack(T, k=64):
         W = np.concatenate([W, (W[:j].reshape(-1, d) @ W[-1]).reshape(-1, d, d)])
         W = W / np.max(np.abs(W), axis=(1, 2), keepdims=True)
     return W
+
+
+def naive_even_sphere_witness(T, config=DEFAULT_CONFIG):
+    """The two-walk even-sphere witness: for a rotation-like T, search the
+    pair on the map of D alone (the axis reflection), then walk that pair
+    again on the full map (T, a) and report the second walk."""
+    iterations = max(config.oracle.iterations, 4000)
+    if float(np.max(np.abs(T - T.T))) <= config.classify_tol:
+        plane = np.linalg.eigh((T + T.T) / 2.0)[1][:, :2]
+        a = plane @ choose_nondistal_witness(plane.T @ T @ plane, config)[0]
+        found = _circle_pair_search(AffineSphereMap.create(T, a, config), plane, iterations, config)
+        return a, replace(found, recurrence_times=())
+    sigma = 1.0 if determinant(T) > 0.0 else -1.0
+    axis = np.linalg.svd(T - sigma * np.eye(3))[2][-1]
+    axis = axis / np.linalg.norm(axis)
+    a = 0.5 * axis
+    D = np.eye(3) + (sigma - 1.0) * np.outer(axis, axis)
+    k = int(np.argmin(np.abs(axis)))
+    b = np.eye(3)[k] - axis[k] * axis
+    plane = np.column_stack([axis, b / np.linalg.norm(b)])
+    found = _circle_pair_search(AffineSphereMap.create(D, a, config), plane, iterations, config)
+    cos_phi = max(-1.0, min(1.0, (float(np.trace(T @ D)) - 1.0) / 2.0))
+    m = AffineSphereMap.create(T, a, config)
+    pair = _first_proximal(m, found.x[None], found.y[None], iterations, config.recurrence_eps)
+    return a, replace(pair, recurrence_times=_recurrence_times(math.acos(cos_phi), config))

@@ -34,3 +34,9 @@ def test_zero_counts_and_integral_floats_are_accepted():
     config = config_from_dict({"max_word_length": 0, "rng_seed": 5.0, "oracle": {"iterations": 0}})
     assert config.max_word_length == 0 and config.oracle.iterations == 0
     assert config.rng_seed == 5 and isinstance(config.rng_seed, int)
+
+
+@pytest.mark.parametrize("oracle", [{"samples": 3}, None, 64])
+def test_oracle_must_be_an_oracle_budget(oracle):
+    with pytest.raises(ValueError, match="oracle must be an OracleBudget"):
+        Config(oracle=oracle)

@@ -900,3 +900,21 @@ def test_semigroup_rejects_a_negative_seed_before_an_early_unbounded_word():
     assert isinstance(semigroup_distality_test(SemigroupSpec(gens)).certificate, UnboundedWord)
     with pytest.raises(ValueError, match="rng_seed"):
         semigroup_distality_test(SemigroupSpec(gens, rng_seed=-1))
+
+
+@pytest.mark.parametrize("name,value", [
+    ("word_length_budget", -1), ("word_length_budget", 2.5), ("sample_count", -2),
+    ("sample_count", True), ("rng_seed", -1), ("rng_seed", 1.0),
+])
+def test_semigroup_spec_rejects_counts_that_are_not_non_negative_integers(name, value):
+    with pytest.raises(ValueError, match=name):
+        SemigroupSpec((rotation(1.0),), **{name: value})
+
+
+def test_semigroup_spec_none_fields_fall_back_to_the_config():
+    gens = (rotation(1.0), rotation(math.sqrt(2.0)))
+    config = Config(max_word_length=3, oracle_words=2, rng_seed=7)
+    v = semigroup_distality_test(SemigroupSpec(gens), config)
+    explicit = semigroup_distality_test(SemigroupSpec(gens, 3, 2, 7), config)
+    assert v.verdict is Verdict.DISTAL and v == explicit
+    assert v.budget["word_length"] == 3 and v.budget["oracle_words"] == 2 and v.seed == 7

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    naive_even_sphere_witness,
     random_complex_2x2,
     random_conjugator,
     random_orthogonal_3x3,
@@ -378,6 +379,41 @@ def test_even_sphere_random_batch():
         assert 0.0 < np.linalg.norm(a) < 1.0
         assert pair.separation_initial >= 0.3
         assert pair.separation_final < 1e-3
+
+
+def even_sphere_cases():
+    rng = np.random.default_rng(2016)
+    cases = [random_orthogonal_3x3(rng, flip=bool(k % 2)) for k in range(200)]
+    c, s = math.cos(0.7), math.sin(0.7)
+    return cases + [
+        np.eye(3), -np.eye(3), np.diag([1.0, -1.0, -1.0]), np.diag([1.0, 1.0, -1.0]),
+        np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]),
+    ]
+
+
+def test_even_sphere_witness_matches_the_two_walk_reference():
+    for T in even_sphere_cases():
+        a, pair = isometry_even_sphere_witness(T)
+        a_ref, ref = naive_even_sphere_witness(T)
+        assert np.array_equal(a, a_ref)
+        assert np.array_equal(pair.x, ref.x) and np.array_equal(pair.y, ref.y)
+        assert pair.steps == ref.steps
+        assert pair.separation_initial == ref.separation_initial
+        assert pair.separation_final == ref.separation_final
+        assert pair.recurrence_times == ref.recurrence_times
+
+
+def test_even_sphere_pair_replays_on_the_full_map():
+    eps = Config().recurrence_eps
+    for T in even_sphere_cases():
+        a, pair = isometry_even_sphere_witness(T)
+        m = AffineSphereMap.create(T, a)
+        x, y = pair.x, pair.y
+        for _ in range(pair.steps):
+            x, y = apply_affine(m, x), apply_affine(m, y)
+        separation = float(np.linalg.norm(x - y))
+        assert abs(separation - pair.separation_final) <= 1e-9
+        assert separation < eps
 
 
 def test_tight_residual_tol_raises():
