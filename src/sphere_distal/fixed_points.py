@@ -48,6 +48,7 @@ from .linalg import (
 from .sphere import (
     AffineSphereMap,
     Regime,
+    _checked_translation,
     apply_affine,
     unit_vector,
 )
@@ -97,21 +98,27 @@ class PeriodicPoints2:
 
 def _circle_map(T, a, config: Config):
     """The affine circle map of the determinant-normalized pair and its real
-    canonical form.  Checks the translation's shape, a zero translation,
-    the determinant, the homeomorphism regime and d = 2, in that order."""
+    canonical form.  Checks the translation's shape and finiteness, a zero
+    translation, the determinant, the homeomorphism regime and d = 2, in
+    that order."""
     T = as_matrix(T)
-    a = np.asarray(a, dtype=float)
-    if a.shape != (T.shape[0],):
-        raise DimensionMismatch("translation must match the matrix dimension")
+    a = _checked_translation(T, a)
     if float(np.linalg.norm(a)) == 0.0:
         raise ZeroTranslation("the projective action has no translation")
     s = det_root(T, config)
-    m = AffineSphereMap.create(T / s, a / s, config)
-    if m.regime is not Regime.HOMEOMORPHISM:
-        raise InvalidTranslation(f"||T^-1 a|| = {m.pullback_norm:.6g}: map is not a homeomorphism")
+    m = _homeomorphism(T / s, a / s, config)
     if T.shape[0] != 2:
         raise DimensionUnsupported("fixed points are built on the circle (d = 2)")
     return m, real_schur_2x2(m.matrix, config)
+
+
+def _homeomorphism(T_hat, a_hat, config: Config) -> AffineSphereMap:
+    """The affine map of a determinant-normalized pair, refused outside the
+    homeomorphism regime."""
+    m = AffineSphereMap.create(T_hat, a_hat, config)
+    if m.regime is not Regime.HOMEOMORPHISM:
+        raise InvalidTranslation(f"||T^-1 a|| = {m.pullback_norm:.6g}: map is not a homeomorphism")
+    return m
 
 
 def _top_real_eigenvalue(kind) -> float:
@@ -156,9 +163,7 @@ def resolvent_norm(T, a, gamma: float, config: Config = DEFAULT_CONFIG) -> float
     solves directly, gated on LAPACK's eigenvalues.
     """
     T = as_matrix(T)
-    a = np.asarray(a, dtype=float)
-    if a.shape != (T.shape[0],):
-        raise DimensionMismatch("translation must match the matrix dimension")
+    a = _checked_translation(T, a)
     gap = config.spectrum_gap_tol * operator_norm(T)
     es = real_schur_2x2(T, config) if T.shape[0] == 2 else None
     for lam in np.linalg.eigvals(T) if es is None else es.eigenvalues:
@@ -167,25 +172,38 @@ def resolvent_norm(T, a, gamma: float, config: Config = DEFAULT_CONFIG) -> float
     if es is None:
         return float(np.linalg.norm(np.linalg.solve(gamma * np.eye(T.shape[0]) - T, a)))
     coords = matrix_inverse(es.kind.basis, config) @ a
-    return float(np.linalg.norm(_resolvent_vector(es.kind, coords, gamma)))
+    return float(np.linalg.norm(_resolvent(es.kind, coords)(gamma)))
 
 
-def _resolvent_vector(kind, coords: np.ndarray, gamma: float) -> np.ndarray:
-    """(gamma*Id - T)^-1 a for the 2x2 T with canonical form ``kind``, given the
-    coordinates of a in the canonical basis."""
+def _resolvent(kind, coords: np.ndarray):
+    """gamma -> (gamma*Id - T)^-1 a for the 2x2 T with canonical form ``kind``,
+    given the coordinates of a in the canonical basis.  What does not depend
+    on gamma is read once; the two matrix products stay NumPy matmuls, so each
+    vector is bit-identical to one built from gamma*Id - B in full."""
     c1, c2 = float(coords[0]), float(coords[1])
+    basis = kind.basis
     if isinstance(kind, RealDiagonalizable):
-        vec = np.array([c1 / (gamma - kind.eig_major), c2 / (gamma - kind.eig_minor)])
-    elif isinstance(kind, JordanBlock):
-        den = gamma - kind.eigenvalue
-        vec = np.array([c1 / den + c2 / (den * den), c2 / den])
-    else:
-        # complex pair: gamma*Id - t*Rot(theta) is never singular for real gamma
-        M = gamma * np.eye(2) - kind.modulus * rotation(kind.angle)
-        det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-        inv = np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det
-        vec = inv @ np.array([c1, c2])
-    return kind.basis @ vec
+        major, minor = kind.eig_major, kind.eig_minor
+        return lambda gamma: basis @ np.array([c1 / (gamma - major), c2 / (gamma - minor)])
+    if isinstance(kind, JordanBlock):
+        lam = kind.eigenvalue
+
+        def jordan(gamma):
+            den = gamma - lam
+            return basis @ np.array([c1 / den + c2 / (den * den), c2 / den])
+
+        return jordan
+    # complex pair: gamma*Id - t*Rot(theta) is never singular for real gamma;
+    # r01 and r10 are nonzero, so 0.0 - r01 is bit-identical to gamma*0.0 - r01
+    (r00, r01), (r10, r11) = (kind.modulus * rotation(kind.angle)).tolist()
+    c = np.array([c1, c2])
+
+    def rotation_pair(gamma):
+        m00, m01, m10, m11 = gamma - r00, 0.0 - r01, 0.0 - r10, gamma - r11
+        det = m00 * m11 - m01 * m10
+        return basis @ (np.array([[m11, -m01], [-m10, m00]]) / det @ c)
+
+    return rotation_pair
 
 
 # --- bracketed bisection ------------------------------------------------------
@@ -229,14 +247,18 @@ def _bisect_to_one(f, lo: float, hi: float, config: Config, context: str) -> flo
 def _bracketed_point(m: AffineSphereMap, es, hi: float, branch: str, context: str,
                      config: Config) -> FixedPointResult:
     """Bisect the resolvent norm of ``m``'s pair (T_hat, a_hat) to one on
-    [0, hi]; the unit resolvent vector at that gamma is its fixed point."""
-    coords = matrix_inverse(es.kind.basis, config) @ m.translation
-    gamma = _bisect_to_one(
-        lambda g: float(np.linalg.norm(_resolvent_vector(es.kind, coords, g))),
-        0.0, hi, config, context,
-    )
-    point = unit_vector(_resolvent_vector(es.kind, coords, gamma))
-    return _fixed_point(m, point, gamma, branch, config)
+    [0, hi]; the unit resolvent vector at that gamma is its fixed point.
+    The resolvent is prepared once per solve, and each step's norm is
+    ``math.sqrt(float(v.dot(v)))``, the expression ``np.linalg.norm``
+    evaluates for a 1-d real vector, so the bits are the wrapper's."""
+    vector = _resolvent(es.kind, matrix_inverse(es.kind.basis, config) @ m.translation)
+
+    def norm(gamma: float) -> float:
+        v = vector(gamma)
+        return math.sqrt(float(v.dot(v)))
+
+    gamma = _bisect_to_one(norm, 0.0, hi, config, context)
+    return _fixed_point(m, unit_vector(vector(gamma)), gamma, branch, config)
 
 
 # --- fixed points on the circle -------------------------------------------------
@@ -402,7 +424,7 @@ def choose_nondistal_witness(T, config: Config = DEFAULT_CONFIG):
             direction = np.array([1.0, 0.0])
             pull = float(np.linalg.norm(matrix_inverse(T_hat, config) @ direction))
             a = (0.5 / pull) * direction * s_div
-            return a, find_fixed_point_real_positive(T, a, config)
+            return a, _real_positive_point(_homeomorphism(T_hat, a / s_div, config), es, config)
         # case B: both eigenvalues negative; the eigen-direction is a 2-cycle
         a_hat = (abs(top_eig) / 2.0) * unit_vector(es.kind.basis[:, 0])
         m = AffineSphereMap.create(T_hat, a_hat, config)
@@ -428,7 +450,7 @@ def choose_nondistal_witness(T, config: Config = DEFAULT_CONFIG):
                 return a_hat * s_div, result
         # case C (and D when ||T^2|| <= 1): |sin(theta)| < ||a|| < 1, centered in the band
         a = np.array([(abs(math.sin(theta)) + 1.0) / 2.0, 0.0]) * s_div
-        return a, find_fixed_point_complex(T, a, config)
+        return a, _complex_point(_homeomorphism(T_hat, a / s_div, config), es, config)
 
     # cos(theta) <= 0: needs a large norm to push the resolvent above 1 at gamma = 1
     big_norm = operator_norm(T_hat)

@@ -7,7 +7,6 @@ indented so identical inputs and seeds produce byte-identical payloads.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 
@@ -153,12 +152,18 @@ def periodic_points_to_json(p: PeriodicPoints2) -> dict:
 
 
 def orbit_to_csv(record: OrbitRecord, fh) -> None:
-    """Write the orbit as CSV with a mandatory header: step, x1..xd."""
+    """Write the orbit as CSV with a mandatory header: step, x1..xd.
+
+    No field (an integer step, a float ``repr``) needs CSV quoting, so rows
+    are joined by hand into the bytes ``csv.writer`` writes.  Each row is
+    its own write, so a reader that closes a piped stdout early still
+    fails a later one.
+    """
     d = record.points.shape[1]
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["step"] + [f"x{i + 1}" for i in range(d)])
-    for step, row in enumerate(record.points):
-        writer.writerow([step] + [repr(float(x)) for x in row])
+    fh.write(",".join(["step"] + [f"x{i + 1}" for i in range(d)]) + "\n")
+    fh.writelines(
+        f"{step},{','.join(map(repr, row))}\n" for step, row in enumerate(record.points.tolist())
+    )
 
 
 def orbit_to_svg(record: OrbitRecord, proj_axis: int = 3, size: int = 400) -> str:

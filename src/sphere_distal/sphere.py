@@ -10,6 +10,7 @@ sphere.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -46,10 +47,26 @@ def as_sphere_point(x, d: int | None = None, config: Config = DEFAULT_CONFIG) ->
         raise DimensionMismatch("sphere points are 1-d vectors")
     if d is not None and x.shape[0] != d:
         raise DimensionMismatch(f"expected a point in dimension {d}, got {x.shape[0]}")
-    n = float(np.linalg.norm(x))
+    return _renormalized(x, config)
+
+
+def _renormalized(x: np.ndarray, config: Config) -> np.ndarray:
+    """A 1-d float vector within the unit tolerance of the sphere, divided by its
+    norm (``np.linalg.norm``'s expression for a 1-d real vector, unwrapped)."""
+    n = math.sqrt(float(x.dot(x)))
     if not abs(n - 1.0) <= config.unit_norm_tol:  # NaN or inf entries fail too
         raise ValueError(f"|norm - 1| = {abs(n - 1):.3e} exceeds the unit tolerance")
     return x / n
+
+
+def _checked_translation(T: np.ndarray, a) -> np.ndarray:
+    """The translation ``a`` as a float vector of T's dimension with finite entries."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != (T.shape[0],):
+        raise DimensionMismatch("translation must match the matrix dimension")
+    if not np.isfinite(a).all():
+        raise InvalidTranslation("translation entries must be finite")
+    return a
 
 
 class Regime(enum.Enum):
@@ -80,9 +97,7 @@ def affine_is_homeomorphism(T, a, config: Config = DEFAULT_CONFIG) -> RegimeRepo
     point exactly there, so no side is guessed.
     """
     T = as_matrix(T)
-    a = np.asarray(a, dtype=float)
-    if a.shape != (T.shape[0],):
-        raise DimensionMismatch("translation must match the matrix dimension")
+    a = _checked_translation(T, a)
     if float(np.linalg.norm(a)) == 0.0:
         raise ZeroTranslation("use the projective action for a = 0")
     pullback = matrix_inverse(T, config) @ a
@@ -107,12 +122,7 @@ class AffineSphereMap:
     @classmethod
     def create(cls, T, a=None, config: Config = DEFAULT_CONFIG) -> "AffineSphereMap":
         T = as_matrix(T)
-        d = T.shape[0]
-        if a is None:
-            a = np.zeros(d)
-        a = np.asarray(a, dtype=float)
-        if a.shape != (d,):
-            raise DimensionMismatch("translation must match the matrix dimension")
+        a = np.zeros(T.shape[0]) if a is None else _checked_translation(T, a)
         if float(np.linalg.norm(a)) == 0.0:
             _nonsingular_det(T, config)
             return cls(T, a, Regime.PROJECTIVE, 0.0)
@@ -157,8 +167,13 @@ def apply_affine(m: AffineSphereMap, x, config: Config = DEFAULT_CONFIG) -> np.n
         warnings.warn(
             "applying a non-injective affine sphere map", NonInjectiveWarning, stacklevel=2
         )
+    return _affine_image(m, x, config)
+
+
+def _affine_image(m: AffineSphereMap, x: np.ndarray, config: Config) -> np.ndarray:
+    """(a + T(x))/||a + T(x)|| for a unit x, refused when the image vector collapses."""
     v = m.translation + m.matrix @ x
-    n = float(np.linalg.norm(v))
+    n = math.sqrt(float(v.dot(v)))
     if n <= config.classify_tol:
         raise DegenerateMap("map annihilates this point")
     return v / n
@@ -223,14 +238,19 @@ class OrbitRecord:
 
 
 def orbit(m: AffineSphereMap, x, steps: int, config: Config = DEFAULT_CONFIG) -> OrbitRecord:
-    """Record steps+1 orbit points starting at x."""
+    """Record steps+1 orbit points starting at x.
+
+    The regime and the start point are checked once; each step runs
+    ``apply_affine``'s arithmetic with both of its tolerance checks (unit
+    norm, collapse of the image), so the points are bit-identical to a walk
+    of ``apply_affine`` calls.
+    """
     if steps < 0:
         raise ValueError("steps must be non-negative")
     if m.regime not in (Regime.PROJECTIVE, Regime.HOMEOMORPHISM):
         raise InvalidTranslation(f"orbit requires an invertible regime, got {m.regime.value}")
-    x = as_sphere_point(x, m.dim, config)
     pts = np.empty((steps + 1, m.dim))
-    pts[0] = x
+    pts[0] = as_sphere_point(x, m.dim, config)
     for k in range(steps):
-        pts[k + 1] = apply_affine(m, pts[k], config)
+        pts[k + 1] = _affine_image(m, _renormalized(pts[k], config), config)
     return OrbitRecord(points=pts, map=m)

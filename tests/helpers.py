@@ -1,5 +1,7 @@
 """Shared random-matrix builders for the test suite."""
 
+import csv
+import io
 import math
 from dataclasses import replace
 
@@ -7,7 +9,12 @@ import numpy as np
 
 from sphere_distal import DEFAULT_CONFIG, AffineSphereMap, choose_nondistal_witness, rotation
 from sphere_distal.distality import _first_proximal
-from sphere_distal.fixed_points import _circle_pair_search, _recurrence_times
+from sphere_distal.fixed_points import (
+    _bisect_to_one,
+    _circle_pair_search,
+    _fixed_point,
+    _recurrence_times,
+)
 from sphere_distal.linalg import (
     JordanBlock,
     RealDiagonalizable,
@@ -16,6 +23,7 @@ from sphere_distal.linalg import (
     operator_norm,
     real_schur_2x2,
 )
+from sphere_distal.sphere import unit_vector
 
 
 def random_conjugator(rng, max_cond=8.0):
@@ -131,3 +139,42 @@ def naive_even_sphere_witness(T, config=DEFAULT_CONFIG):
     m = AffineSphereMap.create(T, a, config)
     pair = _first_proximal(m, found.x[None], found.y[None], iterations, config.recurrence_eps)
     return a, replace(pair, recurrence_times=_recurrence_times(math.acos(cos_phi), config))
+
+
+def naive_resolvent_vector(kind, coords, gamma):
+    """(gamma*Id - T)^-1 a for the 2x2 T with canonical form ``kind``, rebuilt
+    in full for each gamma: gamma*Id - B through np.eye and rotation()."""
+    c1, c2 = float(coords[0]), float(coords[1])
+    if isinstance(kind, RealDiagonalizable):
+        vec = np.array([c1 / (gamma - kind.eig_major), c2 / (gamma - kind.eig_minor)])
+    elif isinstance(kind, JordanBlock):
+        den = gamma - kind.eigenvalue
+        vec = np.array([c1 / den + c2 / (den * den), c2 / den])
+    else:
+        M = gamma * np.eye(2) - kind.modulus * rotation(kind.angle)
+        det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+        inv = np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det
+        vec = inv @ np.array([c1, c2])
+    return kind.basis @ vec
+
+
+def naive_bracketed_point(m, es, hi, branch, context, config):
+    """The bracketed fixed point with every bisection step through
+    naive_resolvent_vector and np.linalg.norm."""
+    coords = matrix_inverse(es.kind.basis, config) @ m.translation
+    gamma = _bisect_to_one(
+        lambda g: float(np.linalg.norm(naive_resolvent_vector(es.kind, coords, g))),
+        0.0, hi, config, context,
+    )
+    point = unit_vector(naive_resolvent_vector(es.kind, coords, gamma))
+    return _fixed_point(m, point, gamma, branch, config)
+
+
+def csv_writer_orbit(points):
+    """The orbit CSV as csv.writer writes it: header step,x1..xd, one row per point."""
+    fh = io.StringIO()
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["step"] + [f"x{i + 1}" for i in range(points.shape[1])])
+    for step, row in enumerate(points):
+        writer.writerow([step] + [repr(float(x)) for x in row])
+    return fh.getvalue()

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from helpers import (
+    naive_bracketed_point,
     naive_even_sphere_witness,
+    naive_resolvent_vector,
     random_complex_2x2,
     random_conjugator,
     random_orthogonal_3x3,
@@ -23,6 +25,7 @@ from sphere_distal import (
     apply_affine,
     choose_nondistal_witness,
     conjugate_to_large_norm,
+    find_fixed_point,
     find_fixed_point_complex,
     find_fixed_point_real_positive,
     isometry_even_sphere_witness,
@@ -36,13 +39,23 @@ from sphere_distal.fixed_points import (
     BRANCH_ALIGNED_MINOR,
     BRANCH_BISECTION,
     BRANCH_BISECTION_DEFECTIVE,
+    BRANCH_BISECTION_DOUBLE_ANGLE,
+    BRANCH_BISECTION_LARGE_TRANSLATION,
+    BRANCH_BISECTION_ROTATION,
     BRANCH_MINOR_CROSSING,
     RECURRENCE_BLOCK,
     FixedPointResult,
     PeriodicPoints2,
     _recurrence_times,
+    _resolvent,
 )
-from sphere_distal.linalg import matrix_inverse
+from sphere_distal.linalg import (
+    ComplexPair,
+    JordanBlock,
+    RealDiagonalizable,
+    matrix_inverse,
+    real_schur_2x2,
+)
 
 
 def check_fixed_point_equation(T, a, result, tol=1e-8):
@@ -492,3 +505,110 @@ def test_find_fixed_point_prepares_the_map_once(monkeypatch, T, a):
     counted(sphere, "affine_is_homeomorphism")
     assert isinstance(fixed_points.find_fixed_point(T, a), FixedPointResult)
     assert calls == {"real_schur_2x2": 1, "det_root": 1, "affine_is_homeomorphism": 1}
+
+
+@pytest.mark.parametrize(
+    "T", [np.diag([2.0, 0.5]), rotation(math.pi / 4)], ids=["case-A", "case-C"]
+)
+def test_choose_nondistal_witness_prepares_the_map_once(monkeypatch, T):
+    from sphere_distal import fixed_points, sphere
+
+    calls = {}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(fixed_points, "real_schur_2x2")
+    counted(fixed_points, "det_root")
+    counted(sphere, "affine_is_homeomorphism")
+    _, result = fixed_points.choose_nondistal_witness(T)
+    assert isinstance(result, FixedPointResult)
+    assert calls == {"real_schur_2x2": 1, "det_root": 1, "affine_is_homeomorphism": 1}
+
+
+# --- hoisted resolvent --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", [RealDiagonalizable, JordanBlock, ComplexPair])
+def test_resolvent_factory_is_bit_identical_to_the_per_call_formula(kind):
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        if kind is ComplexPair:
+            es = random_complex_2x2(rng)[1]
+            hi = es.kind.modulus * math.cos(es.kind.angle)
+        else:
+            es = real_schur_2x2(random_positive_real_2x2(rng, defective=kind is JordanBlock))
+            hi = 0.9 * min(abs(e.real) for e in es.eigenvalues)
+        assert isinstance(es.kind, kind)
+        coords = rng.standard_normal(2)
+        vector = _resolvent(es.kind, coords)
+        for gamma in [0.0, hi] + np.linspace(0.0, hi, 52)[1:-1].tolist():
+            expected = naive_resolvent_vector(es.kind, coords, gamma)
+            assert vector(gamma).tobytes() == expected.tobytes()
+
+
+def bisection_calls(rng):
+    """Solver and witness calls that reach every resolvent-bisection branch."""
+    calls = []
+    for k in range(30):
+        T = random_positive_real_2x2(rng, defective=k % 2 == 1)
+        a = translation_with_pullback(rng, T, rng.uniform(0.1, 0.9))
+        calls += [lambda T=T, a=a: find_fixed_point(T, a), lambda T=T: choose_nondistal_witness(T)]
+        T, es = random_complex_2x2(rng)
+        bound = es.conditioning * abs(math.sin(es.kind.angle))
+        a = translation_with_pullback(rng, T, rng.uniform(min(bound + 1e-6, 0.94), 0.95))
+        calls += [lambda T=T, a=a: find_fixed_point(T, a), lambda T=T: choose_nondistal_witness(T)]
+        R = rng.uniform(0.5, 2.0) * rotation(rng.uniform(0.05, 1.5))
+        calls.append(lambda R=R: choose_nondistal_witness(R))
+        theta = rng.uniform(1.7, 3.0)  # cos <= 0; beta above sqrt(5)/sin(theta) makes ||L|| > 5
+        L = rng.uniform(0.5, 2.0) * conjugate_to_large_norm(rotation(theta), 3.0 / math.sin(theta))
+        calls.append(lambda L=L: choose_nondistal_witness(L))
+    return calls
+
+
+def result_fields(out):
+    """Every field of a solver result, or of a witness (a, result), as exact values."""
+    a, r = out if isinstance(out, tuple) else (None, out)
+    return (None if a is None else a.tobytes(), r.point.tobytes(), r.gamma, r.residual, r.branch)
+
+
+def test_solvers_match_a_naive_bisection_on_every_branch(monkeypatch):
+    from sphere_distal import fixed_points
+
+    got = [call() for call in bisection_calls(np.random.default_rng(62))]
+    monkeypatch.setattr(fixed_points, "_bracketed_point", naive_bracketed_point)
+    want = [call() for call in bisection_calls(np.random.default_rng(62))]
+    assert [result_fields(g) for g in got] == [result_fields(w) for w in want]
+    branches = {result_fields(g)[-1] for g in got}
+    assert {
+        BRANCH_BISECTION, BRANCH_BISECTION_DEFECTIVE, BRANCH_BISECTION_ROTATION,
+        BRANCH_BISECTION_DOUBLE_ANGLE, BRANCH_BISECTION_LARGE_TRANSLATION,
+    } <= branches
+
+
+def test_witness_cases_a_and_c_match_the_public_solvers():
+    # one preparation gives the result the public solver builds for the witness's translation
+    rng = np.random.default_rng(63)
+    for _ in range(20):
+        R = rng.uniform(0.5, 2.0) * rotation(rng.uniform(0.05, 1.5))
+        for T, solve in ((random_positive_real_2x2(rng), find_fixed_point_real_positive),
+                         (R, find_fixed_point_complex)):
+            a, result = choose_nondistal_witness(T)
+            assert result_fields(result) == result_fields(solve(T, a))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "solve",
+    [find_fixed_point, lambda T, a: resolvent_norm(T, a, 0.5)],
+    ids=["circle-map", "resolvent-norm"],
+)
+def test_nonfinite_translation_is_invalid(solve, bad):
+    with pytest.raises(InvalidTranslation, match="finite"):
+        solve(rotation(0.3), [bad, 0.0])

@@ -1,3 +1,4 @@
+import io
 import math
 from dataclasses import replace
 
@@ -6,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_apply_many, random_invertible, translation_with_pullback
+from helpers import (
+    csv_writer_orbit,
+    naive_apply_many,
+    random_invertible,
+    translation_with_pullback,
+)
 from sphere_distal import (
     AffineSphereMap,
     DegenerateMap,
@@ -21,6 +27,7 @@ from sphere_distal import (
     orbit,
     rotation,
 )
+from sphere_distal.serialize import orbit_to_csv
 from sphere_distal.sphere import apply_many, as_sphere_point
 
 
@@ -212,6 +219,33 @@ def test_orbit_rejects_bad_regime():
     m = AffineSphereMap.create(np.eye(2), [2.0, 0.0])
     with pytest.raises(InvalidTranslation):
         orbit(m, [1.0, 0.0], 3)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 50])
+@pytest.mark.parametrize("d", [2, 3])
+def test_orbit_is_bit_identical_to_an_apply_affine_walk(d, steps):
+    rng = np.random.default_rng(80 + d)
+    T = random_invertible(rng, d)
+    x = rng.standard_normal(d)
+    x /= np.linalg.norm(x)
+    maps = [AffineSphereMap.create(T), AffineSphereMap.create(T, translation_with_pullback(rng, T, 0.5))]
+    assert [m.regime for m in maps] == [Regime.PROJECTIVE, Regime.HOMEOMORPHISM]
+    for m in maps:
+        walk = [as_sphere_point(x)]
+        for _ in range(steps):
+            walk.append(apply_affine(m, walk[-1]))
+        record = orbit(m, x, steps)
+        assert np.array_equal(record.points, np.array(walk))
+        fh = io.StringIO()
+        orbit_to_csv(record, fh)
+        assert fh.getvalue() == csv_writer_orbit(record.points)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("build", [AffineSphereMap.create, affine_is_homeomorphism])
+def test_nonfinite_translation_is_invalid(build, bad):
+    with pytest.raises(InvalidTranslation, match="finite"):
+        build(rotation(0.3), [bad, 0.0])
 
 
 @pytest.mark.parametrize("x", [[math.nan, 0.0], [math.nan, 1.0], [math.inf, 0.0]])
