@@ -18,7 +18,6 @@ from .distality import (
     UnboundedWord,
     Verdict,
     classify_projective_distality,
-    distality_implies_linear_distality_check,
     proximal_pair_search,
     replay_certificate,
     semigroup_distality_test,
@@ -58,7 +57,6 @@ from .linalg import (
     JordanBlock,
     NormalizedMatrix,
     RealDiagonalizable,
-    conjugate_to_large_norm,
     contraction_subspace,
     normalize_to_unimodular,
     operator_norm,

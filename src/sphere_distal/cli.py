@@ -279,7 +279,7 @@ def _inverse_image(args, config):
     return EXIT_DISTAL, {
         "matrix": matrix_to_json(T),
         "point": [float(v) for v in x],
-        "forward_residual": float(np.linalg.norm(forward - np.asarray(y, float))),
+        "forward_residual": float(np.linalg.norm(forward - y)),
     }
 
 

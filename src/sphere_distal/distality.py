@@ -19,13 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import DEFAULT_CONFIG, Config, check_count
-from .errors import (
-    DimensionMismatch,
-    DimensionUnsupported,
-    InvalidTranslation,
-    NotUnimodular,
-    SpecParseError,
-)
+from .errors import DimensionMismatch, DimensionUnsupported, InvalidTranslation, SpecParseError
 from .linalg import (
     _SCREEN_SLACK,
     _norm_screen,
@@ -33,9 +27,7 @@ from .linalg import (
     _operator_norms,
     _spectral_summary,
     as_matrix,
-    contraction_subspace,
     det_root,
-    determinant,
     invariant_subspace,
     matrix_inverse,
     normalize_to_unimodular,
@@ -260,8 +252,8 @@ def _sample_far_pairs(rng, d: int, samples: int, delta: float):
             y = unit_vector(rng.standard_normal(d))
             if float(np.linalg.norm(x - y)) >= delta:
                 break
-        else:
-            raise RuntimeError("could not sample a pair this far apart")
+        else:  # OracleBudget keeps delta below 2, the antipode's distance
+            y = -x
         X[j] = x
         Y[j] = y
     return X, Y
@@ -305,7 +297,7 @@ def _jordan_collapse_pair(U: np.ndarray, lam: float, config: Config):
     generalized component, so their projective iterates merge on the
     eigen-direction side."""
     d = U.shape[0]
-    gap = config.cluster_tol * max(operator_norm(U), 1.0)
+    gap = config.cluster_tol * max(_operator_norm(U), 1.0)
     cluster = invariant_subspace(U, lambda mu: abs(mu - lam) <= 10.0 * gap)
     # an orthonormal frame whose leading columns span the cluster
     Z = np.linalg.qr(np.hstack([cluster, np.eye(d)]))[0]
@@ -378,69 +370,46 @@ def _classify(T: np.ndarray, unit: np.ndarray, config: Config) -> DistalityVerdi
         "oracle_iterations": config.oracle.iterations,
     }
     seed = config.rng_seed
+    unimodular = all(abs(mod - 1.0) <= config.spectral_tol for mod in moduli)
+    if unimodular and summary.semisimple is True:
+        cert = SpectralProof(eigenvalues=summary.eigenvalues, semisimple=True)
+        return DistalityVerdict(Verdict.DISTAL, cert, budget, seed)
+    if unimodular and summary.semisimple is None:
+        cert = BudgetExhausted(
+            {
+                "reason": "ambiguous-rank-test",
+                "moduli": [float(mod) for mod in moduli],
+                "rank_tol": config.rank_tol,
+            }
+        )
+        return DistalityVerdict(Verdict.INCONCLUSIVE, cert, budget, seed)
 
-    def measured_pair(x, y):
-        # T passed det_root's singularity gate, so the map needs no second check
-        m = AffineSphereMap(T, np.zeros(len(T)), Regime.PROJECTIVE, 0.0)
-        sep0 = float(np.linalg.norm(x - y))
-        steps, best = 0, sep0
-        for first, S in _separations(m, x, y, config.oracle.iterations):
-            k = int(S[:, 0].argmin())
-            if S[k, 0] < best:  # earliest minimum within the budget
-                steps, best = first + k, float(S[k, 0])
-                if best == 0.0:  # no later step can come closer
-                    break
-        return ProximalPair(x, y, steps, sep0, best)
-
-    if all(abs(mod - 1.0) <= config.spectral_tol for mod in moduli):
-        if summary.semisimple is True:
-            cert = SpectralProof(eigenvalues=summary.eigenvalues, semisimple=True)
-            return DistalityVerdict(Verdict.DISTAL, cert, budget, seed)
-        if summary.semisimple is None:
-            cert = BudgetExhausted(
-                {
-                    "reason": "ambiguous-rank-test",
-                    "moduli": [float(m) for m in moduli],
-                    "rank_tol": config.rank_tol,
-                }
-            )
-            return DistalityVerdict(Verdict.INCONCLUSIVE, cert, budget, seed)
-        # defective with unimodular spectrum: shear-type collapse
-        x, y = _jordan_collapse_pair(unit, summary.defective_eigenvalue, config)
-        return DistalityVerdict(Verdict.NOT_DISTAL, measured_pair(x, y), budget, seed)
-
-    pair = _split_moduli_pair(unit, config)
+    # T passed det_root's singularity gate, so the map needs no second check
+    m = AffineSphereMap(T, np.zeros(len(T)), Regime.PROJECTIVE, 0.0)
+    if unimodular:  # defective with unimodular spectrum: shear-type collapse
+        pair = _jordan_collapse_pair(unit, summary.defective_eigenvalue, config)
+    else:
+        pair = _split_moduli_pair(unit, config)
     if pair is None:
         # moduli straddle the band edge too tightly to split; fall back to the oracle
-        m = AffineSphereMap.create(T, config=config)
         found = proximal_pair_search(m, seed=seed, config=config)
         if found is None:
             cert = BudgetExhausted(
-                {"reason": "band-edge-spectrum", "moduli": [float(m) for m in moduli]}
+                {"reason": "band-edge-spectrum", "moduli": [float(mod) for mod in moduli]}
             )
             return DistalityVerdict(Verdict.INCONCLUSIVE, cert, budget, seed)
         return DistalityVerdict(Verdict.NOT_DISTAL, found, budget, seed)
+    # measure the pair: the earliest minimum separation within the budget
     x, y = pair
-    return DistalityVerdict(Verdict.NOT_DISTAL, measured_pair(x, y), budget, seed)
-
-
-def distality_implies_linear_distality_check(T, config: Config = DEFAULT_CONFIG) -> bool:
-    """Check the implication: distal on the sphere => distal on linear space.
-
-    For a unimodular matrix classified Distal, both contraction subspaces
-    (of T and of T^-1) must be trivial; the verdict is vacuously true
-    when the classifier says NotDistal or Inconclusive.
-    """
-    T = as_matrix(T)
-    det = determinant(T)
-    if abs(abs(det) - 1.0) > config.classify_tol:
-        raise NotUnimodular(f"|det| = {abs(det)} is not 1 within tolerance")
-    verdict = classify_projective_distality(T, config)
-    if verdict.verdict is not Verdict.DISTAL:
-        return True
-    trivial_fwd = contraction_subspace(T, config).shape[1] == 0
-    trivial_bwd = contraction_subspace(matrix_inverse(T, config), config).shape[1] == 0
-    return trivial_fwd and trivial_bwd
+    sep0 = float(np.linalg.norm(x - y))
+    steps, best = 0, sep0
+    for first, S in _separations(m, x, y, config.oracle.iterations):
+        k = int(S[:, 0].argmin())
+        if S[k, 0] < best:
+            steps, best = first + k, float(S[k, 0])
+            if best == 0.0:  # no later step can come closer
+                break
+    return DistalityVerdict(Verdict.NOT_DISTAL, ProximalPair(x, y, steps, sep0, best), budget, seed)
 
 
 # --- semigroup word search ----------------------------------------------------
@@ -606,7 +575,8 @@ def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFI
                 length += 1
             oracle_words.append(_word_at(p, g, length) if length <= exhaustive_len else tail[p])
     for word in oracle_words[:n_oracle]:
-        m = AffineSphereMap.create(_word_product(units, word), config=config)
+        # a swept or drawn word: its product is finite and unimodular, so no check
+        m = AffineSphereMap(_word_product(units, word), np.zeros(d), Regime.PROJECTIVE, 0.0)
         pair = proximal_pair_search(m, seed=seed, config=config)
         if pair is not None:
             cert = replace(pair, word=word)

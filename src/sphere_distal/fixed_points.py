@@ -20,7 +20,6 @@ import numpy as np
 from .config import DEFAULT_CONFIG, Config
 from .distality import _first_proximal
 from .errors import (
-    DimensionMismatch,
     DimensionUnsupported,
     HypothesisNotMet,
     InvalidTranslation,
@@ -36,12 +35,12 @@ from .linalg import (
     ComplexPair,
     JordanBlock,
     RealDiagonalizable,
+    _operator_norm,
     as_matrix,
     det_root,
     determinant,
     is_orthogonal,
     matrix_inverse,
-    operator_norm,
     real_schur_2x2,
     rotation,
 )
@@ -162,9 +161,11 @@ def resolvent_norm(T, a, gamma: float, config: Config = DEFAULT_CONFIG) -> float
     value matches the closed forms the bracketing arguments use; d >= 3
     solves directly, gated on LAPACK's eigenvalues.
     """
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
     T = as_matrix(T)
     a = _checked_translation(T, a)
-    gap = config.spectrum_gap_tol * operator_norm(T)
+    gap = config.spectrum_gap_tol * _operator_norm(T)
     es = real_schur_2x2(T, config) if T.shape[0] == 2 else None
     for lam in np.linalg.eigvals(T) if es is None else es.eigenvalues:
         if math.hypot(gamma - lam.real, lam.imag) <= gap:
@@ -314,7 +315,7 @@ def _real_positive_point(m: AffineSphereMap, es, config: Config) -> FixedPointRe
     coords = matrix_inverse(A, config) @ a_hat
     a1, a2 = float(coords[0]), float(coords[1])
     ztol = config.coordinate_zero_tol * float(np.linalg.norm(coords))
-    guard = config.guard_offset * operator_norm(m.matrix)
+    guard = config.guard_offset * _operator_norm(m.matrix)
 
     if abs(a2) <= ztol:
         gamma = float(np.linalg.norm(a_hat)) + t
@@ -380,9 +381,8 @@ def minus_id_period2_points(a, config: Config = DEFAULT_CONFIG) -> PeriodicPoint
     ||x|| = ||a - x|| = 1, namely a/2 +- p*sqrt(1 - ||a||^2/4) for the
     unit perpendicular p.  Valid for 0 < ||a|| < 1.
     """
-    a = np.asarray(a, dtype=float)
-    if a.shape != (2,):
-        raise DimensionMismatch("translation must be a 2-vector")
+    T = -np.eye(2)
+    a = _checked_translation(T, a)
     na = float(np.linalg.norm(a))
     if not 0.0 < na < 1.0:
         raise InvalidTranslation(f"need 0 < ||a|| < 1, got {na:.6g}")
@@ -390,7 +390,7 @@ def minus_id_period2_points(a, config: Config = DEFAULT_CONFIG) -> PeriodicPoint
     perp = np.array([-abar[1], abar[0]])
     x0 = a / 2.0 + perp * math.sqrt(1.0 - na * na / 4.0)
     x1 = a - x0
-    m = AffineSphereMap.create(-np.eye(2), a, config)
+    m = AffineSphereMap.create(T, a, config)
     return _period2_points(m, np.stack([abar, -abar, x0, x1]), (1, 0, 3, 2), config)
 
 
@@ -453,7 +453,7 @@ def choose_nondistal_witness(T, config: Config = DEFAULT_CONFIG):
         return a, _complex_point(_homeomorphism(T_hat, a / s_div, config), es, config)
 
     # cos(theta) <= 0: needs a large norm to push the resolvent above 1 at gamma = 1
-    big_norm = operator_norm(T_hat)
+    big_norm = _operator_norm(T_hat)
     if big_norm <= 5.0:
         raise OutsideCoveredClasses(
             "rotation-like maps with nonpositive cosine and ||T|| <= 5*sqrt(det) "

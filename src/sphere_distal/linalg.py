@@ -14,11 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, Config
-from .errors import (
-    DimensionUnsupported,
-    RealSpectrum,
-    SingularMatrix,
-)
+from .errors import DimensionUnsupported, SingularMatrix
 
 
 def as_matrix(obj) -> np.ndarray:
@@ -56,8 +52,7 @@ def _nonsingular_det(T: np.ndarray, config: Config) -> float:
 
 
 def matrix_inverse(T: np.ndarray, config: Config = DEFAULT_CONFIG) -> np.ndarray:
-    """Inverse with an explicit singularity gate."""
-    T = as_matrix(T)
+    """Inverse of a validated matrix, with an explicit singularity gate."""
     det = _nonsingular_det(T, config)
     if T.shape[0] == 2:
         return np.array([[T[1, 1], -T[0, 1]], [-T[1, 0], T[0, 0]]]) / det
@@ -125,7 +120,6 @@ def _norm_2x2(p: float, q: float, r: float, s: float) -> float:
 
 
 def is_orthogonal(T: np.ndarray, tol: float = 1e-9) -> bool:
-    T = as_matrix(T)
     return float(np.max(np.abs(T.T @ T - np.eye(T.shape[0])))) <= tol
 
 
@@ -289,7 +283,7 @@ def real_schur_2x2(T, config: Config = DEFAULT_CONFIG) -> EigenStructure:
         v2 = _null_direction(T - lo.real * np.eye(2))
         A = np.column_stack([v1, v2])
         kind = RealDiagonalizable(hi.real, lo.real, A)
-    cond = operator_norm(A) * operator_norm(matrix_inverse(A, config))
+    cond = _operator_norm(A) * _operator_norm(matrix_inverse(A, config))
     return EigenStructure(eigenvalues=eigenvalues, semisimple=True, kind=kind, conditioning=cond)
 
 
@@ -298,7 +292,7 @@ def _double_eigenvalue_2x2(T: np.ndarray, scale: float, tr: float, config: Confi
     eigenvalue lam = tr/2, semisimple or not by the rank of T - lam*I."""
     lam = tr / 2.0
     M = T - lam * np.eye(2)
-    sigma = operator_norm(M)
+    sigma = _operator_norm(M)
     band = _rank_band(sigma, config.rank_tol * scale)
     if band < 0:
         # geometric multiplicity 2: T is lam * Id
@@ -322,7 +316,7 @@ def _double_eigenvalue_2x2(T: np.ndarray, scale: float, tr: float, config: Confi
             kind=RealDiagonalizable(lam, lam, np.eye(2)),
             conditioning=1.0,
         )
-    cond = operator_norm(A) * operator_norm(matrix_inverse(A, config))
+    cond = _operator_norm(A) * _operator_norm(matrix_inverse(A, config))
     return EigenStructure(
         eigenvalues=(complex(lam), complex(lam)),
         semisimple=False if band > 0 else None,
@@ -476,22 +470,3 @@ def contraction_subspace(T, config: Config = DEFAULT_CONFIG) -> np.ndarray:
     _nonsingular_det(T, config)
     cutoff = 1.0 - config.spectral_tol
     return invariant_subspace(T, lambda mu: abs(mu) < cutoff)
-
-
-def conjugate_to_large_norm(T, beta: float, config: Config = DEFAULT_CONFIG) -> np.ndarray:
-    """Conjugate a complex-spectrum 2x2 matrix to one of large operator norm.
-
-    Returns S = C T C^-1 with C = diag(beta, 1/beta) @ basis^-1, where the
-    basis comes from the real canonical form.  The spectrum is preserved;
-    for beta above sqrt(5)/|sin(angle)| the norm of S exceeds
-    5 * sqrt(det T), since ||S|| >= beta^2 * |modulus * sin(angle)|.
-    """
-    T = as_matrix(T)
-    if beta < 1.0:
-        raise ValueError("beta must be >= 1")
-    es = real_schur_2x2(T, config)
-    if not isinstance(es.kind, ComplexPair):
-        raise RealSpectrum("conjugate_to_large_norm requires complex eigenvalues")
-    A_inv = matrix_inverse(es.kind.basis, config)
-    C = np.diag([beta, 1.0 / beta]) @ A_inv
-    return C @ T @ matrix_inverse(C, config)

@@ -234,7 +234,6 @@ class OrbitRecord:
     """Forward orbit of a point: points[k+1] = map(points[k])."""
 
     points: np.ndarray  # (steps + 1, d)
-    map: AffineSphereMap
 
 
 def orbit(m: AffineSphereMap, x, steps: int, config: Config = DEFAULT_CONFIG) -> OrbitRecord:
@@ -253,4 +252,4 @@ def orbit(m: AffineSphereMap, x, steps: int, config: Config = DEFAULT_CONFIG) ->
     pts[0] = as_sphere_point(x, m.dim, config)
     for k in range(steps):
         pts[k + 1] = _affine_image(m, _renormalized(pts[k], config), config)
-    return OrbitRecord(points=pts, map=m)
+    return OrbitRecord(points=pts)

@@ -7,7 +7,17 @@ from dataclasses import replace
 
 import numpy as np
 
-from sphere_distal import DEFAULT_CONFIG, AffineSphereMap, choose_nondistal_witness, rotation
+from sphere_distal import (
+    DEFAULT_CONFIG,
+    AffineSphereMap,
+    NotUnimodular,
+    RealSpectrum,
+    Verdict,
+    choose_nondistal_witness,
+    classify_projective_distality,
+    contraction_subspace,
+    rotation,
+)
 from sphere_distal.distality import _first_proximal
 from sphere_distal.fixed_points import (
     _bisect_to_one,
@@ -16,8 +26,10 @@ from sphere_distal.fixed_points import (
     _recurrence_times,
 )
 from sphere_distal.linalg import (
+    ComplexPair,
     JordanBlock,
     RealDiagonalizable,
+    as_matrix,
     determinant,
     matrix_inverse,
     operator_norm,
@@ -178,3 +190,41 @@ def csv_writer_orbit(points):
     for step, row in enumerate(points):
         writer.writerow([step] + [repr(float(x)) for x in row])
     return fh.getvalue()
+
+
+def conjugate_to_large_norm(T, beta: float, config=DEFAULT_CONFIG) -> np.ndarray:
+    """Conjugate a complex-spectrum 2x2 matrix to one of large operator norm.
+
+    Returns S = C T C^-1 with C = diag(beta, 1/beta) @ basis^-1, where the
+    basis comes from the real canonical form.  The spectrum is preserved;
+    for beta above sqrt(5)/|sin(angle)| the norm of S exceeds
+    5 * sqrt(det T), since ||S|| >= beta^2 * |modulus * sin(angle)|.
+    """
+    T = as_matrix(T)
+    if beta < 1.0:
+        raise ValueError("beta must be >= 1")
+    es = real_schur_2x2(T, config)
+    if not isinstance(es.kind, ComplexPair):
+        raise RealSpectrum("conjugate_to_large_norm requires complex eigenvalues")
+    A_inv = matrix_inverse(es.kind.basis, config)
+    C = np.diag([beta, 1.0 / beta]) @ A_inv
+    return C @ T @ matrix_inverse(C, config)
+
+
+def distality_implies_linear_distality_check(T, config=DEFAULT_CONFIG) -> bool:
+    """Check the implication: distal on the sphere => distal on linear space.
+
+    For a unimodular matrix classified Distal, both contraction subspaces
+    (of T and of T^-1) must be trivial; the verdict is vacuously true
+    when the classifier says NotDistal or Inconclusive.
+    """
+    T = as_matrix(T)
+    det = determinant(T)
+    if abs(abs(det) - 1.0) > config.classify_tol:
+        raise NotUnimodular(f"|det| = {abs(det)} is not 1 within tolerance")
+    verdict = classify_projective_distality(T, config)
+    if verdict.verdict is not Verdict.DISTAL:
+        return True
+    trivial_fwd = contraction_subspace(T, config).shape[1] == 0
+    trivial_bwd = contraction_subspace(matrix_inverse(T, config), config).shape[1] == 0
+    return trivial_fwd and trivial_bwd

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    conjugate_to_large_norm,
     random_complex_2x2,
     random_conjugator,
     random_invertible,
@@ -28,7 +29,6 @@ from sphere_distal import (
     apply_affine,
     choose_nondistal_witness,
     classify_projective_distality,
-    conjugate_to_large_norm,
     find_fixed_point_complex,
     find_fixed_point_real_positive,
     isometry_even_sphere_witness,

@@ -597,6 +597,17 @@ def test_semigroup_zero_budget_with_four_generators(tmp_path, capsys):
     assert report["result"]["certificate"]["parameters"]["words_checked"] == 0
 
 
+def test_semigroup_oracle_delta_near_two_exits_0(tmp_path, capsys):
+    # the oracle's pair sampler falls back to antipodes when draws this far apart run out
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"oracle": {"delta": 1.99999999, "samples": 4}}))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"generators": [{"dim": 2, "rows": rotation(math.pi / 2).tolist()}]}))
+    code, report, _ = run_cli(capsys, ["--config", str(cfg), "semigroup", str(spec)])
+    assert code == 0
+    assert report["result"]["verdict"] == "distal"
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

@@ -5,7 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import naive_apply_many, naive_power_stack, random_conjugator, random_orthogonal_3x3
+from helpers import (
+    conjugate_to_large_norm,
+    distality_implies_linear_distality_check,
+    naive_apply_many,
+    naive_power_stack,
+    random_conjugator,
+    random_orthogonal_3x3,
+)
 from sphere_distal import (
     DEFAULT_CONFIG,
     AffineSphereMap,
@@ -20,8 +27,6 @@ from sphere_distal import (
     UnboundedWord,
     Verdict,
     classify_projective_distality,
-    conjugate_to_large_norm,
-    distality_implies_linear_distality_check,
     normalize_to_unimodular,
     operator_norm,
     proximal_pair_search,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    conjugate_to_large_norm,
     naive_bracketed_point,
     naive_even_sphere_witness,
     naive_resolvent_vector,
@@ -24,7 +25,6 @@ from sphere_distal import (
     SpectrumCollision,
     apply_affine,
     choose_nondistal_witness,
-    conjugate_to_large_norm,
     find_fixed_point,
     find_fixed_point_complex,
     find_fixed_point_real_positive,
@@ -106,6 +106,17 @@ def test_resolvent_spectrum_collision_d4_inside_the_gap():
     # 1e-14 from the eigenvalue 2 lies inside spectrum_gap_tol * ||T|| = 2e-12
     with pytest.raises(SpectrumCollision):
         resolvent_norm(np.diag([2.0, 1.0, 1.0, 1.0]), [1.0, 0.0, 0.0, 0.0], 2.0 + 1e-14)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "T, a",
+    [(rotation(0.3), [0.5, 0.0]), (np.diag([2.0, 0.5]), [0.1, 0.1]), (2.0 * np.eye(3), [0.1, 0.2, 0.3])],
+    ids=["rotation", "diagonal", "3x3"],
+)
+def test_resolvent_rejects_a_nonfinite_gamma(T, a, gamma):
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        resolvent_norm(T, a, gamma)
 
 
 def test_bisection_reports_invalid_bracket():
@@ -530,6 +541,39 @@ def test_choose_nondistal_witness_prepares_the_map_once(monkeypatch, T):
     _, result = fixed_points.choose_nondistal_witness(T)
     assert isinstance(result, FixedPointResult)
     assert calls == {"real_schur_2x2": 1, "det_root": 1, "affine_is_homeomorphism": 1}
+
+
+@pytest.mark.parametrize(
+    "module, function, args, expected",
+    [
+        ("fixed_points", "find_fixed_point", (np.array([[2.0, 1.0], [0.0, 0.5]]), [0.3, 0.2]), 4),
+        ("fixed_points", "find_fixed_point", (rotation(0.1), [0.5, 0.0]), 4),
+        ("fixed_points", "choose_nondistal_witness", (np.diag([2.0, 0.5]),), 4),
+        ("fixed_points", "choose_nondistal_witness", (rotation(math.pi / 4),), 4),
+        ("distality", "classify_projective_distality", ([[1.0, 1.0], [0.0, 1.0]],), 1),
+    ],
+    ids=["fixed-point-positive-real", "fixed-point-complex", "witness-case-A", "witness-case-C",
+         "classify-shear"],
+)
+def test_inputs_are_validated_at_the_public_boundary(monkeypatch, module, function, args, expected):
+    # a fixed-point solve or witness validates T once itself and once each in
+    # real_schur_2x2, AffineSphereMap.create and affine_is_homeomorphism
+    import sys
+
+    from sphere_distal import linalg
+
+    as_matrix = linalg.as_matrix
+    calls = []
+
+    def counted(obj):
+        calls.append(obj)
+        return as_matrix(obj)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "sphere_distal" and getattr(mod, "as_matrix", None) is as_matrix:
+            monkeypatch.setattr(mod, "as_matrix", counted)
+    getattr(sys.modules[f"sphere_distal.{module}"], function)(*args)
+    assert len(calls) == expected
 
 
 # --- hoisted resolvent --------------------------------------------------------------

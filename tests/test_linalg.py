@@ -4,14 +4,19 @@ import re
 import numpy as np
 import pytest
 
-from helpers import random_conjugator, random_invertible, random_orthogonal_3x3, reconstruct
+from helpers import (
+    conjugate_to_large_norm,
+    random_conjugator,
+    random_invertible,
+    random_orthogonal_3x3,
+    reconstruct,
+)
 from sphere_distal import (
     ComplexPair,
     JordanBlock,
     RealDiagonalizable,
     RealSpectrum,
     SingularMatrix,
-    conjugate_to_large_norm,
     contraction_subspace,
     normalize_to_unimodular,
     operator_norm,
