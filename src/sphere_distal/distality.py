@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -245,15 +246,23 @@ def _first_proximal(m: AffineSphereMap, X0, Y0, iterations: int, eps: float):
 
 
 def _sample_far_pairs(rng, d: int, samples: int, delta: float):
+    """``samples`` pairs (x, y) of unit vectors with |x - y| >= delta.
+
+    Each y is redrawn up to 1000 times.  Once one sample has used all 1000,
+    delta is too near 2 for draws to pay, and the rest of the call takes
+    the antipode y = -x without drawing.
+    """
     X, Y = np.empty((2, samples, d))
+    draws = 1000
     for j in range(samples):
         x = unit_vector(rng.standard_normal(d))
-        for _ in range(1000):
+        for _ in range(draws):
             y = unit_vector(rng.standard_normal(d))
             if float(np.linalg.norm(x - y)) >= delta:
                 break
         else:  # OracleBudget keeps delta below 2, the antipode's distance
             y = -x
+            draws = 0
         X[j] = x
         Y[j] = y
     return X, Y
@@ -443,6 +452,83 @@ def _word_levels(units: list, max_len: int):
         yield level, _norm_screen(level)
 
 
+# The screen's rounding radius.  A 2x2 product computed in float64, in any
+# summation order and with or without FMA, has |fl(AB) - AB| <= gamma_2 |A||B|
+# entrywise, with gamma_n = n u / (1 - n u) and u = 2^-53 (Higham, Accuracy and
+# Stability of Numerical Algorithms, 2nd ed., section 3.5).  Fold a word w of
+# length k one factor at a time, C_j = fl(C_(j-1) U_wj), and let P_j and Q_j be
+# the exact products of the first j factors U_wi and of their |U_wi|.  By
+# induction, |C_j| <= (1 + gamma_2)^(j-1) Q_j and
+#   |C_j - P_j| <= |C_(j-1) - P_(j-1)| |U_wj| + gamma_2 |C_(j-1)| |U_wj|
+#              <= ((1 + gamma_2)^(j-1) - 1) Q_j <= gamma_(2(j-1)) Q_j,
+# the last step by Higham's Lemma 3.3.  ``_word_product`` and a GEMM level are
+# two such computations of P_k, so their difference is at most
+# 2 gamma_(2(k-1)) ||Q_k||_F in the Frobenius norm.  With c the largest absolute
+# row sum of a unit, Q_k 1 <= c^k 1, so ||Q_k||_F <= sqrt(2) c^k and
+#   radius = 2 sqrt(2) gamma_(2(k-1)) c^k
+# bounds ||fold - level||_2, hence ||fold||_2 <= ||level||_F + radius.  The
+# closed forms round too: ``_operator_norm`` lies at most 5u above the norm of
+# its matrix (the four sums, hypot within one ulp, the last sum), and the
+# screen's Frobenius norm at most 3u below (each square, two sums, sqrt).
+# Those ulps and the rounding of the radius and the threshold come to under
+# 2e-15 relative, which _SCREEN_SLACK covers 500-fold:
+#   (1 - _SCREEN_SLACK) * _operator_norm(fold) <= frobenius + radius.
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def _frobenius_levels(units: list, max_len: int):
+    """Yield (level, frobenius, radius) for each word length 1..max_len of 2x2 units.
+
+    ``level`` holds the product of every word of that length as the rows of
+    one (2 g^length, 2) array, ordered (first letter, matrix row, remaining
+    letters).  The next level is ``level @ [U_0 | U_1 | ...]``, one 2-D GEMM,
+    reshaped to two columns: row (w, r) times U_i is row r of the product of
+    w + (i,), so the order carries over.  ``frobenius[k]`` is the Frobenius
+    norm of the k-th word's product in ``itertools.product`` order (see
+    ``_word_at``), read off without a copy.  The GEMM need not round as
+    ``_word_product`` does; ``radius`` covers the gap, see the note above.
+    """
+    g = len(units)
+    H = np.concatenate(units, axis=1)
+    level = np.concatenate(units)
+    c = max(abs(x) + abs(y) for x, y in level.tolist())
+    scale = c
+    for length in range(1, max_len + 1):
+        if length > 1:
+            level = (level @ H).reshape(-1, 2)
+            scale *= c
+        squares = np.square(level).reshape(g, 2, -1)  # (first letter, row, rest and column)
+        rows = (squares[:, 0] + squares[:, 1]).reshape(-1, 2)
+        frobenius = rows[:, 0] + rows[:, 1]
+        np.sqrt(frobenius, out=frobenius)
+        n = 2 * (length - 1)
+        gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+        yield level, frobenius, 2.0 * math.sqrt(2.0) * gamma * scale
+
+
+def _screened_unbounded_word(units: list, max_len: int, bound: float):
+    """The first word of length <= max_len, in sweep order, whose 2x2 product
+    has an ``_operator_norm`` above bound, with that norm; None if there is none.
+
+    Every such word has a Frobenius norm above the threshold below, since
+    ||W||_2 <= ||W||_F.  So only the flagged words are multiplied out by
+    ``_word_product`` and measured exactly, in sweep order.  For a unimodular
+    W, ||W||_F^2 = sigma_1^2 + 1 / sigma_1^2, so against a bound well above 1
+    few words are flagged.
+    """
+    g = len(units)
+    # a very large bound lets a level overflow, in the GEMM or the squares,
+    # to inf or NaN: quietly, and ``<=`` is False for both, so they are flagged
+    with np.errstate(over="ignore", invalid="ignore"):
+        for length, (_, frobenius, radius) in enumerate(_frobenius_levels(units, max_len), 1):
+            for k in np.flatnonzero(~(frobenius <= bound * (1.0 - _SCREEN_SLACK) - radius)):
+                word = _word_at(int(k), g, length)
+                norm = _operator_norm(_word_product(units, word))
+                if norm > bound:
+                    return word, norm
+    return None
+
+
 def _word_at(index: int, g: int, length: int) -> tuple:
     """The index-th word of ``itertools.product(range(g), repeat=length)``:
     index written in base g with ``length`` digits, most significant first."""
@@ -472,6 +558,12 @@ def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFI
     sampled words.  With <= 3 generators the sweep checks every word up to
     length 8, one word length at a time, and random words beyond; it ends
     at the first word whose norm exceeds the bound, the ``UnboundedWord``.
+    2x2 words are screened first: one GEMM per length builds every product
+    and its Frobenius norm, an upper bound on the operator norm.  Only the
+    words whose Frobenius norm reaches the bound less a proven rounding
+    radius are multiplied out exactly, one by one, and the first whose exact
+    norm is above the bound is reported.  A 2x2 sweep that finds none, and
+    every 3x3 sweep, takes the exact norms level by level.
     The oracle gets the generators and, picked by the seeded generator,
     swept words of length >= 2.  A clean sweep is reported as Distal with
     ``words_checked``, ``max_word_norm`` (the largest norm of those words)
@@ -521,27 +613,32 @@ def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFI
         cert = UnboundedWord(word=word, norm=float(norm), bound=float(bound))
         return DistalityVerdict(Verdict.NOT_DISTAL, cert, budget, seed)
 
-    # every word up to length 8 for <= 3 generators, level by level; the
-    # sweep ends at the first norm above the bound, so every product a level
-    # extends is bounded and needs no finiteness check.  Only the words whose
-    # screen is within the slack of min(bound, the level's top screen) need
-    # an exact norm (a d >= 3 screen is one already): they hold every norm
-    # above the bound and the level's largest norm.  A 2x2 level whose top
-    # screen is at most bound * (1 - slack) holds no norm above the bound,
-    # so its near-top products are kept for ``max_word_norm``, which only a
-    # Distal verdict reports, and their exact norms are taken there.
+    # every word up to length 8 for <= 3 generators, level by level.  2x2
+    # words go through the Frobenius screen first, which finds the first
+    # norm above the bound if there is one
     exhaustive_len = min(max_len, 8) if g <= 3 else 0
+    if d == 2:
+        found = _screened_unbounded_word(units, exhaustive_len, bound)
+        if found is not None:
+            return unbounded(*found)
+    # the exact sweep ends at the first norm above the bound, so every product
+    # a level extends is bounded and needs no finiteness check.  Only the words
+    # whose screen is within the slack of min(bound, the level's top screen)
+    # need an exact norm (a d >= 3 screen is one already): they hold every
+    # norm above the bound and the level's largest norm.  A 2x2 level holds
+    # no norm above the bound, as the Frobenius screen found none, so its
+    # near-top products are kept for ``max_word_norm``, which only a Distal
+    # verdict reports, and their exact norms are taken there.
     words_checked = 0
     max_norm = 0.0
     near_top = []
     for length, (level, screen) in enumerate(_word_levels(units, exhaustive_len), 1):
         words_checked += len(screen)
-        screen_top = screen.max()
-        idx = np.flatnonzero(screen > min(bound, screen_top) * (1.0 - _SCREEN_SLACK))
-        if d == 2 and screen_top <= bound * (1.0 - _SCREEN_SLACK):
+        idx = np.flatnonzero(screen > min(bound, screen.max()) * (1.0 - _SCREEN_SLACK))
+        if d == 2:
             near_top.append(level.take(idx, axis=0))
             continue
-        norms = _operator_norms(level.take(idx, axis=0)) if d == 2 else screen[idx]
+        norms = screen[idx]
         top = float(norms.max())
         if top > bound:
             j = int(np.argmax(norms > bound))

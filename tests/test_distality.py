@@ -36,6 +36,7 @@ from sphere_distal import (
 )
 from sphere_distal import distality
 from sphere_distal.distality import (
+    _frobenius_levels,
     _jordan_collapse_pair,
     _pair_blocks,
     _power_stack,
@@ -52,12 +53,13 @@ from sphere_distal.fixed_points import _circle_pair_search
 from sphere_distal.linalg import (
     _SCREEN_SLACK,
     _norm_screen,
+    _operator_norm,
     _operator_norms,
     matrix_inverse,
     spectral_summary,
 )
 from sphere_distal.serialize import dump_json, verdict_to_json
-from sphere_distal.sphere import Regime, apply_many
+from sphere_distal.sphere import Regime, apply_many, unit_vector
 
 
 def test_classify_shear_not_distal():
@@ -216,6 +218,53 @@ def test_oracle_rejects_delta_of_the_sphere_diameter_or_more(delta):
         proximal_pair_search(m, delta=delta)
     with pytest.raises(ValueError, match="diameter"):
         OracleBudget(delta=delta)
+
+
+def naive_far_pairs(rng, d, samples, delta):
+    """Up to 1000 draws of y for every sample, then the antipode: the reference."""
+    X, Y = np.empty((2, samples, d))
+    for j in range(samples):
+        X[j] = unit_vector(rng.standard_normal(d))
+        Y[j] = -X[j]
+        for _ in range(1000):
+            y = unit_vector(rng.standard_normal(d))
+            if float(np.linalg.norm(X[j] - y)) >= delta:
+                Y[j] = y
+                break
+    return X, Y
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_far_pairs_at_the_default_delta_keep_their_draws(d, seed):
+    got = _sample_far_pairs(np.random.default_rng(seed), d, 64, DEFAULT_CONFIG.oracle.delta)
+    want = naive_far_pairs(np.random.default_rng(seed), d, 64, DEFAULT_CONFIG.oracle.delta)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_far_pairs_near_the_antipodal_distance_stop_drawing(monkeypatch):
+    """Once one sample has spent its 1000 draws, the rest of the call takes
+    antipodes: a semigroup search at delta near 2 draws at most
+    samples + 1000 unit vectors per oracle call."""
+    draws, searches = [], []
+    sample = distality._sample_far_pairs
+
+    def counting_sample(rng, d, samples, delta):
+        searches.append(samples)
+        return sample(rng, d, samples, delta)
+
+    def counting_unit(v):
+        draws.append(1)
+        return unit_vector(v)
+
+    monkeypatch.setattr(distality, "_sample_far_pairs", counting_sample)
+    monkeypatch.setattr(distality, "unit_vector", counting_unit)
+    config = Config(oracle=OracleBudget(delta=1.99999999, samples=4))
+    v = semigroup_distality_test(SemigroupSpec((rotation(math.pi / 2),)), config)
+    assert v.verdict is Verdict.DISTAL
+    assert searches and len(draws) <= sum(n + 1000 for n in searches)
+    X, Y = sample(np.random.default_rng(0), 2, 4, 1.99999999)
+    assert np.array_equal(Y, -X)
 
 
 def test_oracle_classifier_agreement():
@@ -577,6 +626,77 @@ def test_sweep_confirms_a_screen_above_the_exact_norm():
     assert v.certificate.parameters["max_word_norm"] == exact
 
 
+def _conditioned_units(rng, g, max_cond):
+    """g unimodular rotations, each under its own change of basis whose
+    condition number is drawn log-uniformly from 1..max_cond."""
+    units = []
+    for _ in range(g):
+        k = math.sqrt(math.exp(rng.uniform(0.0, math.log(max_cond))))
+        C = rotation(rng.uniform(0, 2 * math.pi)) @ np.diag([k, 1.0 / k]) @ rotation(rng.uniform(0, 2 * math.pi))
+        R = rotation(rng.uniform(0.2, 3.0))
+        units.append(normalize_to_unimodular(C @ R @ matrix_inverse(C)).unit)
+    return units
+
+
+def _right_fold(units, word):
+    """The word's product folded from the right: it rounds otherwise than the left fold."""
+    M = units[word[-1]]
+    for i in reversed(word[:-1]):
+        M = units[i] @ M
+    return M
+
+
+@pytest.mark.parametrize("max_cond", [1.0, 30.0, 1e3])
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_frobenius_screen_radius_covers_every_computed_product(g, max_cond):
+    """Every word's GEMM level product lies within the screen's radius of the
+    left fold, and of the right fold, which the same rounding bound covers;
+    so (1 - _SCREEN_SLACK) * ||fold||_2 <= ||level||_F + radius, the inequality
+    by which the screen can flag no fewer words than are above the bound."""
+    units = _conditioned_units(np.random.default_rng(int(100 * g + max_cond)), g, max_cond)
+    levels = list(_frobenius_levels(units, 8))
+    assert len(levels) == 8 and levels[0][2] == 0.0
+    for length, (level, frobenius, radius) in enumerate(levels, 1):
+        # rows (first letter, matrix row, remaining letters): one 2x2 matrix per word
+        W = level.reshape(g, 2, -1, 2).transpose(0, 2, 1, 3).reshape(-1, 2, 2)
+        words = list(itertools.product(range(g), repeat=length))
+        assert W.shape == (len(words), 2, 2) and frobenius.shape == (len(words),)
+        exact = np.linalg.norm(W, axis=(1, 2))
+        assert np.all(np.abs(frobenius - exact) <= 4 * np.finfo(float).eps * exact)
+        for k, word in enumerate(words):
+            for M in (_word_product(units, word), _right_fold(units, word)):
+                assert (1 - _SCREEN_SLACK) * np.linalg.norm(M - W[k]) <= radius, word
+                assert (1 - _SCREEN_SLACK) * _operator_norm(M) <= frobenius[k] + radius, word
+
+
+def _three_generator_shear_set(s):
+    """Quarter turns, one conjugated by diag(s, 1/s) and one by the shear
+    [[1, s - 1/s], [0, 1]]: words grow like s^length."""
+    D = np.diag([s, 1.0 / s])
+    S = np.array([[1.0, s - 1.0 / s], [0.0, 1.0]])
+    R = rotation(math.pi / 2)
+    return (R, D @ R @ matrix_inverse(D), S @ R @ matrix_inverse(S))
+
+
+def test_screened_sweep_multiplies_out_only_the_reported_word(monkeypatch):
+    calls = {"_word_levels": 0, "_word_product": 0}
+
+    def counted(name):
+        fn = getattr(distality, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(distality, name, wrapper)
+
+    counted("_word_levels")
+    counted("_word_product")
+    v = semigroup_distality_test(SemigroupSpec(_three_generator_shear_set(1.44)))
+    assert isinstance(v.certificate, UnboundedWord) and len(v.certificate.word) == 7
+    assert calls == {"_word_levels": 0, "_word_product": 1}
+
+
 def test_operator_norm_still_validates():
     with pytest.raises(SingularMatrix):
         operator_norm([[float("nan"), 0.0], [0.0, 1.0]])
@@ -718,17 +838,28 @@ def test_first_unbounded_word_at_each_length_and_position(monkeypatch, g, slot, 
     """Generator ``slot`` grows and the rest are the identity, so a word's norm
     is that of the growing power it holds: the bound set between the powers
     length - 1 and length makes (slot,) * length the first unbounded word,
-    the first, middle or last of its level."""
+    the first, middle or last of its level.  So does the bound set on the
+    exact norm of the swept product of (slot,) * (length - 1), or of the
+    identity for length 1: the Frobenius screen flags that word, and it must
+    not be reported, since it is not above the bound."""
     G = _growing_generator(d)
     gens = tuple(G if i == slot else np.eye(d) for i in range(g))
     powers = [operator_norm(np.linalg.matrix_power(G, n)) for n in range(9)]
     assert all(a < b for a, b in zip(powers, powers[1:]))
-    config = Config(growth_factor=(powers[length - 1] + powers[length]) / (2 * d))
-    v = assert_matches_reference(monkeypatch, SemigroupSpec(gens), config)
-    assert isinstance(v.certificate, UnboundedWord)
-    assert v.certificate.word == (slot,) * length
-    index = sum(slot * g**k for k in range(length))
-    assert index == {0: 0, 1: (g**length - 1) // 2, 2: g**length - 1}[slot]
+    units = [normalize_to_unimodular(U).unit for U in gens]
+    on = operator_norm(_word_product(units, (slot,) * (length - 1) or ((slot + 1) % g,)))
+    # the bound is growth_factor * d: the smallest factor that reaches ``on``
+    on_factor = on / d
+    while on_factor * d < on:
+        on_factor = float(np.nextafter(on_factor, math.inf))
+    assert d == 3 or on_factor * d == on
+    for growth_factor in ((powers[length - 1] + powers[length]) / (2 * d), on_factor):
+        config = Config(growth_factor=growth_factor)
+        v = assert_matches_reference(monkeypatch, SemigroupSpec(gens), config)
+        assert isinstance(v.certificate, UnboundedWord)
+        assert v.certificate.word == (slot,) * length
+        index = sum(slot * g**k for k in range(length))
+        assert index == {0: 0, 1: (g**length - 1) // 2, 2: g**length - 1}[slot]
 
 
 @pytest.mark.parametrize("d", [2, 3])
