@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -60,6 +61,9 @@ class ProximalPair:
     iteration reproduces that claim.  For a pair the classifier measured,
     ``steps`` is the earliest step with the smallest separation within the
     iteration budget; the walk stops once the separation is exactly 0.
+    Step n = 64 q + r + 1 of a matrix is measured, and replayed, as
+    N(W_(r+1) N(B_q x)) with N the normalization, W_j = N(T^j) and
+    B_q = N(T^(64 q)) (B_0 x = x): not through the n - 1 steps before it.
     ``word`` names the generator word when the map comes from a semigroup;
     ``recurrence_times`` carries the near-identity return times of the
     isometry factor for the even-sphere witness.
@@ -126,6 +130,8 @@ class SemigroupSpec:
 
 # steps a projective map advances per block, with one batched matmul and one norm
 PAIR_BLOCK = 64
+# seeds (blocks times points) one chunk of a projective walk starts from, at most
+PAIR_CHUNK = 64
 
 
 def _power_stack(m: AffineSphereMap) -> np.ndarray:
@@ -149,23 +155,23 @@ STACK_CACHE = 16
 
 @functools.lru_cache(maxsize=STACK_CACHE)
 def _projective_stack(key: bytes, d: int) -> np.ndarray:
-    """The normalized powers T^1..T^PAIR_BLOCK of the d x d matrix T whose
-    float64 bytes are ``key``, filled into one preallocated array, read-only.
+    """The normalized powers T^1..T^PAIR_BLOCK of the d x d T with float64 bytes ``key``."""
+    T = np.frombuffer(key).reshape(1, d, d)
+    return _doubled(T / np.abs(T).max(), PAIR_BLOCK)
 
-    Each doubling writes T^(n+i) = T^i T^n, i = 1..j with j <= n, into the
-    next slab as one 2-D GEMM and divides each new power by its largest
-    absolute entry.  That is bit-identical to appending the slab and then
-    dividing every power so far: a power already normalized has largest
-    absolute entry exactly 1.0, and dividing by 1.0 changes nothing.
-    """
-    T = np.frombuffer(key).reshape(d, d)
-    F = np.empty((PAIR_BLOCK, d, d))
-    np.divide(T, np.abs(T).max(), out=F[0])
-    rows = F.reshape(-1, d)  # the stack as one (PAIR_BLOCK * d, d) matrix
-    flat = F.reshape(PAIR_BLOCK, -1)  # one power per row
-    n = 1
-    while n < PAIR_BLOCK:
-        j = min(n, PAIR_BLOCK - n)
+
+def _doubled(P: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` normalized powers of a matrix, read-only, from its first
+    ones P: each doubling writes power n+i = (power i)(power n), i <= n, as one
+    2-D GEMM, then divides each by its largest absolute entry (bit-identical to
+    dividing every power so far, as a normalized one has largest entry 1.0)."""
+    n, d = len(P), P.shape[-1]
+    F = np.empty((count, d, d))
+    F[:n] = P
+    rows = F.reshape(-1, d)  # the stack as one (count * d, d) matrix
+    flat = F.reshape(count, -1)  # one power per row
+    while n < count:
+        j = min(n, count - n)
         np.matmul(rows[: j * d], F[n - 1], out=rows[n * d : (n + j) * d])
         slab = flat[n : n + j]
         np.divide(slab, np.maximum.reduce(np.abs(slab), axis=1, keepdims=True), out=slab)
@@ -174,25 +180,48 @@ def _projective_stack(key: bytes, d: int) -> np.ndarray:
     return F
 
 
+_block_cache = functools.lru_cache(maxsize=STACK_CACHE)(lambda key: [])  # W_64's bytes -> [B]
+
+
+def _block_powers(W: np.ndarray, count: int) -> np.ndarray:
+    """At least ``count`` block powers B_j = N(W_64^j) of a ``_power_stack`` W, ``_doubled``
+    on demand to a power-of-two count, so the bits of B_j depend on j alone."""
+    cell = _block_cache(W[-1].tobytes())
+    B = cell[0] if cell else W[-1:]
+    if len(B) < count:
+        cell[:] = [B := _doubled(B, 1 << (count - 1).bit_length())]
+    return B
+
+
 def _pair_blocks(m: AffineSphereMap, P: np.ndarray):
     """Endless stacks (k, n, d) holding the next k iterates of the rows of P.
 
-    Each block applies the ``_power_stack`` of m to the last row of the block
-    before it, so only that row carries over.  Blocks walked again from P are
-    bit-identical.
+    Block q of a projective map is W (the ``_power_stack``) applied to the seed
+    N(B_q x) (``_block_powers``; block 0 starts from x, block 1 from block 0's
+    last row), later blocks in chunks of 2, 4, ... up to PAIR_CHUNK seeds: one
+    GEMM for a chunk's seeds, one for its rows, each reordered as a view.  An
+    affine map steps on from the last row of each one-step block.
     """
-    stacked = replace(m, matrix=_power_stack(m))
+    W = _power_stack(m)
+    stacked = replace(m, matrix=W)
+    Q = P[None]
+    for _ in range(2) if m.regime is Regime.PROJECTIVE else itertools.count():
+        Q = apply_many(stacked, Q[-1])
+        yield Q
+    (n, d), done = P.shape, 2
     while True:
-        P = apply_many(stacked, P)
-        yield P
-        P = P[-1]
+        c = max(1, min(done, PAIR_CHUNK // n))
+        jumps = replace(m, matrix=_block_powers(W, done + c - 1)[done - 1 : done + c - 1])
+        seeds = apply_many(jumps, P).swapaxes(0, 1).reshape(-1, d)
+        yield apply_many(stacked, seeds).swapaxes(0, 1).reshape(n, -1, d).swapaxes(0, 1)
+        done += c
 
 
 def _separations(m: AffineSphereMap, X, Y, steps: int):
     """Yield (first, S) over steps 1..steps: S[k, j] is |X_j - Y_j| after first + k steps.
 
-    The norms come from ``_distances``.  A caller may stop early; the blocks
-    are lazy.
+    Step PAIR_BLOCK q + r + 1 is N(W_(r+1) N(B_q x)), from ``_pair_blocks``; the
+    norms come from ``_distances``.  A caller may stop early; blocks are lazy.
     """
     X, Y = np.atleast_2d(X), np.atleast_2d(Y)
     blocks = _pair_blocks(m, np.concatenate([X, Y]).astype(float))
@@ -213,18 +242,18 @@ def _separation_after(m: AffineSphereMap, x, y, steps: int) -> float:
     """|x - y| after ``steps`` >= 1 iterations, bit-identical to the last row
     ``_separations`` yields.
 
-    Block q of ``_pair_blocks`` holds steps qk+1..qk+k and passes on only its
-    last row.  So with steps - 1 = qk + r the walk applies the last power of
-    the stack q times, then row r of the stack once, one matrix per call.
-    The stack comes from ``_power_stack``'s cache, so replaying a pair the
-    classifier just measured on the same matrix does not build it again.
+    A projective map takes two products, one matrix each, from the caches: B_q,
+    then row r of the stack, with steps - 1 = PAIR_BLOCK q + r.  An affine map
+    walks every step.
     """
+    if m.regime is not Regime.PROJECTIVE:
+        *_, (_, S) = _separations(m, x, y, steps)
+        return float(S[-1, 0])
     W = _power_stack(m)
-    q, r = divmod(steps - 1, len(W))
+    q, r = divmod(steps - 1, PAIR_BLOCK)
     P = np.array([x, y], dtype=float)
-    last = replace(m, matrix=W[-1])
-    for _ in range(q):
-        P = apply_many(last, P)
+    if q:
+        P = apply_many(replace(m, matrix=_block_powers(W, q)[q - 1]), P)
     P = apply_many(replace(m, matrix=W[r]), P)
     return float(_distances(P[0] - P[1]))
 
@@ -373,7 +402,7 @@ def _classify(T: np.ndarray, unit: np.ndarray, config: Config) -> DistalityVerdi
     """``classify_projective_distality`` of a validated T whose unimodular
     normalization ``unit`` the caller has already computed."""
     summary = _spectral_summary(unit, config)
-    moduli = [abs(lam) for lam in summary.eigenvalues]
+    moduli = [float(abs(lam)) for lam in summary.eigenvalues]
     budget = {
         "spectral_tol": config.spectral_tol,
         "oracle_iterations": config.oracle.iterations,
@@ -385,12 +414,7 @@ def _classify(T: np.ndarray, unit: np.ndarray, config: Config) -> DistalityVerdi
         return DistalityVerdict(Verdict.DISTAL, cert, budget, seed)
     if unimodular and summary.semisimple is None:
         cert = BudgetExhausted(
-            {
-                "reason": "ambiguous-rank-test",
-                "moduli": [float(mod) for mod in moduli],
-                "rank_tol": config.rank_tol,
-            }
-        )
+            {"reason": "ambiguous-rank-test", "moduli": moduli, "rank_tol": config.rank_tol})
         return DistalityVerdict(Verdict.INCONCLUSIVE, cert, budget, seed)
 
     # T passed det_root's singularity gate, so the map needs no second check
@@ -403,9 +427,7 @@ def _classify(T: np.ndarray, unit: np.ndarray, config: Config) -> DistalityVerdi
         # moduli straddle the band edge too tightly to split; fall back to the oracle
         found = proximal_pair_search(m, seed=seed, config=config)
         if found is None:
-            cert = BudgetExhausted(
-                {"reason": "band-edge-spectrum", "moduli": [float(mod) for mod in moduli]}
-            )
+            cert = BudgetExhausted({"reason": "band-edge-spectrum", "moduli": moduli})
             return DistalityVerdict(Verdict.INCONCLUSIVE, cert, budget, seed)
         return DistalityVerdict(Verdict.NOT_DISTAL, found, budget, seed)
     # measure the pair: the earliest minimum separation within the budget
@@ -706,11 +728,12 @@ def replay_certificate(
 ) -> bool:
     """Re-run a NotDistal certificate and confirm its claim within 10%.
 
-    Proximal pairs must claim at least one step and an approach; they are
-    replayed against the generating map: the certificate's ``word``
-    resolved over ``generators`` when both are given, else the single
-    ``matrix``.  Unbounded words recompute the word norm.  Positive
-    certificates have nothing to falsify and return True.
+    Proximal pairs must claim a whole number of steps, at least one, and an
+    approach; they are replayed against the generating map: the
+    certificate's ``word`` resolved over ``generators`` when both are given,
+    else the single ``matrix``.  Step n takes two products, so the cost does
+    not grow with ``steps``.  Unbounded words recompute the word norm.
+    Positive certificates have nothing to falsify and return True.
     """
     units = None if generators is None else [
         normalize_to_unimodular(G, config).unit for G in generators
@@ -721,7 +744,9 @@ def replay_certificate(
         norm = operator_norm(_word_product(units, cert.word))
         return abs(norm - cert.norm) <= tolerance * cert.norm and norm > cert.bound
     if isinstance(cert, ProximalPair):
-        if cert.steps < 1 or not cert.separation_final < cert.separation_initial:
+        if not isinstance(cert.steps, (int, np.integer)) or cert.steps < 1:
+            return False  # names no iterate, as 2.5 or 1999.0 do (a NumPy integer counts)
+        if not cert.separation_final < cert.separation_initial:
             return False  # a pair that never got closer certifies nothing
         if cert.word is not None and units is not None:
             m = AffineSphereMap.create(_word_product(units, cert.word), config=config)

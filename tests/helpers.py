@@ -18,7 +18,7 @@ from sphere_distal import (
     contraction_subspace,
     rotation,
 )
-from sphere_distal.distality import _first_proximal
+from sphere_distal.distality import _first_proximal, _power_stack
 from sphere_distal.fixed_points import (
     _bisect_to_one,
     _circle_pair_search,
@@ -35,7 +35,7 @@ from sphere_distal.linalg import (
     operator_norm,
     real_schur_2x2,
 )
-from sphere_distal.sphere import unit_vector
+from sphere_distal.sphere import apply_many, unit_vector
 
 
 def random_conjugator(rng, max_cond=8.0):
@@ -126,6 +126,27 @@ def naive_power_stack(T, k=64):
         W = np.concatenate([W, (W[:j].reshape(-1, d) @ W[-1]).reshape(-1, d, d)])
         W = W / np.max(np.abs(W), axis=(1, 2), keepdims=True)
     return W
+
+
+def chain_pair_blocks(m, P):
+    """The seed-chain walk: every block applies the power stack of m to the last
+    row of the block before it, so block q starts from step 64 q."""
+    stacked = replace(m, matrix=_power_stack(m))
+    while True:
+        P = apply_many(stacked, P)
+        yield P
+        P = P[-1]
+
+
+def extended_separation(T, x, y, steps):
+    """|x - y| after ``steps`` projective steps of T, walked one step at a time
+    in np.longdouble (80-bit extended precision on x86)."""
+    T = np.asarray(T, dtype=np.longdouble)
+    P = np.array([x, y], dtype=np.longdouble)
+    for _ in range(steps):
+        P = P @ T.T
+        P = P / np.sqrt((P * P).sum(axis=1, keepdims=True))
+    return float(np.sqrt(((P[0] - P[1]) ** 2).sum()))
 
 
 def naive_even_sphere_witness(T, config=DEFAULT_CONFIG):
