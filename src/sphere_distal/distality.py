@@ -130,7 +130,7 @@ class SemigroupSpec:
 
 # steps a projective map advances per block, with one batched matmul and one norm
 PAIR_BLOCK = 64
-# seeds (blocks times points) one chunk of a projective walk starts from, at most
+# seeds (blocks times points) one product of a projective walk's rows starts from, at most
 PAIR_CHUNK = 64
 
 
@@ -155,23 +155,23 @@ STACK_CACHE = 16
 
 @functools.lru_cache(maxsize=STACK_CACHE)
 def _projective_stack(key: bytes, d: int) -> np.ndarray:
-    """The normalized powers T^1..T^PAIR_BLOCK of the d x d T with float64 bytes ``key``."""
-    T = np.frombuffer(key).reshape(1, d, d)
-    return _doubled(T / np.abs(T).max(), PAIR_BLOCK)
+    """The normalized powers T^1..T^PAIR_BLOCK of the d x d matrix T whose
+    float64 bytes are ``key``, filled into one preallocated array, read-only.
 
-
-def _doubled(P: np.ndarray, count: int) -> np.ndarray:
-    """The first ``count`` normalized powers of a matrix, read-only, from its first
-    ones P: each doubling writes power n+i = (power i)(power n), i <= n, as one
-    2-D GEMM, then divides each by its largest absolute entry (bit-identical to
-    dividing every power so far, as a normalized one has largest entry 1.0)."""
-    n, d = len(P), P.shape[-1]
-    F = np.empty((count, d, d))
-    F[:n] = P
-    rows = F.reshape(-1, d)  # the stack as one (count * d, d) matrix
-    flat = F.reshape(count, -1)  # one power per row
-    while n < count:
-        j = min(n, count - n)
+    Each doubling writes T^(n+i) = T^i T^n, i = 1..j with j <= n, into the
+    next slab as one 2-D GEMM and divides each new power by its largest
+    absolute entry.  That is bit-identical to appending the slab and then
+    dividing every power so far: a power already normalized has largest
+    absolute entry exactly 1.0, and dividing by 1.0 changes nothing.
+    """
+    T = np.frombuffer(key).reshape(d, d)
+    F = np.empty((PAIR_BLOCK, d, d))
+    np.divide(T, np.abs(T).max(), out=F[0])
+    rows = F.reshape(-1, d)  # the stack as one (PAIR_BLOCK * d, d) matrix
+    flat = F.reshape(PAIR_BLOCK, -1)  # one power per row
+    n = 1
+    while n < PAIR_BLOCK:
+        j = min(n, PAIR_BLOCK - n)
         np.matmul(rows[: j * d], F[n - 1], out=rows[n * d : (n + j) * d])
         slab = flat[n : n + j]
         np.divide(slab, np.maximum.reduce(np.abs(slab), axis=1, keepdims=True), out=slab)
@@ -180,27 +180,44 @@ def _doubled(P: np.ndarray, count: int) -> np.ndarray:
     return F
 
 
-_block_cache = functools.lru_cache(maxsize=STACK_CACHE)(lambda key: [])  # W_64's bytes -> [B]
+# matrix bytes -> [B, P]: the block powers and the np.longdouble powers P_j they round
+_block_cache = functools.lru_cache(maxsize=STACK_CACHE)(lambda key: [])
 
 
-def _block_powers(W: np.ndarray, count: int) -> np.ndarray:
-    """At least ``count`` block powers B_j = N(W_64^j) of a ``_power_stack`` W, ``_doubled``
-    on demand to a power-of-two count, so the bits of B_j depend on j alone."""
-    cell = _block_cache(W[-1].tobytes())
-    B = cell[0] if cell else W[-1:]
+def _block_powers(m: AffineSphereMap, W: np.ndarray, count: int) -> np.ndarray:
+    """At least ``count`` block powers B_j = N(T^(PAIR_BLOCK j)) of a projective m with
+    ``_power_stack`` W, read-only, grown on demand per matrix with bits that depend
+    on j alone: B_1 = W_64, then N(P_j) for P_1 = N(T)^PAIR_BLOCK, P_(j+1) = P_j P_1
+    in np.longdouble (80-bit on x86; every 16th rescaled).  Float64 products of long
+    powers of a nearly nilpotent T lose the small terms that separate a pair (B_31
+    of a 3x3 Jordan block 1e-8 to 1e-6 off, for a separation of 1e-8)."""
+    cell = _block_cache(m.matrix.astype(float, copy=False).tobytes())
+    if not cell:
+        P1 = np.linalg.matrix_power(m.matrix.astype(np.longdouble) / np.abs(m.matrix).max(), PAIR_BLOCK)
+        cell[:] = [W[-1:], [P1 / np.abs(P1).max()]]
+    B, P = cell
     if len(B) < count:
-        cell[:] = [B := _doubled(B, 1 << (count - 1).bit_length())]
+        P = P[:]  # grown apart and stored whole: a concurrent call sees one state or the other
+        for j in range(len(P), count):
+            M = P[-1] @ P[0]
+            P.append(M if j % 16 else M / np.abs(M).max())
+        S = np.array(P[len(B) :])
+        B = np.concatenate([B, (S / np.abs(S).max(axis=(1, 2), keepdims=True)).astype(float)])
+        B.flags.writeable = False
+        cell[:] = [B, P]
     return B
 
 
-def _pair_blocks(m: AffineSphereMap, P: np.ndarray):
+def _pair_blocks(m: AffineSphereMap, P: np.ndarray, steps: int = 0):
     """Endless stacks (k, n, d) holding the next k iterates of the rows of P.
 
     Block q of a projective map is W (the ``_power_stack``) applied to the seed
     N(B_q x) (``_block_powers``; block 0 starts from x, block 1 from block 0's
-    last row), later blocks in chunks of 2, 4, ... up to PAIR_CHUNK seeds: one
-    GEMM for a chunk's seeds, one for its rows, each reordered as a view.  An
-    affine map steps on from the last row of each one-step block.
+    last row).  Blocks 2 on come in chunks, each as long as the walk before it
+    but the first, which reaches step ``steps`` if one product of PAIR_CHUNK
+    seeds holds it: one GEMM for a chunk's seeds, one per PAIR_CHUNK seeds (a
+    block at least) for their rows.  An affine map steps on from the last row of
+    each one-step block.
     """
     W = _power_stack(m)
     stacked = replace(m, matrix=W)
@@ -208,13 +225,15 @@ def _pair_blocks(m: AffineSphereMap, P: np.ndarray):
     for _ in range(2) if m.regime is Regime.PROJECTIVE else itertools.count():
         Q = apply_many(stacked, Q[-1])
         yield Q
-    (n, d), done = P.shape, 2
+    (n, d), g, done = P.shape, max(1, PAIR_CHUNK // len(P)), 2
+    c = max(2, min(-(-steps // PAIR_BLOCK) - done, g))
     while True:
-        c = max(1, min(done, PAIR_CHUNK // n))
-        jumps = replace(m, matrix=_block_powers(W, done + c - 1)[done - 1 : done + c - 1])
-        seeds = apply_many(jumps, P).swapaxes(0, 1).reshape(-1, d)
-        yield apply_many(stacked, seeds).swapaxes(0, 1).reshape(n, -1, d).swapaxes(0, 1)
-        done += c
+        jumps = replace(m, matrix=_block_powers(m, W, done + c - 1)[done - 1 : done + c - 1])
+        seeds = apply_many(jumps, P)
+        for i in range(0, c, g):
+            rows = apply_many(stacked, seeds[i : i + g].swapaxes(0, 1).reshape(-1, d))
+            yield rows.swapaxes(0, 1).reshape(n, -1, d).swapaxes(0, 1)
+        done, c = done + c, done + c
 
 
 def _separations(m: AffineSphereMap, X, Y, steps: int):
@@ -224,7 +243,7 @@ def _separations(m: AffineSphereMap, X, Y, steps: int):
     norms come from ``_distances``.  A caller may stop early; blocks are lazy.
     """
     X, Y = np.atleast_2d(X), np.atleast_2d(Y)
-    blocks = _pair_blocks(m, np.concatenate([X, Y]).astype(float))
+    blocks = _pair_blocks(m, np.concatenate([X, Y]).astype(float), steps)
     done = 0
     while done < steps:
         Q = next(blocks)[: steps - done]
@@ -253,7 +272,7 @@ def _separation_after(m: AffineSphereMap, x, y, steps: int) -> float:
     q, r = divmod(steps - 1, PAIR_BLOCK)
     P = np.array([x, y], dtype=float)
     if q:
-        P = apply_many(replace(m, matrix=_block_powers(W, q)[q - 1]), P)
+        P = apply_many(replace(m, matrix=_block_powers(m, W, q)[q - 1]), P)
     P = apply_many(replace(m, matrix=W[r]), P)
     return float(_distances(P[0] - P[1]))
 
@@ -402,7 +421,7 @@ def _classify(T: np.ndarray, unit: np.ndarray, config: Config) -> DistalityVerdi
     """``classify_projective_distality`` of a validated T whose unimodular
     normalization ``unit`` the caller has already computed."""
     summary = _spectral_summary(unit, config)
-    moduli = [float(abs(lam)) for lam in summary.eigenvalues]
+    moduli = [abs(lam) for lam in summary.eigenvalues]
     budget = {
         "spectral_tol": config.spectral_tol,
         "oracle_iterations": config.oracle.iterations,
@@ -414,7 +433,12 @@ def _classify(T: np.ndarray, unit: np.ndarray, config: Config) -> DistalityVerdi
         return DistalityVerdict(Verdict.DISTAL, cert, budget, seed)
     if unimodular and summary.semisimple is None:
         cert = BudgetExhausted(
-            {"reason": "ambiguous-rank-test", "moduli": moduli, "rank_tol": config.rank_tol})
+            {
+                "reason": "ambiguous-rank-test",
+                "moduli": [float(mod) for mod in moduli],
+                "rank_tol": config.rank_tol,
+            }
+        )
         return DistalityVerdict(Verdict.INCONCLUSIVE, cert, budget, seed)
 
     # T passed det_root's singularity gate, so the map needs no second check
@@ -427,7 +451,9 @@ def _classify(T: np.ndarray, unit: np.ndarray, config: Config) -> DistalityVerdi
         # moduli straddle the band edge too tightly to split; fall back to the oracle
         found = proximal_pair_search(m, seed=seed, config=config)
         if found is None:
-            cert = BudgetExhausted({"reason": "band-edge-spectrum", "moduli": moduli})
+            cert = BudgetExhausted(
+                {"reason": "band-edge-spectrum", "moduli": [float(mod) for mod in moduli]}
+            )
             return DistalityVerdict(Verdict.INCONCLUSIVE, cert, budget, seed)
         return DistalityVerdict(Verdict.NOT_DISTAL, found, budget, seed)
     # measure the pair: the earliest minimum separation within the budget

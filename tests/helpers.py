@@ -138,6 +138,19 @@ def chain_pair_blocks(m, P):
         P = P[-1]
 
 
+def extended_walk(T, P, steps):
+    """The first ``steps`` projective iterates (steps, n, d) of the rows of P,
+    walked one step at a time in np.longdouble and rounded to float64."""
+    T = np.asarray(T, dtype=np.longdouble)
+    P = np.array(P, dtype=np.longdouble)
+    out = np.empty((steps,) + P.shape)
+    for k in range(steps):
+        P = P @ T.T
+        P = P / np.sqrt((P * P).sum(axis=1, keepdims=True))
+        out[k] = P
+    return out
+
+
 def extended_separation(T, x, y, steps):
     """|x - y| after ``steps`` projective steps of T, walked one step at a time
     in np.longdouble (80-bit extended precision on x86)."""

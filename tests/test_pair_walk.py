@@ -11,7 +11,7 @@ import pytest
 from helpers import (
     chain_pair_blocks,
     extended_separation,
-    naive_power_stack,
+    extended_walk,
     random_conjugator,
     random_orthogonal_3x3,
 )
@@ -40,9 +40,8 @@ from sphere_distal.sphere import apply_many
 
 def _walk_cases(full_jordan=True):
     """Shears, Jordan blocks, split moduli, rotations and a general matrix, at
-    three scales.  Full 3x3 Jordan blocks are left out on request: their
-    normalized powers are nearly nilpotent, so a product of two loses relative
-    accuracy, and the classifier's pair construction can raise on them."""
+    three scales.  Full 3x3 Jordan blocks are left out on request: the
+    classifier's pair construction can raise on them."""
     rng = np.random.default_rng(19)
     c, s = math.cos(0.9), math.sin(0.9)
     cases = [
@@ -62,6 +61,20 @@ def _walk_cases(full_jordan=True):
     return [scale * T for T in cases for scale in (1e-3, 1.0, 1e3)]
 
 
+# per shear, the first three seeds of ``random_orthogonal_3x3`` whose full 3x3
+# Jordan block gets a measured pair longer than 2 blocks: most get a pair of 0
+# steps, or raise (``_jordan_collapse_pair``)
+FULL_JORDAN_SEEDS = (
+    (0.1, (0, 1, 3)), (0.3, (3, 14, 18)), (1.0, (44, 59, 68)), (3.0, (68, 139, 151)),
+)
+
+
+def _long_full_jordan_cases():
+    return [Q @ (np.eye(3) + shear * np.diag([1.0, 1.0], k=1)) @ Q.T
+            for shear, seeds in FULL_JORDAN_SEEDS for seed in seeds
+            for Q in [random_orthogonal_3x3(np.random.default_rng(seed))]]
+
+
 def _unit_rows(rng, n, d):
     P = rng.standard_normal((n, d))
     return P / np.linalg.norm(P, axis=1, keepdims=True)
@@ -78,16 +91,21 @@ def test_blocks_0_and_1_equal_the_chain_bit_for_bit():
                 assert np.array_equal(next(walk), next(chain)), (T, n, block)
 
 
-def test_later_blocks_follow_the_chain_closely():
+def test_later_blocks_are_as_accurate_as_the_chain():
+    """Blocks 2-31 stay within 1e-9 of an 80-bit step-by-step walk, or closer
+    to it than the chain; the chain is 1e-4 off on full Jordan blocks with
+    shear 10."""
     rng = np.random.default_rng(2)
-    for T in _walk_cases(full_jordan=False):
+    for T in _walk_cases():
         m = AffineSphereMap.create(T)
         P = _unit_rows(rng, 2, m.dim)
         walk, chain = _pair_blocks(m, P), chain_pair_blocks(m, P)
         walked = np.concatenate([next(walk) for _ in range(6)])  # blocks 0 .. 31
         chained = np.concatenate([next(chain) for _ in range(len(walked) // PAIR_BLOCK)])
         assert len(walked) == 32 * PAIR_BLOCK
-        assert np.max(np.abs(walked - chained)) <= 1e-9, T
+        reference = extended_walk(T, P, len(walked))
+        chain_error = np.max(np.abs(chained - reference))
+        assert np.max(np.abs(walked - reference)) <= max(chain_error, 1e-9), T
 
 
 def test_an_affine_walk_still_steps_one_iterate_at_a_time():
@@ -112,7 +130,7 @@ def test_separation_after_equals_the_last_row_of_the_walk(steps):
 
 def test_a_10000_step_budget_replays_exactly():
     config = Config(oracle=OracleBudget(iterations=10_000))
-    for T in _walk_cases(full_jordan=False):
+    for T in _walk_cases(full_jordan=False) + _long_full_jordan_cases():
         v = classify_projective_distality(T, config)
         if v.verdict is Verdict.NOT_DISTAL:
             assert replay_certificate(v.certificate, matrix=T, tolerance=0.0), T
@@ -120,19 +138,32 @@ def test_a_10000_step_budget_replays_exactly():
     assert long.steps == 10_000  # the shear never collapses: the whole budget is walked
 
 
-@pytest.mark.parametrize("T", [np.array([[1.0, 0.1], [0.0, 1.0]]), np.eye(3) + 0.3 * np.diag([1.0, 1.0], k=1),
-                               rotation(0.7) @ np.diag([1.001, 1.0 / 1.001])], ids=["shear", "jordan", "split"])
+@pytest.mark.parametrize(
+    "T",
+    [np.array([[1.0, 0.1], [0.0, 1.0]]), np.eye(3) + 0.3 * np.diag([1.0, 1.0], k=1),
+     rotation(0.7) @ np.diag([1.001, 1.0 / 1.001])],
+    ids=["shear", "jordan", "split"],
+)
 def test_block_powers_depend_only_on_their_index(T):
     m = AffineSphereMap.create(T)
     W = _power_stack(m)
-    reference = naive_power_stack(W[-1], 300)
-    for counts in ([300], [1, 2, 3, 5, 9, 17, 33, 65, 129, 300], [40, 7, 300], [3, 100, 257]):
+    distality._block_cache.cache_clear()
+    reference = _block_powers(m, W, 300).copy()
+    growths = ([1, 2, 3, 5, 9, 17, 33, 65, 129, 300], [40, 7, 300], [3, 100, 257, 300], [16, 17, 300])
+    for counts in growths:
         distality._block_cache.cache_clear()
         for count in counts:
-            B = _block_powers(W, count)
+            B = _block_powers(m, W, count)
             assert len(B) >= count and not B.flags.writeable
             assert np.array_equal(B[:count], reference[:count]), (T, counts, count)
-    assert np.array_equal(_block_powers(W, 1)[0], W[-1])  # B_1 is the stack's last power
+    assert np.array_equal(reference[0], W[-1])  # B_1 is the stack's last power
+    # B_j = N(T^(64 j)): against one step at a time in extended precision
+    P = np.eye(len(T), dtype=np.longdouble)
+    for j in range(1, 41):
+        for _ in range(PAIR_BLOCK):
+            P = P @ np.asarray(T, dtype=np.longdouble)
+            P /= np.abs(P).max()
+        assert np.max(np.abs(reference[j - 1] - P.astype(float))) <= 1e-12, (T, j)
 
 
 def test_replay_of_a_2000_step_pair_makes_at_most_two_products(monkeypatch):
@@ -162,8 +193,15 @@ def test_a_2000_step_walk_takes_few_products(monkeypatch):
     monkeypatch.setattr(distality, "apply_many", counting)
     cert = classify_projective_distality(np.array([[1.0, 0.1], [0.0, 1.0]])).certificate
     assert cert.steps == 2000
-    # blocks 0 and 1, then chunks of 2, 4, 8 and 16 blocks at two products each
-    assert len(calls) == 2 + 2 * 4
+    # blocks 0 and 1, then the seeds of blocks 2-31 and their rows, one product each
+    assert len(calls) == 4
+    # 64 pairs fill a product of rows with one block: one product per block, and
+    # one for the seeds of each chunk of 2, 4, 8 and 16 blocks
+    calls.clear()
+    X, Y = _unit_rows(np.random.default_rng(5), 128, 2).reshape(2, 64, 2)
+    for _ in _separations(AffineSphereMap.create(rotation(1.0)), X, Y, 2000):
+        pass
+    assert len(calls) == 32 + 4
 
 
 def test_replay_rejects_a_step_count_that_is_not_an_integer():
@@ -192,3 +230,19 @@ def test_long_pairs_agree_with_an_extended_precision_walk():
             assert cert.steps > 2 * PAIR_BLOCK
             want = extended_separation(T, cert.x, cert.y, cert.steps)
             assert abs(cert.separation_final - want) <= 5e-5 * want, T
+
+
+def test_long_full_jordan_pairs_are_as_accurate_as_the_chain():
+    """On full 3x3 Jordan blocks a float64 block power would misstate the
+    separation by up to 100%; the walk stays within 5e-5 relative of an 80-bit
+    step-by-step walk, or closer to it than the seed chain (1e-4 to 5e-3 off at
+    shears 1 and 3)."""
+    for T in _long_full_jordan_cases():
+        cert = classify_projective_distality(T).certificate
+        assert cert.steps > 2 * PAIR_BLOCK
+        want = extended_separation(T, cert.x, cert.y, cert.steps)
+        chain = chain_pair_blocks(AffineSphereMap.create(T), np.stack([cert.x, cert.y]))
+        walked = np.concatenate([next(chain) for _ in range(math.ceil(cert.steps / PAIR_BLOCK))])
+        Q = walked[cert.steps - 1]
+        chain_error = abs(float(np.linalg.norm(Q[0] - Q[1])) - want)
+        assert abs(cert.separation_final - want) <= max(chain_error, 5e-5 * want), T
