@@ -23,6 +23,7 @@ from sphere_distal import (
     NoPositiveRealEigenvalue,
     RealSpectrum,
     SpectrumCollision,
+    SphereDistalError,
     apply_affine,
     choose_nondistal_witness,
     find_fixed_point,
@@ -46,6 +47,7 @@ from sphere_distal.fixed_points import (
     RECURRENCE_BLOCK,
     FixedPointResult,
     PeriodicPoints2,
+    _bisect_to_one,
     _recurrence_times,
     _resolvent,
 )
@@ -634,6 +636,155 @@ def test_solvers_match_a_naive_bisection_on_every_branch(monkeypatch):
         BRANCH_BISECTION, BRANCH_BISECTION_DEFECTIVE, BRANCH_BISECTION_ROTATION,
         BRANCH_BISECTION_DOUBLE_ANGLE, BRANCH_BISECTION_LARGE_TRANSLATION,
     } <= branches
+
+
+def counted_bisections(monkeypatch):
+    """Record, for each bisection a solver runs, how often it evaluates the
+    exact norm and how often the screen: a list of [exact, screened]."""
+    from sphere_distal import fixed_points
+
+    bisect, counts = fixed_points._bisect_to_one, []
+
+    def counting(f, lo, hi, config, context, screen=None):
+        n = [0, 0]
+        counts.append(n)
+
+        def exact(gamma):
+            n[0] += 1
+            return f(gamma)
+
+        def screened(gamma):
+            n[1] += 1
+            return screen(gamma)
+
+        return bisect(exact, lo, hi, config, context, screened if screen else None)
+
+    monkeypatch.setattr(fixed_points, "_bisect_to_one", counting)
+    return counts
+
+
+def test_bisection_stops_once_the_midpoint_no_longer_splits(monkeypatch):
+    # once the midpoint equals an end, a step would re-evaluate that end and
+    # change nothing, so a tolerance below the float spacing at gamma costs no steps
+    T, a = np.diag([2.0, 0.5]), [0.3, 0.2]
+    es = real_schur_2x2(T)
+    coords = matrix_inverse(es.kind.basis) @ np.array(a)
+    hi = 0.5 - 2e-10  # the solver's bracket: min(t, s) less the guard
+
+    def plain(tol):
+        calls = []
+
+        def f(gamma):
+            calls.append(gamma)
+            return float(np.linalg.norm(naive_resolvent_vector(es.kind, coords, gamma)))
+
+        return _bisect_to_one(f, 0.0, hi, Config(bisection_tol=tol), "probe").hex(), len(calls)
+
+    assert plain(1e-300)[0] == plain(1e-16)[0] == "0x1.2ff272d640a73p-2"
+    assert plain(1e-300)[1] <= 60
+    counts = counted_bisections(monkeypatch)
+    gammas = [find_fixed_point(T, a, Config(bisection_tol=tol)).gamma.hex() for tol in (1e-16, 1e-300)]
+    assert gammas == ["0x1.2ff272d640a73p-2"] * 2
+    assert counts[0] == counts[1] and sum(counts[1]) <= 64
+
+
+def canonical_resolvents(rng, kind):
+    """Canonical forms of ``kind`` whose bases have condition numbers 1..1e6 and
+    whose eigenvalues are scaled by 1e-3..1e3, each with coordinates whose
+    resolvent norm is 1/2 at gamma = 0, and the top of its bisection bracket."""
+    for _ in range(40):
+        cond, scale = 10.0 ** rng.uniform(0.0, 6.0), 10.0 ** rng.uniform(-3.0, 3.0)
+        q1, q2 = (np.linalg.qr(rng.standard_normal((2, 2)))[0] for _ in range(2))
+        basis = q1 @ np.diag([math.sqrt(cond), 1.0 / math.sqrt(cond)]) @ q2
+        if kind is RealDiagonalizable:
+            major, minor = sorted(scale * rng.uniform([0.3, -2.5], [2.5, 2.5]), reverse=True)
+            form = RealDiagonalizable(major, minor, basis)
+            hi = min(major, minor) if minor > 0.0 else major
+        elif kind is JordanBlock:
+            form = JordanBlock(scale * rng.uniform(0.3, 2.0), basis)
+            hi = form.eigenvalue
+        else:
+            form = ComplexPair(scale * rng.uniform(0.5, 2.0), rng.uniform(0.01, 1.5), basis)
+            hi = form.modulus * math.cos(form.angle)
+        coords = rng.standard_normal(2)
+        coords *= 0.5 / float(np.linalg.norm(_resolvent(form, coords)(0.0)))
+        yield form, coords, hi * (1.0 - 1e-10)
+
+
+@pytest.mark.parametrize("kind", [RealDiagonalizable, JordanBlock, ComplexPair])
+def test_screen_radius_bounds_the_exact_norm(kind):
+    rng = np.random.default_rng(64)
+    checked = differ = 0
+    for form, coords, hi in canonical_resolvents(rng, kind):
+        vector, screen = _resolvent(form, coords), _resolvent(form, coords, screen=True)
+
+        def exact(gamma):
+            v = vector(gamma)
+            return math.sqrt(float(v.dot(v)))
+
+        gammas = np.linspace(0.0, hi, 41).tolist()
+        gammas += [hi * (1.0 - 10.0 ** -k) for k in range(1, 11)]  # up to the guard
+        try:
+            cross = _bisect_to_one(exact, 0.0, hi, Config(), "probe")
+            gammas += [cross * (1.0 + k * 2.0**-52) for k in range(-64, 65)]
+        except HypothesisNotMet:  # a complex pair whose norm stays below 1
+            pass
+        for gamma in gammas:
+            value, radius = screen(gamma)
+            assert abs(value - exact(gamma)) <= radius, (form, coords, gamma)
+            checked += 1
+            differ += value != exact(gamma)
+    # the bound is exercised: the screen's bits often differ from NumPy's
+    assert checked >= 40 * 51 and differ > 0
+
+
+def conditioned_calls(rng):
+    """Solver and witness calls on conjugators with condition numbers up to 1e4
+    and matrix scales 1e-3..1e3."""
+    calls = []
+    for k in range(60):
+        while True:
+            A = random_conjugator(rng, 1e4) @ np.diag([1.0, 10.0 ** -rng.uniform(0.0, 4.0)])
+            if np.linalg.cond(A) <= 1e4:
+                break
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        B = [
+            np.diag([rng.uniform(0.3, 2.5), rng.uniform(-2.5, 2.5)]),
+            np.array([[1.0, 1.0], [0.0, 1.0]]) * rng.uniform(0.3, 2.0),
+            rotation(10.0 ** rng.uniform(-4.5, 0.0)),
+            rotation(rng.uniform(1.7, 3.0)),
+        ][k % 4]
+        T = scale * (A @ B @ matrix_inverse(A))
+        a = translation_with_pullback(rng, T, rng.uniform(0.1, 0.95))
+        calls += [lambda T=T, a=a: find_fixed_point(T, a), lambda T=T: choose_nondistal_witness(T)]
+    return calls
+
+
+def outcome(call):
+    try:
+        return result_fields(call())
+    except SphereDistalError as err:
+        return type(err).__name__, str(err)
+
+
+def test_screened_solvers_match_a_naive_bisection_on_conditioned_inputs(monkeypatch):
+    from sphere_distal import fixed_points
+
+    got = [outcome(call) for call in conditioned_calls(np.random.default_rng(65))]
+    with monkeypatch.context() as patch:
+        patch.setattr(fixed_points, "_bracketed_point", naive_bracketed_point)
+        want = [outcome(call) for call in conditioned_calls(np.random.default_rng(65))]
+    assert got == want
+    assert {
+        BRANCH_BISECTION, BRANCH_BISECTION_DEFECTIVE, BRANCH_BISECTION_ROTATION,
+        BRANCH_BISECTION_DOUBLE_ANGLE, BRANCH_BISECTION_LARGE_TRANSLATION,
+    } <= {g[-1] for g in got}
+    # a radius too wide to decide a step would fall back to NumPy on every step:
+    # two exact evaluations open a bisection and two close it
+    counts = counted_bisections(monkeypatch)
+    for call in bisection_calls(np.random.default_rng(62)):
+        call()
+    assert len(counts) >= 150 and max(exact for exact, _ in counts) <= 4
 
 
 def test_witness_cases_a_and_c_match_the_public_solvers():
