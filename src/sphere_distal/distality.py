@@ -23,8 +23,6 @@ import numpy as np
 from .config import DEFAULT_CONFIG, Config, check_count
 from .errors import DimensionMismatch, DimensionUnsupported, InvalidTranslation, SpecParseError
 from .linalg import (
-    _SCREEN_SLACK,
-    _norm_screen,
     _operator_norm,
     _operator_norms,
     _spectral_summary,
@@ -421,7 +419,7 @@ def _classify(T: np.ndarray, unit: np.ndarray, config: Config) -> DistalityVerdi
     """``classify_projective_distality`` of a validated T whose unimodular
     normalization ``unit`` the caller has already computed."""
     summary = _spectral_summary(unit, config)
-    moduli = [abs(lam) for lam in summary.eigenvalues]
+    moduli = [abs(lam) for lam in summary.eigenvalues]  # floats: the eigenvalues are Python complex
     budget = {
         "spectral_tol": config.spectral_tol,
         "oracle_iterations": config.oracle.iterations,
@@ -432,14 +430,8 @@ def _classify(T: np.ndarray, unit: np.ndarray, config: Config) -> DistalityVerdi
         cert = SpectralProof(eigenvalues=summary.eigenvalues, semisimple=True)
         return DistalityVerdict(Verdict.DISTAL, cert, budget, seed)
     if unimodular and summary.semisimple is None:
-        cert = BudgetExhausted(
-            {
-                "reason": "ambiguous-rank-test",
-                "moduli": [float(mod) for mod in moduli],
-                "rank_tol": config.rank_tol,
-            }
-        )
-        return DistalityVerdict(Verdict.INCONCLUSIVE, cert, budget, seed)
+        reason = {"reason": "ambiguous-rank-test", "moduli": moduli, "rank_tol": config.rank_tol}
+        return DistalityVerdict(Verdict.INCONCLUSIVE, BudgetExhausted(reason), budget, seed)
 
     # T passed det_root's singularity gate, so the map needs no second check
     m = AffineSphereMap(T, np.zeros(len(T)), Regime.PROJECTIVE, 0.0)
@@ -451,9 +443,7 @@ def _classify(T: np.ndarray, unit: np.ndarray, config: Config) -> DistalityVerdi
         # moduli straddle the band edge too tightly to split; fall back to the oracle
         found = proximal_pair_search(m, seed=seed, config=config)
         if found is None:
-            cert = BudgetExhausted(
-                {"reason": "band-edge-spectrum", "moduli": [float(mod) for mod in moduli]}
-            )
+            cert = BudgetExhausted({"reason": "band-edge-spectrum", "moduli": moduli})
             return DistalityVerdict(Verdict.INCONCLUSIVE, cert, budget, seed)
         return DistalityVerdict(Verdict.NOT_DISTAL, found, budget, seed)
     # measure the pair: the earliest minimum separation within the budget
@@ -480,101 +470,76 @@ def _word_product(units: list, word) -> np.ndarray:
     return M
 
 
-def _word_levels(units: list, max_len: int):
-    """Yield (products, screen) for each word length 1..max_len.
-
-    ``products[k]`` is the product of the k-th word of that length in
-    ``itertools.product`` order (see ``_word_at``) and ``screen[k]`` its
-    ``_norm_screen`` value, within ``_SCREEN_SLACK`` of its norm.  Each level
-    comes from the one before in one stacked matmul: the product of
-    ``word + (i,)`` is the product of ``word`` times ``units[i]``, the same
-    left fold as ``_word_product``, so every product is bit-identical to it.
-    Only the previous level is kept.
-    """
-    U = np.stack(units)
-    d = U.shape[1]
-    level = U
-    for length in range(1, max_len + 1):
-        if length > 1:
-            level = (level[:, None] @ U[None]).reshape(-1, d, d)
-        yield level, _norm_screen(level)
-
-
-# The screen's rounding radius.  A 2x2 product computed in float64, in any
-# summation order and with or without FMA, has |fl(AB) - AB| <= gamma_2 |A||B|
+# The screen's rounding radius.  A d x d product computed in float64, in any
+# summation order and with or without FMA, has |fl(AB) - AB| <= gamma_d |A||B|
 # entrywise, with gamma_n = n u / (1 - n u) and u = 2^-53 (Higham, Accuracy and
 # Stability of Numerical Algorithms, 2nd ed., section 3.5).  Fold a word w of
 # length k one factor at a time, C_j = fl(C_(j-1) U_wj), and let P_j and Q_j be
 # the exact products of the first j factors U_wi and of their |U_wi|.  By
-# induction, |C_j| <= (1 + gamma_2)^(j-1) Q_j and
-#   |C_j - P_j| <= |C_(j-1) - P_(j-1)| |U_wj| + gamma_2 |C_(j-1)| |U_wj|
-#              <= ((1 + gamma_2)^(j-1) - 1) Q_j <= gamma_(2(j-1)) Q_j,
+# induction, |C_j| <= (1 + gamma_d)^(j-1) Q_j and
+#   |C_j - P_j| <= |C_(j-1) - P_(j-1)| |U_wj| + gamma_d |C_(j-1)| |U_wj|
+#              <= ((1 + gamma_d)^(j-1) - 1) Q_j <= gamma_(d(j-1)) Q_j,
 # the last step by Higham's Lemma 3.3.  ``_word_product`` and a GEMM level are
 # two such computations of P_k, so their difference is at most
-# 2 gamma_(2(k-1)) ||Q_k||_F in the Frobenius norm.  With c the largest absolute
-# row sum of a unit, Q_k 1 <= c^k 1, so ||Q_k||_F <= sqrt(2) c^k and
-#   radius = 2 sqrt(2) gamma_(2(k-1)) c^k
+# 2 gamma_(d(k-1)) ||Q_k||_F in the Frobenius norm.  With c the largest absolute
+# row sum of a unit, Q_k 1 <= c^k 1, so ||Q_k||_F <= sqrt(d) c^k and
+#   radius = 2 sqrt(d) gamma_(d(k-1)) c^k
 # bounds ||fold - level||_2, hence ||fold||_2 <= ||level||_F + radius.  The
-# closed forms round too: ``_operator_norm`` lies at most 5u above the norm of
-# its matrix (the four sums, hypot within one ulp, the last sum), and the
-# screen's Frobenius norm at most 3u below (each square, two sums, sqrt).
-# Those ulps and the rounding of the radius and the threshold come to under
-# 2e-15 relative, which _SCREEN_SLACK covers 500-fold:
+# norms round too: ``_operator_norm`` lies at most 5u above the norm of a 2x2
+# matrix (the four sums, hypot within one ulp, the last sum); for a 3x3 one it
+# is LAPACK's largest singular value, which is backward stable and was at most
+# 9u off over 2x10^4 random matrices.  The screen's Frobenius norm lies at
+# most (d^2 + 2) u / 2 below (each square, d^2 - 1 sums, sqrt).  Those ulps and
+# the rounding of the radius and the threshold come to under 2e-15 relative
+# for d = 2 and under 4e-15 for d = 3, which _SCREEN_SLACK covers 250-fold:
 #   (1 - _SCREEN_SLACK) * _operator_norm(fold) <= frobenius + radius.
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
+# relative slack for those ulps; by the same count, a word whose Frobenius norm
+# is below (1 - _SCREEN_SLACK) times a norm of its level cannot hold the largest
+_SCREEN_SLACK = 1e-12
 
 
-def _frobenius_levels(units: list, max_len: int):
-    """Yield (level, frobenius, radius) for each word length 1..max_len of 2x2 units.
+def _word_levels(units: list, max_len: int):
+    """Yield (level, frobenius, radius) for each word length 1..max_len of d x d units.
 
     ``level`` holds the product of every word of that length as the rows of
-    one (2 g^length, 2) array, ordered (first letter, matrix row, remaining
+    one (d g^length, d) array, ordered (first letter, matrix row, remaining
     letters).  The next level is ``level @ [U_0 | U_1 | ...]``, one 2-D GEMM,
-    reshaped to two columns: row (w, r) times U_i is row r of the product of
+    reshaped to d columns: row (w, r) times U_i is row r of the product of
     w + (i,), so the order carries over.  ``frobenius[k]`` is the Frobenius
     norm of the k-th word's product in ``itertools.product`` order (see
     ``_word_at``), read off without a copy.  The GEMM need not round as
     ``_word_product`` does; ``radius`` covers the gap, see the note above.
     """
-    g = len(units)
+    g, d = len(units), len(units[0])
     H = np.concatenate(units, axis=1)
     level = np.concatenate(units)
-    c = max(abs(x) + abs(y) for x, y in level.tolist())
+    c = max(map(math.fsum, np.abs(level).tolist()))
     scale = c
     for length in range(1, max_len + 1):
         if length > 1:
-            level = (level @ H).reshape(-1, 2)
+            level = (level @ H).reshape(-1, d)
             scale *= c
-        squares = np.square(level).reshape(g, 2, -1)  # (first letter, row, rest and column)
-        rows = (squares[:, 0] + squares[:, 1]).reshape(-1, 2)
+        squares = np.square(level).reshape(g, d, -1)  # (first letter, row, rest and column)
+        rows = squares[:, 0] + squares[:, 1]
+        if d == 3:
+            rows += squares[:, 2]
+        rows = rows.reshape(-1, d)
         frobenius = rows[:, 0] + rows[:, 1]
+        if d == 3:
+            frobenius += rows[:, 2]
         np.sqrt(frobenius, out=frobenius)
-        n = 2 * (length - 1)
+        n = d * (length - 1)
         gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
-        yield level, frobenius, 2.0 * math.sqrt(2.0) * gamma * scale
+        yield level, frobenius, 2.0 * math.sqrt(d) * gamma * scale
 
 
-def _screened_unbounded_word(units: list, max_len: int, bound: float):
-    """The first word of length <= max_len, in sweep order, whose 2x2 product
-    has an ``_operator_norm`` above bound, with that norm; None if there is none.
-
-    Every such word has a Frobenius norm above the threshold below, since
-    ||W||_2 <= ||W||_F.  So only the flagged words are multiplied out by
-    ``_word_product`` and measured exactly, in sweep order.  For a unimodular
-    W, ||W||_F^2 = sigma_1^2 + 1 / sigma_1^2, so against a bound well above 1
-    few words are flagged.
-    """
-    g = len(units)
-    # a very large bound lets a level overflow, in the GEMM or the squares,
-    # to inf or NaN: quietly, and ``<=`` is False for both, so they are flagged
-    with np.errstate(over="ignore", invalid="ignore"):
-        for length, (_, frobenius, radius) in enumerate(_frobenius_levels(units, max_len), 1):
-            for k in np.flatnonzero(~(frobenius <= bound * (1.0 - _SCREEN_SLACK) - radius)):
-                word = _word_at(int(k), g, length)
-                norm = _operator_norm(_word_product(units, word))
-                if norm > bound:
-                    return word, norm
-    return None
+def _level_norms(level: np.ndarray, g: int, idx: np.ndarray) -> np.ndarray:
+    """``_operator_norms`` of the products of the words numbered idx (an array)
+    in a ``_word_levels`` level, gathered as one (n, d, d) stack."""
+    d = level.shape[1]
+    first, rest = np.divmod(idx, len(level) // (g * d))
+    return _operator_norms(level.reshape(g, d, -1, d)[first, :, rest])
 
 
 def _word_at(index: int, g: int, length: int) -> tuple:
@@ -588,13 +553,27 @@ def _word_at(index: int, g: int, length: int) -> tuple:
 
 def _random_words(units: list, min_len: int, max_len: int, rng, n_random: int):
     """Yield n_random (word, product) pairs of random words with lengths in
-    [min_len, max_len].  The products are validated by ``as_matrix``:
-    nothing bounds the norms of their factors, so they can overflow."""
+    [min_len, max_len].  Nothing bounds the norms of their factors, so a
+    product can overflow, quietly, to inf or NaN."""
     g = len(units)
     for _ in range(n_random):
         length = int(rng.integers(min_len, max_len + 1))
         word = tuple(int(i) for i in rng.integers(0, g, size=length))
-        yield word, as_matrix(_word_product(units, word))
+        with np.errstate(over="ignore", invalid="ignore"):
+            M = _word_product(units, word)
+        yield word, M
+
+
+def _unbounded_prefix(units: list, word: tuple, bound: float):
+    """The shortest prefix of word whose product has an ``_operator_norm`` above
+    bound, with that norm.  The prefix products are the ones ``_word_product``
+    folds, each one factor on from the last; a word whose product overflows
+    has such a prefix, as the fold passes the bound before it overflows."""
+    prefixes = itertools.accumulate(word[1:], lambda M, i: M @ units[i], initial=units[word[0]])
+    for length, M in enumerate(prefixes, 1):
+        norm = _operator_norm(M)
+        if norm > bound:
+            return word[:length], norm
 
 
 def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFIG) -> DistalityVerdict:
@@ -606,17 +585,19 @@ def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFI
     sampled words.  With <= 3 generators the sweep checks every word up to
     length 8, one word length at a time, and random words beyond; it ends
     at the first word whose norm exceeds the bound, the ``UnboundedWord``.
-    2x2 words are screened first: one GEMM per length builds every product
-    and its Frobenius norm, an upper bound on the operator norm.  Only the
-    words whose Frobenius norm reaches the bound less a proven rounding
-    radius are multiplied out exactly, one by one, and the first whose exact
-    norm is above the bound is reported.  A 2x2 sweep that finds none, and
-    every 3x3 sweep, takes the exact norms level by level.
-    The oracle gets the generators and, picked by the seeded generator,
-    swept words of length >= 2.  A clean sweep is reported as Distal with
-    ``words_checked``, ``max_word_norm`` (the largest norm of those words)
-    and the budget attached as provenance, because compactness of the
-    closure is only semi-decidable numerically.  For non-closed semigroups the cyclic
+    One GEMM per length builds every product of that length and its
+    Frobenius norm, an upper bound on the operator norm.  Only the words
+    whose Frobenius norm reaches the bound less a proven rounding radius are
+    multiplied out from the left, one by one, and the first whose exact norm
+    is above the bound is reported with that norm, the left fold's.  A random
+    word whose product overflows is reported by its shortest prefix above
+    the bound.  The oracle gets the generators and, picked by the seeded
+    generator, swept words of length >= 2.  A clean sweep is reported as
+    Distal with ``words_checked``, ``max_word_norm`` (the largest norm of
+    those words; for a swept word, the norm of its GEMM product, which
+    equals the left fold's where the BLAS rounds as the fold does) and the
+    budget attached as provenance, because compactness of the closure is
+    only semi-decidable numerically.  For non-closed semigroups the cyclic
     shortcut is heuristic evidence, not a theorem: the closed-semigroup
     equivalence needs the closure.
     """
@@ -661,54 +642,43 @@ def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFI
         cert = UnboundedWord(word=word, norm=float(norm), bound=float(bound))
         return DistalityVerdict(Verdict.NOT_DISTAL, cert, budget, seed)
 
-    # every word up to length 8 for <= 3 generators, level by level.  2x2
-    # words go through the Frobenius screen first, which finds the first
-    # norm above the bound if there is one
+    # every word up to length 8 for <= 3 generators, one level per length.  A
+    # word whose norm is above the bound has a Frobenius norm above the
+    # threshold, since ||W||_2 <= ||W||_F, so only the words the screen flags
+    # are multiplied out and measured, in sweep order.  For a unimodular 2x2 W,
+    # ||W||_F^2 = sigma_1^2 + 1 / sigma_1^2, so against a bound well above 1
+    # few words are flagged.  A very large bound lets a level overflow, in the
+    # GEMM or the squares, to inf or NaN: quietly, and ``<=`` is False for
+    # both, so they are flagged.  The levels are kept for ``max_word_norm``.
     exhaustive_len = min(max_len, 8) if g <= 3 else 0
-    if d == 2:
-        found = _screened_unbounded_word(units, exhaustive_len, bound)
-        if found is not None:
-            return unbounded(*found)
-    # the exact sweep ends at the first norm above the bound, so every product
-    # a level extends is bounded and needs no finiteness check.  Only the words
-    # whose screen is within the slack of min(bound, the level's top screen)
-    # need an exact norm (a d >= 3 screen is one already): they hold every
-    # norm above the bound and the level's largest norm.  A 2x2 level holds
-    # no norm above the bound, as the Frobenius screen found none, so its
-    # near-top products are kept for ``max_word_norm``, which only a Distal
-    # verdict reports, and their exact norms are taken there.
-    words_checked = 0
-    max_norm = 0.0
-    near_top = []
-    for length, (level, screen) in enumerate(_word_levels(units, exhaustive_len), 1):
-        words_checked += len(screen)
-        idx = np.flatnonzero(screen > min(bound, screen.max()) * (1.0 - _SCREEN_SLACK))
-        if d == 2:
-            near_top.append(level.take(idx, axis=0))
-            continue
-        norms = screen[idx]
-        top = float(norms.max())
-        if top > bound:
-            j = int(np.argmax(norms > bound))
-            return unbounded(_word_at(int(idx[j]), g, length), norms[j])
-        max_norm = max(max_norm, top)
+    levels = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for length, (level, frobenius, radius) in enumerate(_word_levels(units, exhaustive_len), 1):
+            for k in np.flatnonzero(~(frobenius <= bound * (1.0 - _SCREEN_SLACK) - radius)):
+                word = _word_at(int(k), g, length)
+                norm = _operator_norm(_word_product(units, word))
+                if norm > bound:
+                    return unbounded(word, norm)
+            levels.append((level, frobenius))
     # random words beyond, one at a time; those longer than 1 join the
     # oracle's candidates after every swept word of length >= 2.  Nothing
     # draws from the seeded generator before this point.
     rng = np.random.default_rng(seed)
     tail: list[tuple] = []
-    if max_len > exhaustive_len:
-        for word, M in _random_words(units, exhaustive_len + 1, max_len, rng, config.random_words):
-            norm = _operator_norm(M)
-            words_checked += 1
-            max_norm = max(max_norm, norm)
-            if norm > bound:
-                return unbounded(word, norm)
-            if len(word) > 1:
-                tail.append(word)
+    max_norm = 0.0
+    n_random = config.random_words if max_len > exhaustive_len else 0
+    for word, M in _random_words(units, exhaustive_len + 1, max_len, rng, n_random):
+        if not np.isfinite(M).all():
+            return unbounded(*_unbounded_prefix(units, word, bound))
+        norm = _operator_norm(M)
+        max_norm = max(max_norm, norm)
+        if norm > bound:
+            return unbounded(word, norm)
+        if len(word) > 1:
+            tail.append(word)
 
-    swept = sum(g**length for length in range(2, exhaustive_len + 1))
-    candidates = swept + len(tail)
+    swept = [len(frobenius) for _, frobenius in levels]  # words per length
+    candidates = sum(swept[1:]) + len(tail)
     oracle_words = [(i,) for i in range(g)]
     if candidates and n_oracle > g:
         picks = rng.choice(candidates, size=min(n_oracle - g, candidates), replace=False)
@@ -730,16 +700,14 @@ def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFI
     if ambiguous:
         cert = BudgetExhausted({"reason": "ambiguous-generator", **budget})
         return DistalityVerdict(Verdict.INCONCLUSIVE, cert, budget, seed)
-    if near_top:
-        max_norm = max(max_norm, float(_operator_norms(np.concatenate(near_top)).max()))
-    cert = BudgetExhausted(
-        {
-            "words_checked": words_checked,
-            "max_word_norm": float(max_norm),
-            **budget,
-        }
-    )
-    return DistalityVerdict(Verdict.DISTAL, cert, budget, seed)
+    # a level's largest norm is among the words whose Frobenius norm reaches
+    # the norm of its largest-Frobenius product, less the slack
+    for level, frobenius in levels:
+        top = _level_norms(level, g, np.argmax(frobenius, keepdims=True))[0]
+        near = np.flatnonzero(frobenius >= (1.0 - _SCREEN_SLACK) * top)
+        max_norm = max(max_norm, float(_level_norms(level, g, near).max()))
+    checked = {"words_checked": sum(swept) + n_random, "max_word_norm": float(max_norm)}
+    return DistalityVerdict(Verdict.DISTAL, BudgetExhausted({**checked, **budget}), budget, seed)
 
 
 # --- certificate replay --------------------------------------------------------

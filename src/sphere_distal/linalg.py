@@ -72,51 +72,27 @@ def _operator_norm(T: np.ndarray) -> float:
     """``operator_norm`` of a matrix that is already square, real and finite."""
     if T.shape[0] == 2:
         (a, b), (c, d) = T.tolist()
-        return _norm_2x2(a + d, b - c, a - d, b + c)
+        return (math.hypot(a + d, b - c) + math.hypot(a - d, b + c)) / 2.0
     return float(np.linalg.svd(T, compute_uv=False)[0])
 
 
-# relative gap that a ``_norm_screen`` value may keep from ``_operator_norm``.
-# The largest gap measured over 2x10^5 random 2x2 matrices (seeds 0 and 1)
-# with entries scaled from e^-20 to e^20 was 3.1e-16, a margin of over
-# 1000x: a norm above x always has a screen above x * (1 - _SCREEN_SLACK).
-_SCREEN_SLACK = 1e-12
-
-
-def _norm_screen(Ts: np.ndarray) -> np.ndarray:
-    """The operator norm of each matrix in a stack (n, d, d), in one NumPy pass.
-
-    d >= 3 takes one stacked SVD, which runs the same LAPACK routine per
-    matrix, so its values are exactly ``_operator_norm``.  2x2 takes the
-    closed form through ``np.hypot``, which rounds differently from
-    ``math.hypot``: its values are only within ``_SCREEN_SLACK`` (relative)
-    of the exact norms, which ``_operator_norms`` computes.
-    """
-    if Ts.shape[1] == 2:
-        a, b, c, d = Ts.reshape(-1, 4).T
-        return (np.hypot(a + d, b - c) + np.hypot(a - d, b + c)) / 2.0
-    return np.linalg.svd(Ts, compute_uv=False)[:, 0]
-
-
 def _operator_norms(Ts: np.ndarray) -> np.ndarray:
-    """``_operator_norm`` of each matrix in a stack (n, 2, 2), as an array.
+    """``_operator_norm`` of each matrix in a stack (n, d, d), as an array.
 
-    Bit-identical to one ``_operator_norm`` call per matrix: the sums are
-    taken column-wise in the same float64 arithmetic and fed to the same
-    ``math.hypot``, and ``_norm_2x2``'s sum and halving round the same in
+    Bit-identical to one ``_operator_norm`` call per matrix.  d >= 3 takes
+    one stacked SVD, which runs the same LAPACK routine per matrix.  For 2x2
+    the sums are taken column-wise in the same float64 arithmetic and fed to
+    the same ``math.hypot``, and the last sum and halving round the same in
     NumPy as in Python.
     """
+    if Ts.shape[1] != 2:
+        return np.linalg.svd(Ts, compute_uv=False)[:, 0]
     a, b, c, d = Ts.reshape(-1, 4).T
     n, h = len(Ts), math.hypot
     norms = np.fromiter(map(h, (a + d).tolist(), (b - c).tolist()), float, n)
     norms += np.fromiter(map(h, (a - d).tolist(), (b + c).tolist()), float, n)
     norms /= 2.0
     return norms
-
-
-def _norm_2x2(p: float, q: float, r: float, s: float) -> float:
-    """The 2x2 operator norm from p = a+d, q = b-c, r = a-d, s = b+c."""
-    return (math.hypot(p, q) + math.hypot(r, s)) / 2.0
 
 
 def is_orthogonal(T: np.ndarray, tol: float = 1e-9) -> bool:

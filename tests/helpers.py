@@ -262,3 +262,21 @@ def distality_implies_linear_distality_check(T, config=DEFAULT_CONFIG) -> bool:
     trivial_fwd = contraction_subspace(T, config).shape[1] == 0
     trivial_bwd = contraction_subspace(matrix_inverse(T, config), config).shape[1] == 0
     return trivial_fwd and trivial_bwd
+
+
+def level_products(level, g):
+    """A ``_word_levels`` level of g letters as one (d, d) product per word,
+    in ``itertools.product`` order: its rows are (first letter, matrix row,
+    remaining letters)."""
+    d = level.shape[1]
+    return level.reshape(g, d, -1, d).transpose(0, 2, 1, 3).reshape(-1, d, d)
+
+
+# three conjugated quarter turns (stretch 1.2), every word up to length 8
+# bounded at the default bound; the product of the first random word of a
+# 50,000-letter budget with seed 0 overflows
+OVERFLOWING_TAIL_SET = (
+    [[-0.021144284675747613, -1.5437136439800319], [1.543713643980032, -0.021144284675747575]],
+    [[0.17697989758798946, -2.5370447963740292], [1.2445359706555674, -0.09539201969327563]],
+    [[0.009416609970634923, -0.9696403220175283], [1.3851487570800296, 0.0969771951307421]],
+)

@@ -12,6 +12,7 @@ import pytest
 
 from helpers import (
     conjugate_to_large_norm,
+    level_products,
     random_complex_2x2,
     random_conjugator,
     random_invertible,
@@ -304,7 +305,7 @@ def test_criterion_7_semigroup_tests():
     v_good = semigroup_distality_test(spec_good)
     assert v_good.verdict is Verdict.DISTAL
     units = [normalize_to_unimodular(G).unit for G in spec_good.generators]
-    norms = [operator_norm(M) for products, _ in _word_levels(units, 8) for M in products]
+    norms = [operator_norm(M) for level, _, _ in _word_levels(units, 8) for M in level_products(level, 2)]
     assert len(norms) == 2**9 - 2
     assert max(abs(n - 1.0) for n in norms) < 1e-9
 

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import OVERFLOWING_TAIL_SET
 from sphere_distal import cli, errors
 from sphere_distal.cli import main
 from sphere_distal.linalg import rotation
@@ -595,6 +596,15 @@ def test_semigroup_zero_budget_with_four_generators(tmp_path, capsys):
     assert code == 0
     assert report["result"]["verdict"] == "distal"
     assert report["result"]["certificate"]["parameters"]["words_checked"] == 0
+
+
+def test_semigroup_random_word_whose_product_overflows_exits_1(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    gens = [{"dim": 2, "rows": rows} for rows in OVERFLOWING_TAIL_SET]
+    spec.write_text(json.dumps({"generators": gens, "word_length_budget": 50000, "sample_count": 0}))
+    code, report, err = run_cli(capsys, ["semigroup", str(spec)])
+    assert code == 1 and err == ""
+    assert report["result"]["certificate"]["kind"] == "unbounded-word"
 
 
 def test_semigroup_oracle_delta_near_two_exits_0(tmp_path, capsys):

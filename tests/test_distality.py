@@ -1,13 +1,16 @@
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from helpers import (
+    OVERFLOWING_TAIL_SET,
     conjugate_to_large_norm,
     distality_implies_linear_distality_check,
+    level_products,
     naive_apply_many,
     naive_power_stack,
     random_conjugator,
@@ -36,8 +39,9 @@ from sphere_distal import (
 )
 from sphere_distal import distality
 from sphere_distal.distality import (
-    _frobenius_levels,
+    _SCREEN_SLACK,
     _jordan_collapse_pair,
+    _level_norms,
     _pair_blocks,
     _power_stack,
     _random_words,
@@ -51,8 +55,6 @@ from sphere_distal.distality import (
 )
 from sphere_distal.fixed_points import _circle_pair_search
 from sphere_distal.linalg import (
-    _SCREEN_SLACK,
-    _norm_screen,
     _operator_norm,
     _operator_norms,
     matrix_inverse,
@@ -565,15 +567,17 @@ def test_enumerate_words_matches_the_naive_fold(g, d):
     for max_len in range(1, 9):
         levels = list(_word_levels(units, max_len))
         assert len(levels) == max_len
-        for length, (products, screen) in enumerate(levels, 1):
+        for length, (level, frobenius, _) in enumerate(levels, 1):
             words = list(itertools.product(range(g), repeat=length))
-            assert products.shape == (len(words), d, d) and screen.shape == (len(words),)
-            exact = _operator_norms(products) if d == 2 else screen.tolist()
+            products = level_products(level, g)
+            assert products.shape == (len(words), d, d) and frobenius.shape == (len(words),)
+            exact = _operator_norms(products)
+            assert np.array_equal(_level_norms(level, g, np.arange(len(words))[::-1]), exact[::-1])
             for k, word in enumerate(words):
                 assert _word_at(k, g, length) == word
                 assert np.array_equal(products[k], reference[word]), word
                 assert exact[k] == operator_norm(reference[word]), word
-                assert abs(screen[k] - exact[k]) <= _SCREEN_SLACK * exact[k], word
+                assert exact[k] <= frobenius[k] * (1 + _SCREEN_SLACK), word
 
 
 @pytest.mark.parametrize("g, max_len", [(4, 6), (3, 11)])
@@ -582,8 +586,8 @@ def test_enumerate_words_random_tail_unchanged(g, max_len):
     exhaustive_len = min(max_len, 8) if g <= 3 else 0
     got = [
         (_word_at(k, g, length), M)
-        for length, (products, _) in enumerate(_word_levels(units, exhaustive_len), 1)
-        for k, M in enumerate(products)
+        for length, (level, _, _) in enumerate(_word_levels(units, exhaustive_len), 1)
+        for k, M in enumerate(level_products(level, g))
     ]
     got += _random_words(units, exhaustive_len + 1, max_len, np.random.default_rng(7), 40)
     want = list(naive_enumerate_words(units, max_len, np.random.default_rng(7), 40))
@@ -600,13 +604,11 @@ def test_word_at_decodes_product_order(g):
         assert all(type(i) is int for i in _word_at(len(words) - 1, g, length))
 
 
-def test_norm_screen_is_within_a_few_ulps_of_the_exact_norm():
-    rng = np.random.default_rng(2024)
-    Ts = rng.standard_normal((20000, 2, 2)) * 10.0 ** rng.uniform(-9, 9, (20000, 2, 2))
-    exact = _operator_norms(Ts)
-    gap = float(np.max(np.abs(_norm_screen(Ts) - exact) / exact))
-    assert gap <= 4 * np.finfo(float).eps
-    assert 1000 * gap <= _SCREEN_SLACK
+def _hypot_norm(U):
+    """The 2x2 closed-form norm through ``np.hypot``, which rounds otherwise
+    than ``operator_norm``: it picks inputs whose exact norm rounds up or down."""
+    (a, b), (c, d) = U
+    return (np.hypot(a + d, b - c) + np.hypot(a - d, b + c)) / 2.0
 
 
 def test_sweep_confirms_a_screen_above_the_exact_norm():
@@ -617,7 +619,7 @@ def test_sweep_confirms_a_screen_above_the_exact_norm():
         C = random_conjugator(rng)
         return normalize_to_unimodular(C @ rotation(rng.uniform(0, 2 * math.pi)) @ matrix_inverse(C)).unit
 
-    U = next(U for U in (draw() for _ in range(5000)) if _norm_screen(U[None])[0] > operator_norm(U))
+    U = next(U for U in (draw() for _ in range(5000)) if _hypot_norm(U) > operator_norm(U))
     exact = operator_norm(U)
     spec = SemigroupSpec((U,), word_length_budget=1, sample_count=0)
     v = semigroup_distality_test(spec, Config(growth_factor=exact / 2))
@@ -626,16 +628,28 @@ def test_sweep_confirms_a_screen_above_the_exact_norm():
     assert v.certificate.parameters["max_word_norm"] == exact
 
 
-def _conditioned_units(rng, g, max_cond):
-    """g unimodular rotations, each under its own change of basis whose
+def _conditioned_units(rng, g, max_cond, d=2):
+    """g unimodular rotations of R^d, each under its own change of basis whose
     condition number is drawn log-uniformly from 1..max_cond."""
     units = []
     for _ in range(g):
         k = math.sqrt(math.exp(rng.uniform(0.0, math.log(max_cond))))
-        C = rotation(rng.uniform(0, 2 * math.pi)) @ np.diag([k, 1.0 / k]) @ rotation(rng.uniform(0, 2 * math.pi))
-        R = rotation(rng.uniform(0.2, 3.0))
+        if d == 2:
+            C = rotation(rng.uniform(0, 2 * math.pi)) @ np.diag([k, 1.0 / k])
+            C = C @ rotation(rng.uniform(0, 2 * math.pi))
+            R = rotation(rng.uniform(0.2, 3.0))
+        else:
+            C = random_orthogonal_3x3(rng) @ np.diag([k, 1.0, 1.0 / k]) @ random_orthogonal_3x3(rng)
+            Q = random_orthogonal_3x3(rng)
+            R = Q @ _embed(rotation(rng.uniform(0.2, 3.0)), 3) @ Q.T
         units.append(normalize_to_unimodular(C @ R @ matrix_inverse(C)).unit)
     return units
+
+
+def _with_d3(cases):
+    """Each case for d = 2 under its id without d, then for d = 3 under that id and "-d3"."""
+    ids = {case: "-".join(map(str, case)) for case in cases}
+    return [pytest.param(*case, d, id=ids[case] + ("-d3" if d == 3 else "")) for d in (2, 3) for case in ids]
 
 
 def _right_fold(units, word):
@@ -646,21 +660,20 @@ def _right_fold(units, word):
     return M
 
 
-@pytest.mark.parametrize("max_cond", [1.0, 30.0, 1e3])
-@pytest.mark.parametrize("g", [1, 2, 3])
-def test_frobenius_screen_radius_covers_every_computed_product(g, max_cond):
+@pytest.mark.parametrize("g, max_cond, d", _with_d3(itertools.product([1, 2, 3], [1.0, 30.0, 1e3])))
+def test_frobenius_screen_radius_covers_every_computed_product(g, max_cond, d):
     """Every word's GEMM level product lies within the screen's radius of the
     left fold, and of the right fold, which the same rounding bound covers;
     so (1 - _SCREEN_SLACK) * ||fold||_2 <= ||level||_F + radius, the inequality
     by which the screen can flag no fewer words than are above the bound."""
-    units = _conditioned_units(np.random.default_rng(int(100 * g + max_cond)), g, max_cond)
-    levels = list(_frobenius_levels(units, 8))
+    rng = np.random.default_rng(int(100 * g + max_cond) + 1000 * (d - 2))
+    units = _conditioned_units(rng, g, max_cond, d)
+    levels = list(_word_levels(units, 8))
     assert len(levels) == 8 and levels[0][2] == 0.0
     for length, (level, frobenius, radius) in enumerate(levels, 1):
-        # rows (first letter, matrix row, remaining letters): one 2x2 matrix per word
-        W = level.reshape(g, 2, -1, 2).transpose(0, 2, 1, 3).reshape(-1, 2, 2)
+        W = level_products(level, g)
         words = list(itertools.product(range(g), repeat=length))
-        assert W.shape == (len(words), 2, 2) and frobenius.shape == (len(words),)
+        assert W.shape == (len(words), d, d) and frobenius.shape == (len(words),)
         exact = np.linalg.norm(W, axis=(1, 2))
         assert np.all(np.abs(frobenius - exact) <= 4 * np.finfo(float).eps * exact)
         for k, word in enumerate(words):
@@ -679,22 +692,38 @@ def _three_generator_shear_set(s):
 
 
 def test_screened_sweep_multiplies_out_only_the_reported_word(monkeypatch):
-    calls = {"_word_levels": 0, "_word_product": 0}
+    """One level builder runs once per sweep, for the screen and for
+    ``max_word_norm`` alike, and only the flagged words are multiplied out."""
+    calls = {}
 
-    def counted(name):
+    def counted(name, key):
         fn = getattr(distality, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[key] += 1
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(distality, name, wrapper)
 
-    counted("_word_levels")
-    counted("_word_product")
-    v = semigroup_distality_test(SemigroupSpec(_three_generator_shear_set(1.44)))
+    for name in [name for name in vars(distality) if name.endswith("_levels")]:
+        counted(name, "builder")
+    counted("_word_product", "_word_product")
+
+    def sweep(gens):
+        calls.update(builder=0, _word_product=0)
+        return semigroup_distality_test(SemigroupSpec(gens, sample_count=0))
+
+    v = sweep(_three_generator_shear_set(1.44))
     assert isinstance(v.certificate, UnboundedWord) and len(v.certificate.word) == 7
-    assert calls == {"_word_levels": 0, "_word_product": 1}
+    assert calls == {"builder": 1, "_word_product": 1}
+    v = sweep((rotation(1.0), rotation(math.sqrt(2.0))))
+    assert v.verdict is Verdict.DISTAL and v.certificate.parameters["words_checked"] == 510
+    assert calls == {"builder": 1, "_word_product": 0}
+    # dyadic entries: the first unbounded word is the first word the screen flags
+    quarter = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    v = sweep((quarter, np.diag([4.0, 0.25, 1.0]) @ quarter))
+    assert v.certificate == UnboundedWord(word=(1, 0, 1, 0, 1), norm=64.0, bound=30.0)
+    assert calls == {"builder": 1, "_word_product": 1}
 
 
 def test_operator_norm_still_validates():
@@ -717,6 +746,22 @@ def test_unbounded_word_norm_matches_the_fold_exactly(d):
     assert isinstance(v.certificate, UnboundedWord)
     units = [normalize_to_unimodular(G).unit for G in gens]
     assert v.certificate.norm == operator_norm(_word_product(units, v.certificate.word))
+
+
+def test_random_word_whose_product_overflows_reports_its_first_unbounded_prefix():
+    gens = tuple(np.array(G) for G in OVERFLOWING_TAIL_SET)
+    spec = SemigroupSpec(gens, word_length_budget=50000, sample_count=0)
+    assert semigroup_distality_test(replace(spec, word_length_budget=8)).verdict is Verdict.DISTAL
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = semigroup_distality_test(spec)
+    cert = v.certificate
+    assert v.verdict is Verdict.NOT_DISTAL and isinstance(cert, UnboundedWord)
+    assert replay_certificate(cert, generators=gens)
+    units = [normalize_to_unimodular(G).unit for G in gens]
+    assert cert.norm == operator_norm(_word_product(units, cert.word)) > cert.bound
+    shorter = (cert.word[:n] for n in range(1, len(cert.word)))
+    assert all(operator_norm(_word_product(units, word)) <= cert.bound for word in shorter)
 
 
 # --- the level sweep against the per-word reference ------------------------------
@@ -880,13 +925,12 @@ def test_clean_sweep_matches_the_reference(monkeypatch, samples, budget, d):
     assert v.certificate.parameters["words_checked"] == swept
 
 
-@pytest.mark.parametrize("budget", range(1, 9))
-@pytest.mark.parametrize("g", [1, 2, 3])
-def test_clean_sweep_max_word_norm_matches_the_reference(monkeypatch, g, budget):
-    """Conjugated rotations with a small stretch: every 2x2 level stays below
-    the bound, so its exact norms are taken only for the Distal certificate."""
-    rng = np.random.default_rng(10 * g + budget)
-    gens = _conjugated_rotations(rng, g, 2, 0.05)
+@pytest.mark.parametrize("g, budget, d", _with_d3(itertools.product([1, 2, 3], range(1, 9))))
+def test_clean_sweep_max_word_norm_matches_the_reference(monkeypatch, g, budget, d):
+    """Conjugated rotations with a small stretch: every level stays below the
+    bound, so its exact norms are taken only for the Distal certificate."""
+    rng = np.random.default_rng(10 * g + budget + 1000 * (d - 2))
+    gens = _conjugated_rotations(rng, g, d, 0.05)
     v = assert_matches_reference(monkeypatch, SemigroupSpec(gens, word_length_budget=budget, sample_count=0))
     assert v.verdict is Verdict.DISTAL
     assert v.certificate.parameters["max_word_norm"] > 1.0
@@ -898,7 +942,7 @@ def test_clean_sweep_reports_the_exact_norm_not_the_screen():
     rng = np.random.default_rng(5)
     units = [normalize_to_unimodular(rng.standard_normal((2, 2))).unit for _ in range(5000)]
     for sign in (1.0, -1.0):
-        U = next(U for U in units if sign * (_norm_screen(U[None])[0] - operator_norm(U)) > 0.0
+        U = next(U for U in units if sign * (_hypot_norm(U) - operator_norm(U)) > 0.0
                  and abs(np.trace(U)) < 2.0)  # elliptic, so the cyclic test passes
         v = semigroup_distality_test(SemigroupSpec((U,), word_length_budget=1, sample_count=0))
         assert v.verdict is Verdict.DISTAL
