@@ -31,7 +31,6 @@ from .errors import (
     NonInjectiveWarning,
     NoPositiveRealEigenvalue,
     NotOrthogonal,
-    NotUnimodular,
     OutsideCoveredClasses,
     RealSpectrum,
     SingularMatrix,

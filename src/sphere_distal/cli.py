@@ -10,7 +10,7 @@ Exit codes
     64  unparsable input (bad JSON, flags, schema, config values or spec
         budgets, a non-finite angle, a vector flag of the wrong length, a
         point off the sphere, an output path that cannot be written)
-    65  singular matrix
+    65  singular matrix, or a normalization to unit determinant that overflows
     66  invalid translation (zero, degenerate, or non-injective regime)
     70  unexpected internal failure, or stdout closed before all output
         was written

@@ -26,8 +26,8 @@ from .linalg import (
     _operator_norm,
     _operator_norms,
     _spectral_summary,
+    _unimodular,
     as_matrix,
-    det_root,
     invariant_subspace,
     matrix_inverse,
     normalize_to_unimodular,
@@ -412,7 +412,7 @@ def classify_projective_distality(T, config: Config = DEFAULT_CONFIG) -> Distali
     T = as_matrix(T)
     if T.shape[0] not in (2, 3):
         raise DimensionUnsupported("classifier supports d in {2, 3}")
-    return _classify(T, T / det_root(T, config), config)
+    return _classify(T, _unimodular(T, config)[1], config)
 
 
 def _classify(T: np.ndarray, unit: np.ndarray, config: Config) -> DistalityVerdict:
@@ -433,7 +433,7 @@ def _classify(T: np.ndarray, unit: np.ndarray, config: Config) -> DistalityVerdi
         reason = {"reason": "ambiguous-rank-test", "moduli": moduli, "rank_tol": config.rank_tol}
         return DistalityVerdict(Verdict.INCONCLUSIVE, BudgetExhausted(reason), budget, seed)
 
-    # T passed det_root's singularity gate, so the map needs no second check
+    # T passed _unimodular's singularity gate, so the map needs no second check
     m = AffineSphereMap(T, np.zeros(len(T)), Regime.PROJECTIVE, 0.0)
     if unimodular:  # defective with unimodular spectrum: shear-type collapse
         pair = _jordan_collapse_pair(unit, summary.defective_eigenvalue, config)
@@ -568,7 +568,8 @@ def _unbounded_prefix(units: list, word: tuple, bound: float):
     """The shortest prefix of word whose product has an ``_operator_norm`` above
     bound, with that norm.  The prefix products are the ones ``_word_product``
     folds, each one factor on from the last; a word whose product overflows
-    has such a prefix, as the fold passes the bound before it overflows."""
+    has such a prefix, as the fold passes the bound before it overflows, and
+    a word whose finite product is above the bound is one."""
     prefixes = itertools.accumulate(word[1:], lambda M, i: M @ units[i], initial=units[word[0]])
     for length, M in enumerate(prefixes, 1):
         norm = _operator_norm(M)
@@ -590,9 +591,10 @@ def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFI
     whose Frobenius norm reaches the bound less a proven rounding radius are
     multiplied out from the left, one by one, and the first whose exact norm
     is above the bound is reported with that norm, the left fold's.  A random
-    word whose product overflows is reported by its shortest prefix above
-    the bound.  The oracle gets the generators and, picked by the seeded
-    generator, swept words of length >= 2.  A clean sweep is reported as
+    word above the bound, its product overflowed or not, is reported by its
+    shortest prefix above the bound, as every swept word already is.  The
+    oracle gets the generators and, picked by the seeded generator, swept
+    words of length >= 2.  A clean sweep is reported as
     Distal with ``words_checked``, ``max_word_norm`` (the largest norm of
     those words; for a swept word, the norm of its GEMM product, which
     equals the left fold's where the BLAS rounds as the fold does) and the
@@ -625,7 +627,7 @@ def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFI
     units = []
     ambiguous = False
     for i, G in enumerate(gens):
-        unit = G / det_root(G, config)
+        _, unit = _unimodular(G, config)
         v = _classify(G, unit, config)
         if v.verdict is Verdict.NOT_DISTAL:
             cert = v.certificate
@@ -668,12 +670,10 @@ def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFI
     max_norm = 0.0
     n_random = config.random_words if max_len > exhaustive_len else 0
     for word, M in _random_words(units, exhaustive_len + 1, max_len, rng, n_random):
-        if not np.isfinite(M).all():
-            return unbounded(*_unbounded_prefix(units, word, bound))
-        norm = _operator_norm(M)
-        max_norm = max(max_norm, norm)
+        norm = _operator_norm(M) if np.isfinite(M).all() else math.inf
         if norm > bound:
-            return unbounded(word, norm)
+            return unbounded(*_unbounded_prefix(units, word, bound))
+        max_norm = max(max_norm, norm)
         if len(word) > 1:
             tail.append(word)
 

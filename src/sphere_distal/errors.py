@@ -29,10 +29,6 @@ class DimensionUnsupported(SphereDistalError):
     """Operation not implemented for this dimension."""
 
 
-class NotUnimodular(SphereDistalError):
-    """Matrix determinant is not +/-1 within tolerance."""
-
-
 class NoPositiveRealEigenvalue(SphereDistalError):
     """Fixed-point construction needs a positive real eigenvalue."""
 

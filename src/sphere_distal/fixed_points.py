@@ -36,8 +36,8 @@ from .linalg import (
     JordanBlock,
     RealDiagonalizable,
     _operator_norm,
+    _unimodular,
     as_matrix,
-    det_root,
     determinant,
     is_orthogonal,
     matrix_inverse,
@@ -104,8 +104,8 @@ def _circle_map(T, a, config: Config):
     a = _checked_translation(T, a)
     if float(np.linalg.norm(a)) == 0.0:
         raise ZeroTranslation("the projective action has no translation")
-    s = det_root(T, config)
-    m = _homeomorphism(T / s, a / s, config)
+    s, T_hat = _unimodular(T, config)
+    m = _homeomorphism(T_hat, a / s, config)
     if T.shape[0] != 2:
         raise DimensionUnsupported("fixed points are built on the circle (d = 2)")
     return m, real_schur_2x2(m.matrix, config)
@@ -453,8 +453,7 @@ def choose_nondistal_witness(T, config: Config = DEFAULT_CONFIG):
     T = as_matrix(T)
     if T.shape[0] != 2:
         raise DimensionUnsupported("witness selection works on the circle (d = 2)")
-    s_div = det_root(T, config)
-    T_hat = T / s_div
+    s_div, T_hat = _unimodular(T, config)
     es = real_schur_2x2(T_hat, config)
 
     if not isinstance(es.kind, ComplexPair):

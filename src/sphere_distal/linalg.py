@@ -115,23 +115,29 @@ def normalize_to_unimodular(T, config: Config = DEFAULT_CONFIG) -> NormalizedMat
     |det|^(1/d) so that rescaling T by a power of two (or any factor that
     keeps entries exactly representable) yields a bit-identical unit.
     """
-    T = as_matrix(T)
-    s = det_root(T, config)
-    return NormalizedMatrix(scale=1.0 / s, unit=T / s)
+    s, unit = _unimodular(as_matrix(T), config)
+    return NormalizedMatrix(scale=1.0 / s, unit=unit)
 
 
-def det_root(T: np.ndarray, config: Config = DEFAULT_CONFIG) -> float:
-    """|det T|^(1/d) of a validated d x d matrix, behind the singularity gate."""
+def _unimodular(T: np.ndarray, config: Config) -> tuple[float, np.ndarray]:
+    """(s, T / s) with s = |det T|^(1/d) of a validated d x d matrix, behind
+    the singularity gate; a quotient that overflows is refused as singular."""
     d = T.shape[0]
     det = _nonsingular_det(T, config)  # a non-finite det never trips the gate
     if not math.isfinite(det):
         raise SingularMatrix("determinant overflowed")
     adet = abs(det)
     if d == 2:
-        return math.sqrt(adet)
-    if d == 3:
-        return float(np.cbrt(adet))
-    return adet ** (1.0 / d)
+        s = math.sqrt(adet)
+    elif d == 3:
+        s = float(np.cbrt(adet))
+    else:
+        s = adet ** (1.0 / d)
+    # only s < 1 can overflow, and the largest entry overflows first: Python
+    # divides floats as NumPy does, in one correctly rounded IEEE division
+    if s < 1.0 and max(map(abs, T.ravel().tolist())) / s == math.inf:
+        raise SingularMatrix(f"T / |det|^(1/{d}) overflows")
+    return s, T / s
 
 
 # --- real canonical forms (d = 2) -----------------------------------------

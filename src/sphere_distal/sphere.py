@@ -35,11 +35,6 @@ def unit_vector(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
-def _safe_sqrt(x: float) -> float:
-    # guards tiny negative round-off under a radical
-    return float(np.sqrt(max(x, 0.0)))
-
-
 def as_sphere_point(x, d: int | None = None, config: Config = DEFAULT_CONFIG) -> np.ndarray:
     """Validate a near-unit vector and return it re-normalized."""
     x = np.asarray(x, dtype=float)
@@ -224,8 +219,9 @@ def affine_inverse_image(m: AffineSphereMap, y, config: Config = DEFAULT_CONFIG)
     uu = float(np.dot(u, u))
     uw = float(np.dot(u, w))
     ww = float(np.dot(w, w))
-    # uu*t^2 - 2*uw*t + (ww - 1) = 0, ww < 1
-    t0 = (uw + _safe_sqrt(uw * uw - uu * (ww - 1.0))) / uu
+    # uu*t^2 - 2*uw*t + (ww - 1) = 0, ww < 1, so the radicand is a sum of two
+    # non-negative floats and no round-off makes it negative
+    t0 = (uw + math.sqrt(uw * uw - uu * (ww - 1.0))) / uu
     return t0 * u - w
 
 

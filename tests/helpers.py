@@ -10,7 +10,6 @@ import numpy as np
 from sphere_distal import (
     DEFAULT_CONFIG,
     AffineSphereMap,
-    NotUnimodular,
     RealSpectrum,
     Verdict,
     choose_nondistal_witness,
@@ -243,6 +242,10 @@ def conjugate_to_large_norm(T, beta: float, config=DEFAULT_CONFIG) -> np.ndarray
     A_inv = matrix_inverse(es.kind.basis, config)
     C = np.diag([beta, 1.0 / beta]) @ A_inv
     return C @ T @ matrix_inverse(C, config)
+
+
+class NotUnimodular(ValueError):
+    """The linear-distality check was given a matrix whose |det| is not 1."""
 
 
 def distality_implies_linear_distality_check(T, config=DEFAULT_CONFIG) -> bool:

@@ -135,7 +135,6 @@ DOCUMENTED_ERROR_EXIT = {
     errors.NotOrthogonal: (3, "error: not covered: "),
     errors.DimensionUnsupported: (3, "error: not covered: "),
     errors.DimensionMismatch: (3, "error: not covered: "),
-    errors.NotUnimodular: (70, "error: "),
     errors.SpectrumCollision: (70, "error: "),
     errors.SphereDistalError: (70, "error: "),
 }
@@ -156,6 +155,65 @@ def test_library_errors_map_to_their_documented_exit(capsys, monkeypatch, cls):
     expected_code, prefix = DOCUMENTED_ERROR_EXIT[cls]
     assert code == expected_code and report is None
     assert err == f"{prefix}boom\n"
+
+
+# the input files of the refusal tests, by the name their argv uses
+REFUSAL_FILES = {
+    "identity": {"dim": 2, "rows": [[1.0, 0.0], [0.0, 1.0]]},
+    "config-list": [1, 2],
+    "config-oracle-3": {"oracle": 3},
+    "spec-list": [{"dim": 2, "rows": [[0.0, -1.0], [1.0, 0.0]]}],
+    "spec-mixed": {
+        "generators": [
+            {"dim": 2, "rows": [[0.0, -1.0], [1.0, 0.0]]},
+            {"dim": 3, "rows": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+        ]
+    },
+    "negative-diagonal": {"dim": 2, "rows": [[-2.0, 0.0], [0.0, -0.5]]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["classify", "identity", "--rot", "1.0"], 64, "error: give either a matrix file or --rot"),
+        (["classify"], 64, "error: a matrix file (or --rot) is required"),
+        (["--config", "config-list", "classify", "--rot", "1.0"], 64, "error: config must be a JSON object"),
+        (["--config", "config-oracle-3", "classify", "--rot", "1.0"], 64, "error: config 'oracle' must be"),
+        (["--config", "missing", "classify", "--rot", "1.0"], 64, "error: cannot read config file"),
+        (["semigroup", "spec-list"], 64, "error: semigroup spec must be a JSON object"),
+        (["semigroup", "spec-mixed"], 64, "error: generators must share one dimension"),
+        (["fixed-point", "negative-diagonal", "--a=0.3,0.2"], 3, "error: not covered: both eigenvalues negative"),
+    ],
+    ids=["file-and-rot", "no-matrix", "config-list", "config-oracle-3", "config-missing",
+         "spec-list", "spec-mixed-dims", "fixed-point-negative-diagonal"],
+)
+def test_refusals_exit_with_their_code_and_one_error_line(tmp_path, capsys, argv, code, message):
+    for name, body in REFUSAL_FILES.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(body))
+    argv = [str(tmp_path / f"{a}.json") if a in REFUSAL_FILES or a == "missing" else a for a in argv]
+    got, report, err = run_cli(capsys, argv)
+    assert got == code and report is None
+    assert err.startswith(message) and err.count("\n") == 1 and err.endswith("\n")
+
+
+# |det| = 1e-11 passes the singularity gate, but T / |det|^(1/2) overflows
+OVERFLOWING_NORMALIZATION = [[1e305, 0.0], [0.0, 1e-316]]
+
+
+@pytest.mark.parametrize(
+    "command", [["classify"], ["semigroup"], ["fixed-point", "--a=0.5,0"], ["witness"]], ids=lambda c: c[0]
+)
+def test_a_normalization_that_overflows_exits_65(tmp_path, capfd, command):
+    if command[0] == "semigroup":
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"generators": [{"dim": 2, "rows": OVERFLOWING_NORMALIZATION}]}))
+    else:
+        path = write_matrix(tmp_path / "overflow.json", OVERFLOWING_NORMALIZATION)
+    # capfd, not capsys: LAPACK would print its complaints to file descriptor 2
+    code, report, err = run_cli(capfd, command[:1] + [str(path)] + command[1:])
+    assert code == 65 and report is None
+    assert err.startswith("error: singular matrix: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_fixed_point_minor_axis(tmp_path, capsys):

@@ -109,6 +109,19 @@ def test_classify_inconclusive_near_boundary():
     assert isinstance(v.certificate, BudgetExhausted)
 
 
+def test_classify_band_edge_spectrum_falls_back_to_the_oracle():
+    # moduli 1 + 1.5e-7 and 1 - 0.75e-7 straddle the spectral band's edge too
+    # tightly to split into a pair; the oracle finds no approach either
+    rho = 1.0 - 0.75e-7
+    T = np.zeros((3, 3))
+    T[:2, :2] = rho * rotation(1.0)
+    T[2, 2] = 1.0 / rho**2
+    v = classify_projective_distality(T)
+    assert v.verdict is Verdict.INCONCLUSIVE
+    assert v.certificate.parameters["reason"] == "band-edge-spectrum"
+    assert len(v.certificate.parameters["moduli"]) == 3
+
+
 def test_classify_d3_defective():
     T = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     v = classify_projective_distality(T)
@@ -314,7 +327,7 @@ def test_linear_distality_check():
 
 
 def test_linear_distality_requires_unimodular():
-    from sphere_distal import NotUnimodular
+    from helpers import NotUnimodular
 
     with pytest.raises(NotUnimodular):
         distality_implies_linear_distality_check(np.diag([2.0, 2.0]))
@@ -755,13 +768,39 @@ def test_random_word_whose_product_overflows_reports_its_first_unbounded_prefix(
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         v = semigroup_distality_test(spec)
+        # with budget 20000 the first random word above the bound has a finite product
+        short = semigroup_distality_test(replace(spec, word_length_budget=20000))
+    assert short.certificate == v.certificate
     cert = v.certificate
+    assert len(cert.word) == 85 and round(cert.norm, 2) == 23.42
     assert v.verdict is Verdict.NOT_DISTAL and isinstance(cert, UnboundedWord)
     assert replay_certificate(cert, generators=gens)
     units = [normalize_to_unimodular(G).unit for G in gens]
     assert cert.norm == operator_norm(_word_product(units, cert.word)) > cert.bound
     shorter = (cert.word[:n] for n in range(1, len(cert.word)))
     assert all(operator_norm(_word_product(units, word)) <= cert.bound for word in shorter)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+@pytest.mark.parametrize("budget", [5, 12])
+def test_every_unbounded_word_is_its_shortest_prefix_above_the_bound(budget, g, d):
+    """Swept or drawn at random, every reported word's proper prefixes are
+    within the bound: with 4 generators every word is a random one."""
+    reported = 0
+    for seed, max_cond in itertools.product(range(6), [30.0, 100.0]):
+        gens = tuple(_conditioned_units(np.random.default_rng(seed), g, max_cond, d))
+        v = semigroup_distality_test(SemigroupSpec(gens, word_length_budget=budget, sample_count=0))
+        cert = v.certificate
+        if not isinstance(cert, UnboundedWord):
+            assert v.verdict is Verdict.DISTAL
+            continue
+        reported += 1
+        units = [normalize_to_unimodular(G).unit for G in gens]
+        assert cert.norm == operator_norm(_word_product(units, cert.word)) > cert.bound
+        shorter = (cert.word[:n] for n in range(1, len(cert.word)))
+        assert all(operator_norm(_word_product(units, word)) <= cert.bound for word in shorter)
+    assert reported >= 2
 
 
 # --- the level sweep against the per-word reference ------------------------------

@@ -514,10 +514,10 @@ def test_find_fixed_point_prepares_the_map_once(monkeypatch, T, a):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(fixed_points, "real_schur_2x2")
-    counted(fixed_points, "det_root")
+    counted(fixed_points, "_unimodular")
     counted(sphere, "affine_is_homeomorphism")
     assert isinstance(fixed_points.find_fixed_point(T, a), FixedPointResult)
-    assert calls == {"real_schur_2x2": 1, "det_root": 1, "affine_is_homeomorphism": 1}
+    assert calls == {"real_schur_2x2": 1, "_unimodular": 1, "affine_is_homeomorphism": 1}
 
 
 @pytest.mark.parametrize(
@@ -538,11 +538,11 @@ def test_choose_nondistal_witness_prepares_the_map_once(monkeypatch, T):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(fixed_points, "real_schur_2x2")
-    counted(fixed_points, "det_root")
+    counted(fixed_points, "_unimodular")
     counted(sphere, "affine_is_homeomorphism")
     _, result = fixed_points.choose_nondistal_witness(T)
     assert isinstance(result, FixedPointResult)
-    assert calls == {"real_schur_2x2": 1, "det_root": 1, "affine_is_homeomorphism": 1}
+    assert calls == {"real_schur_2x2": 1, "_unimodular": 1, "affine_is_homeomorphism": 1}
 
 
 @pytest.mark.parametrize(

@@ -58,6 +58,18 @@ def test_normalize_rejects_singular():
         normalize_to_unimodular([[1.0, 1.0], [1.0, 1.0]])
 
 
+def test_normalize_refuses_exactly_the_quotients_that_overflow():
+    # det = 1/4, so T is divided by exactly 1/2: the largest float's half
+    # doubles to it, the next float (2^1023) doubles past it
+    top = np.finfo(float).max
+    nm = normalize_to_unimodular([[top / 2, 0.25], [-1.0, 0.0]])
+    assert nm.scale == 2.0 and nm.unit[0, 0] == top
+    with pytest.raises(SingularMatrix, match="overflows"):
+        normalize_to_unimodular([[np.nextafter(top / 2, math.inf), 0.25], [-1.0, 0.0]])
+    with pytest.raises(SingularMatrix, match="overflows"):
+        normalize_to_unimodular([[1e305, 0.0], [0.0, 1e-316]])
+
+
 def test_normalize_projectively_neutral_dyadic():
     # power-of-two determinant: the rescaling is exact, directions match bitwise
     rng = np.random.default_rng(3)
