@@ -27,6 +27,7 @@ import functools
 import math
 import os
 import re
+import stat
 import sys
 import time
 
@@ -187,8 +188,8 @@ def _keep_contents(path, flags):
 
 def _open_outputs(*paths) -> list:
     """A file open for writing at offset 0 for each path (None for None), or
-    none at all.  No file is truncated here: the caller writes, then calls
-    ``truncate()`` at the end of what it wrote.  When a path cannot be
+    none at all.  No file is truncated here: the caller writes, then truncates
+    a regular file at the end of what it wrote.  When a path cannot be
     opened, the files this call created are removed again and existing
     ones keep their contents."""
     created = [p for p in paths if p is not None and not os.path.exists(p)]
@@ -241,7 +242,8 @@ def _orbit(args, config):
         if svg_fh is not None:
             svg_fh.write(svg)
         for fh in filter(None, (csv_fh, svg_fh)):
-            fh.truncate()  # drop what is left of a longer old file
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # a device or a pipe has no old tail
+                fh.truncate()  # drop what is left of a longer old file
     if csv_fh is None:
         return EXIT_DISTAL, None  # stdout already holds the CSV payload
     return EXIT_DISTAL, {

@@ -61,7 +61,8 @@ class ProximalPair:
     iteration budget; the walk stops once the separation is exactly 0.
     Step n = 64 q + r + 1 of a matrix is measured, and replayed, as
     N(W_(r+1) N(B_q x)) with N the normalization, W_j = N(T^j) and
-    B_q = N(T^(64 q)) (B_0 x = x): not through the n - 1 steps before it.
+    B_q = N(T^(64 q)) (B_0 x = x), both kept per matrix in one cache: not
+    through the n - 1 steps before it.
     ``word`` names the generator word when the map comes from a semigroup;
     ``recurrence_times`` carries the near-identity return times of the
     isometry factor for the even-sphere witness.
@@ -134,33 +135,28 @@ PAIR_CHUNK = 64
 
 def _power_stack(m: AffineSphereMap) -> np.ndarray:
     """The (k, d, d) stack of maps one block applies: row j of a block is W[j]
-    applied to the block's seed.
-
-    A projective map gets k = PAIR_BLOCK powers T^1..T^k, each divided by its
-    largest absolute entry so nothing overflows; ``_projective_stack`` builds
-    them once per matrix and serves later calls on the same matrix from a
-    cache, as a read-only array.  An affine map gets T alone.
-    """
+    applied to the block's seed.  A projective map gets the k = PAIR_BLOCK
+    powers W of ``_walk_powers``, an affine map T alone."""
     if m.regime is Regime.PROJECTIVE:
-        return _projective_stack(m.matrix.astype(float, copy=False).tobytes(), m.dim)
+        return _walk_powers(m.matrix.astype(float, copy=False).tobytes(), m.dim)[0]
     return m.matrix[None]
 
 
-# matrices whose projective stacks are kept: a classification and the replay of
-# its pair run on the same matrix one after the other
+# matrices whose powers are kept; a classification and its pair's replay share them
 STACK_CACHE = 16
 
 
 @functools.lru_cache(maxsize=STACK_CACHE)
-def _projective_stack(key: bytes, d: int) -> np.ndarray:
-    """The normalized powers T^1..T^PAIR_BLOCK of the d x d matrix T whose
-    float64 bytes are ``key``, filled into one preallocated array, read-only.
+def _walk_powers(key: bytes, d: int) -> list:
+    """[W, B, P] for the d x d matrix T whose float64 bytes are ``key``: the powers
+    W_j = N(T^j), j = 1..PAIR_BLOCK, each divided by its largest absolute entry
+    so nothing overflows, read-only; the block powers so far, B_1 = W_64; and the
+    np.longdouble powers ``_block_powers`` grows B from, none yet.
 
-    Each doubling writes T^(n+i) = T^i T^n, i = 1..j with j <= n, into the
-    next slab as one 2-D GEMM and divides each new power by its largest
-    absolute entry.  That is bit-identical to appending the slab and then
-    dividing every power so far: a power already normalized has largest
-    absolute entry exactly 1.0, and dividing by 1.0 changes nothing.
+    Each doubling writes T^(n+i) = T^i T^n, i = 1..j with j <= n, into the next
+    slab of W as one 2-D GEMM and divides each new power by its largest absolute
+    entry: bit-identical to dividing every power so far, as a normalized power
+    has largest absolute entry exactly 1.0.
     """
     T = np.frombuffer(key).reshape(d, d)
     F = np.empty((PAIR_BLOCK, d, d))
@@ -175,63 +171,59 @@ def _projective_stack(key: bytes, d: int) -> np.ndarray:
         np.divide(slab, np.maximum.reduce(np.abs(slab), axis=1, keepdims=True), out=slab)
         n += j
     F.flags.writeable = False
-    return F
+    return [F, F[-1:], []]
 
 
-# matrix bytes -> [B, P]: the block powers and the np.longdouble powers P_j they round
-_block_cache = functools.lru_cache(maxsize=STACK_CACHE)(lambda key: [])
-
-
-def _block_powers(m: AffineSphereMap, W: np.ndarray, count: int) -> np.ndarray:
-    """At least ``count`` block powers B_j = N(T^(PAIR_BLOCK j)) of a projective m with
-    ``_power_stack`` W, read-only, grown on demand per matrix with bits that depend
-    on j alone: B_1 = W_64, then N(P_j) for P_1 = N(T)^PAIR_BLOCK, P_(j+1) = P_j P_1
-    in np.longdouble (80-bit on x86; every 16th rescaled).  Float64 products of long
+def _block_powers(m: AffineSphereMap, count: int) -> np.ndarray:
+    """At least ``count`` block powers B_j = N(T^(PAIR_BLOCK j)) of a projective m,
+    read-only, grown on demand per matrix with bits that depend on j alone:
+    B_1 = W_64, then N(P_j) for P_1 = N(T)^PAIR_BLOCK, P_(j+1) = P_j P_1 in
+    np.longdouble (80-bit on x86; every 16th rescaled).  Float64 products of long
     powers of a nearly nilpotent T lose the small terms that separate a pair (B_31
     of a 3x3 Jordan block 1e-8 to 1e-6 off, for a separation of 1e-8)."""
-    cell = _block_cache(m.matrix.astype(float, copy=False).tobytes())
-    if not cell:
-        P1 = np.linalg.matrix_power(m.matrix.astype(np.longdouble) / np.abs(m.matrix).max(), PAIR_BLOCK)
-        cell[:] = [W[-1:], [P1 / np.abs(P1).max()]]
-    B, P = cell
+    cell = _walk_powers(m.matrix.astype(float, copy=False).tobytes(), m.dim)
+    _, B, P = cell
     if len(B) < count:
         P = P[:]  # grown apart and stored whole: a concurrent call sees one state or the other
+        T = m.matrix.astype(np.longdouble) / np.abs(m.matrix).max()
         for j in range(len(P), count):
-            M = P[-1] @ P[0]
+            M = P[-1] @ P[0] if P else np.linalg.matrix_power(T, PAIR_BLOCK)
             P.append(M if j % 16 else M / np.abs(M).max())
         S = np.array(P[len(B) :])
         B = np.concatenate([B, (S / np.abs(S).max(axis=(1, 2), keepdims=True)).astype(float)])
         B.flags.writeable = False
-        cell[:] = [B, P]
+        cell[1:] = [B, P]
     return B
 
 
-def _pair_blocks(m: AffineSphereMap, P: np.ndarray, steps: int = 0):
-    """Endless stacks (k, n, d) holding the next k iterates of the rows of P.
+def _seeds(m: AffineSphereMap, P: np.ndarray, q: int, k: int | None = None) -> np.ndarray:
+    """N(B_q x) for the rows x of P, the seed of block q, as one (n, d) product;
+    with k, the seeds of blocks q..q+k-1 as one (k, n, d) product."""
+    B = _block_powers(m, q + (k or 1) - 1)
+    return apply_many(replace(m, matrix=B[q - 1] if k is None else B[q - 1 : q + k - 1]), P)
 
-    Block q of a projective map is W (the ``_power_stack``) applied to the seed
-    N(B_q x) (``_block_powers``; block 0 starts from x, block 1 from block 0's
-    last row).  Blocks 2 on come in chunks, each as long as the walk before it
-    but the first, which reaches step ``steps`` if one product of PAIR_CHUNK
-    seeds holds it: one GEMM for a chunk's seeds, one per PAIR_CHUNK seeds (a
-    block at least) for their rows.  An affine map steps on from the last row of
-    each one-step block.
-    """
-    W = _power_stack(m)
-    stacked = replace(m, matrix=W)
+
+def _pair_blocks(m: AffineSphereMap, P: np.ndarray, steps: int):
+    """Stacks (k, n, d) holding the next k iterates of the rows of P, through step
+    ``steps`` at least.  Block q of a projective map is W (``_power_stack``)
+    applied to the seed N(B_q x).  Blocks 0 and 1 start from x and from block 0's
+    last row, so a walk that stops inside them builds no block power from P_1;
+    the seeds of blocks 2 to ceil(steps / PAIR_BLOCK) - 1 take one product, their
+    rows one per PAIR_CHUNK seeds (a block at least).  An affine map steps on
+    from the last row of each one-step block."""
+    stacked = replace(m, matrix=_power_stack(m))
+    projective = m.regime is Regime.PROJECTIVE
     Q = P[None]
-    for _ in range(2) if m.regime is Regime.PROJECTIVE else itertools.count():
+    for _ in range(2 if projective else steps):
         Q = apply_many(stacked, Q[-1])
         yield Q
-    (n, d), g, done = P.shape, max(1, PAIR_CHUNK // len(P)), 2
-    c = max(2, min(-(-steps // PAIR_BLOCK) - done, g))
-    while True:
-        jumps = replace(m, matrix=_block_powers(m, W, done + c - 1)[done - 1 : done + c - 1])
-        seeds = apply_many(jumps, P)
-        for i in range(0, c, g):
+    later = -(-steps // PAIR_BLOCK) - 2
+    if projective and later > 0:
+        (n, d), g = P.shape, max(1, PAIR_CHUNK // len(P))
+        seeds = _seeds(m, P, 2, later)
+        for i in range(0, later, g):
             rows = apply_many(stacked, seeds[i : i + g].swapaxes(0, 1).reshape(-1, d))
             yield rows.swapaxes(0, 1).reshape(n, -1, d).swapaxes(0, 1)
-        done, c = done + c, done + c
 
 
 def _separations(m: AffineSphereMap, X, Y, steps: int):
@@ -256,22 +248,16 @@ def _distances(D: np.ndarray) -> np.ndarray:
 
 
 def _separation_after(m: AffineSphereMap, x, y, steps: int) -> float:
-    """|x - y| after ``steps`` >= 1 iterations, bit-identical to the last row
-    ``_separations`` yields.
-
-    A projective map takes two products, one matrix each, from the caches: B_q,
-    then row r of the stack, with steps - 1 = PAIR_BLOCK q + r.  An affine map
-    walks every step.
+    """|x - y| after ``steps`` >= 1 iterations of a projective m, bit-identical to
+    the last row ``_separations`` yields: two products, one matrix each, from
+    the cache: the seed N(B_q x), then row r of the stack, with
+    steps - 1 = PAIR_BLOCK q + r.
     """
-    if m.regime is not Regime.PROJECTIVE:
-        *_, (_, S) = _separations(m, x, y, steps)
-        return float(S[-1, 0])
-    W = _power_stack(m)
     q, r = divmod(steps - 1, PAIR_BLOCK)
     P = np.array([x, y], dtype=float)
     if q:
-        P = apply_many(replace(m, matrix=_block_powers(m, W, q)[q - 1]), P)
-    P = apply_many(replace(m, matrix=W[r]), P)
+        P = _seeds(m, P, q)
+    P = apply_many(replace(m, matrix=_power_stack(m)[r]), P)
     return float(_distances(P[0] - P[1]))
 
 

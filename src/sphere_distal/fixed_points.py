@@ -464,6 +464,10 @@ def choose_nondistal_witness(T, config: Config = DEFAULT_CONFIG):
             pull = float(np.linalg.norm(matrix_inverse(T_hat, config) @ direction))
             a = (0.5 / pull) * direction * s_div
             return a, _real_positive_point(_homeomorphism(T_hat, a / s_div, config), es, config)
+        if not top_eig < 0.0:  # the spectral gap band can report a top eigenvalue of 0
+            raise OutsideCoveredClasses(
+                "real spectra with top eigenvalue 0 have no constructive witness here"
+            )
         # case B: both eigenvalues negative; the eigen-direction is a 2-cycle
         a_hat = (abs(top_eig) / 2.0) * unit_vector(es.kind.basis[:, 0])
         m = AffineSphereMap.create(T_hat, a_hat, config)

@@ -30,16 +30,15 @@ def as_matrix(obj) -> np.ndarray:
 
 
 def determinant(T: np.ndarray) -> float:
-    """Determinant, closed form for d in {2, 3}."""
+    """Determinant, closed form for d in {2, 3}, in Python floats: the same IEEE
+    products as NumPy's, but one that overflows is inf (or nan) without a warning."""
     d = T.shape[0]
     if d == 2:
-        return float(T[0, 0] * T[1, 1] - T[0, 1] * T[1, 0])
+        (a, b), (c, e) = T.tolist()
+        return float(a * e - b * c)
     if d == 3:
-        return float(
-            T[0, 0] * (T[1, 1] * T[2, 2] - T[1, 2] * T[2, 1])
-            - T[0, 1] * (T[1, 0] * T[2, 2] - T[1, 2] * T[2, 0])
-            + T[0, 2] * (T[1, 0] * T[2, 1] - T[1, 1] * T[2, 0])
-        )
+        (a, b, c), (e, f, g), (h, i, j) = T.tolist()
+        return float(a * (f * j - g * i) - b * (e * j - g * h) + c * (e * i - f * h))
     return float(np.linalg.det(T))
 
 

@@ -170,6 +170,15 @@ REFUSAL_FILES = {
         ]
     },
     "negative-diagonal": {"dim": 2, "rows": [[-2.0, 0.0], [0.0, -0.5]]},
+    "identity-4": {"dim": 4, "rows": np.eye(4).tolist()},
+    "spec-4x4": {"generators": [{"dim": 4, "rows": np.eye(4).tolist()}]},
+    # each product of the closed-form determinant overflows, with no NumPy warning
+    "big-det-2": {"dim": 2, "rows": (1e200 * np.eye(2)).tolist()},
+    "big-det-3": {"dim": 3, "rows": (1e200 * np.eye(3)).tolist()},
+    "spec-big-det-2": {"generators": [{"dim": 2, "rows": (1e200 * np.eye(2)).tolist()}]},
+    "spec-big-det-3": {"generators": [{"dim": 3, "rows": (1e200 * np.eye(3)).tolist()}]},
+    # a quarter turn whose spectrum the gap band reports as the double eigenvalue 0
+    "stretched-quarter-turn": {"dim": 2, "rows": [[0.0, -1e13], [1e-13, 0.0]]},
 }
 
 
@@ -184,9 +193,20 @@ REFUSAL_FILES = {
         (["semigroup", "spec-list"], 64, "error: semigroup spec must be a JSON object"),
         (["semigroup", "spec-mixed"], 64, "error: generators must share one dimension"),
         (["fixed-point", "negative-diagonal", "--a=0.3,0.2"], 3, "error: not covered: both eigenvalues negative"),
+        (["classify", "identity-4"], 3, "error: not covered: classifier supports d in {2, 3}"),
+        (["semigroup", "spec-4x4"], 3, "error: not covered: classifier supports d in {2, 3}"),
+        (["classify", "big-det-2"], 65, "error: singular matrix: determinant overflowed"),
+        (["classify", "big-det-3"], 65, "error: singular matrix: determinant overflowed"),
+        (["semigroup", "spec-big-det-2"], 65, "error: singular matrix: determinant overflowed"),
+        (["semigroup", "spec-big-det-3"], 65, "error: singular matrix: determinant overflowed"),
+        (["fixed-point", "big-det-2", "--a=0.5,0"], 65, "error: singular matrix: determinant overflowed"),
+        (["witness", "big-det-2"], 65, "error: singular matrix: determinant overflowed"),
+        (["witness", "stretched-quarter-turn"], 3, "error: not covered: real spectra with top eigenvalue 0"),
     ],
     ids=["file-and-rot", "no-matrix", "config-list", "config-oracle-3", "config-missing",
-         "spec-list", "spec-mixed-dims", "fixed-point-negative-diagonal"],
+         "spec-list", "spec-mixed-dims", "fixed-point-negative-diagonal", "classify-4x4", "semigroup-4x4",
+         "classify-big-det-2x2", "classify-big-det-3x3", "semigroup-big-det-2x2", "semigroup-big-det-3x3",
+         "fixed-point-big-det", "witness-big-det", "witness-top-eigenvalue-0"],
 )
 def test_refusals_exit_with_their_code_and_one_error_line(tmp_path, capsys, argv, code, message):
     for name, body in REFUSAL_FILES.items():
@@ -620,6 +640,35 @@ def test_orbit_unwritable_output_keeps_existing_files(tmp_path, capsys, outputs)
     code, report, _ = run_cli(capsys, argv)
     assert code == 64 and report is None
     assert existing.read_text() == "old contents\n"
+
+
+@pytest.mark.parametrize("flag", ["--csv", "--svg"])
+def test_orbit_output_to_the_null_device_exits_0(tmp_path, capsys, flag):
+    argv = ["orbit", "--rot", "0.3", "--steps", "1"]
+    assert main(argv + [flag, str(tmp_path / "out")]) == 0
+    want = capsys.readouterr().out
+    assert main(argv + [flag, os.devnull]) == 0  # a device has no old tail to truncate
+    got = capsys.readouterr()
+    assert got.err == ""
+    if flag == "--csv":
+        assert json.loads(got.out)["result"] == dict(json.loads(want)["result"], csv=os.devnull)
+    else:
+        assert got.out == want  # the CSV, on stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_orbit_csv_to_stdout_through_a_pipe_exits_0(tmp_path, capsys):
+    csv_path = tmp_path / "orbit.csv"
+    assert main(["orbit", "--rot", "0.3", "--steps", "1", "--csv", str(csv_path)]) == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    argv = ["orbit", "--rot", "0.3", "--steps", "1", "--csv", "/dev/stdout"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "sphere_distal.cli"] + argv, capture_output=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0 and proc.stderr == b""
+    csv = csv_path.read_bytes()
+    assert proc.stdout.startswith(csv)  # a pipe cannot seek, so nothing truncates it
+    assert json.loads(proc.stdout[len(csv):])["result"]["csv"] == "/dev/stdout"
 
 
 def test_orbit_replaces_a_longer_existing_output(tmp_path, capsys):

@@ -22,10 +22,12 @@ from sphere_distal import (
     BudgetExhausted,
     Config,
     DimensionMismatch,
+    InvalidTranslation,
     OracleBudget,
     ProximalPair,
     SemigroupSpec,
     SingularMatrix,
+    SpecParseError,
     SpectralProof,
     UnboundedWord,
     Verdict,
@@ -226,6 +228,13 @@ def test_oracle_rejects_every_override_the_budget_rejects(override):
         OracleBudget(**override)
 
 
+def test_oracle_refuses_a_non_injective_map():
+    m = AffineSphereMap.create(np.eye(2), [2.0, 0.0])
+    assert m.regime is Regime.NON_INJECTIVE
+    with pytest.raises(InvalidTranslation, match="invertible regime"):
+        proximal_pair_search(m)
+
+
 @pytest.mark.parametrize("delta", [2.0, 3.0])
 def test_oracle_rejects_delta_of_the_sphere_diameter_or_more(delta):
     m = AffineSphereMap.create(rotation(1.0))
@@ -384,6 +393,11 @@ def test_semigroup_dimension_mismatch():
         semigroup_distality_test(spec)
 
 
+def test_semigroup_without_generators_is_a_parse_error():
+    with pytest.raises(SpecParseError, match="at least one generator"):
+        semigroup_distality_test(SemigroupSpec(()))
+
+
 def test_semigroup_inconclusive_generator():
     delta = 1e-8
     spec = SemigroupSpec(
@@ -437,8 +451,7 @@ def test_pair_blocks_match_step_by_step():
         m = AffineSphereMap.create(T)
         P = rng.standard_normal((2, m.dim))
         P /= np.linalg.norm(P, axis=1, keepdims=True)
-        blocks = _pair_blocks(m, P)
-        blocked = np.concatenate([next(blocks) for _ in range(2000 // 64 + 1)])[:2000]
+        blocked = np.concatenate(list(_pair_blocks(m, P, 2000)))[:2000]
         reference = P
         for step in range(2000):
             reference = apply_many(m, reference)
@@ -478,12 +491,11 @@ def test_power_stack_is_read_only_and_keyed_by_float_entries():
     "T", [np.array([[1.0, 0.1], [0.0, 1.0]]), np.diag([3.0, 1.0, 1.0 / 3.0])], ids=["shear", "split"]
 )
 def test_classify_and_replay_build_the_stack_once(T):
-    distality._projective_stack.cache_clear()
+    distality._walk_powers.cache_clear()
     v = classify_projective_distality(T)
     assert v.verdict is Verdict.NOT_DISTAL
     assert replay_certificate(v.certificate, matrix=T, tolerance=0.0)
-    assert distality._projective_stack.cache_info().misses == 1  # one build, one hit
-    assert distality._projective_stack.cache_info().hits == 1
+    assert distality._walk_powers.cache_info().misses == 1  # one build: the replay hits it
 
 
 def test_replay_after_an_in_place_change_uses_the_new_matrix():
@@ -492,7 +504,7 @@ def test_replay_after_an_in_place_change_uses_the_new_matrix():
     T[0, 1] = 0.5  # same array, new entries: the cached stack of the old T must not serve it
     warm = replay_certificate(cert, matrix=T, tolerance=0.0)
     warm_sep = _separation_after(AffineSphereMap.create(T), cert.x, cert.y, cert.steps)
-    distality._projective_stack.cache_clear()
+    distality._walk_powers.cache_clear()
     assert replay_certificate(cert, matrix=T, tolerance=0.0) == warm
     assert _separation_after(AffineSphereMap.create(T), cert.x, cert.y, cert.steps) == warm_sep
     assert warm_sep != cert.separation_final
@@ -507,9 +519,7 @@ def test_replay_reproduces_classifier_separation_exactly():
 
 def test_replay_endpoint_walk_matches_the_kernel_bit_for_bit():
     rng = np.random.default_rng(12)
-    affine = AffineSphereMap.create(np.diag([2.0, 0.5]), [0.3, 0.2])
-    assert affine.regime.value == "homeomorphism"  # its blocks are one step long
-    for m in [AffineSphereMap.create(T) for T in _kernel_cases()] + [affine]:
+    for m in [AffineSphereMap.create(T) for T in _kernel_cases()]:
         x, y = rng.standard_normal((2, m.dim))
         x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
         sep0 = float(np.linalg.norm(x - y))
@@ -517,7 +527,7 @@ def test_replay_endpoint_walk_matches_the_kernel_bit_for_bit():
             for _, S in _separations(m, x, y, steps):
                 want = float(S[-1, 0])
             assert _separation_after(m, x, y, steps) == want, (m.matrix, steps)
-            if m.regime.value == "projective" and want < sep0:
+            if want < sep0:
                 cert = ProximalPair(x, y, steps, sep0, want)
                 assert replay_certificate(cert, matrix=m.matrix, tolerance=0.0)
 
@@ -1018,7 +1028,7 @@ def naive_measured_pair(T, x, y, iterations):
     m = AffineSphereMap.create(T)
     sep0 = float(np.linalg.norm(x - y))
     best = ProximalPair(x, y, 0, sep0, sep0)
-    blocks = _pair_blocks(m, np.stack([x, y]))
+    blocks = _pair_blocks(m, np.stack([x, y]), iterations)
     done = 0
     while done < iterations:
         Q = next(blocks)[: iterations - done]

@@ -86,7 +86,7 @@ def test_blocks_0_and_1_equal_the_chain_bit_for_bit():
         m = AffineSphereMap.create(T)
         for n in (2, 6):
             P = _unit_rows(rng, n, m.dim)
-            walk, chain = _pair_blocks(m, P), chain_pair_blocks(m, P)
+            walk, chain = _pair_blocks(m, P, 2 * PAIR_BLOCK), chain_pair_blocks(m, P)
             for block in range(2):
                 assert np.array_equal(next(walk), next(chain)), (T, n, block)
 
@@ -99,8 +99,8 @@ def test_later_blocks_are_as_accurate_as_the_chain():
     for T in _walk_cases():
         m = AffineSphereMap.create(T)
         P = _unit_rows(rng, 2, m.dim)
-        walk, chain = _pair_blocks(m, P), chain_pair_blocks(m, P)
-        walked = np.concatenate([next(walk) for _ in range(6)])  # blocks 0 .. 31
+        walk, chain = _pair_blocks(m, P, 32 * PAIR_BLOCK), chain_pair_blocks(m, P)
+        walked = np.concatenate(list(walk))  # blocks 0 .. 31, and the walk ends there
         chained = np.concatenate([next(chain) for _ in range(len(walked) // PAIR_BLOCK)])
         assert len(walked) == 32 * PAIR_BLOCK
         reference = extended_walk(T, P, len(walked))
@@ -111,7 +111,7 @@ def test_later_blocks_are_as_accurate_as_the_chain():
 def test_an_affine_walk_still_steps_one_iterate_at_a_time():
     m = AffineSphereMap.create(np.diag([2.0, 0.5]), [0.3, 0.2])
     P = _unit_rows(np.random.default_rng(3), 4, 2)
-    walk, chain = _pair_blocks(m, P), chain_pair_blocks(m, P)
+    walk, chain = _pair_blocks(m, P, 300), chain_pair_blocks(m, P)
     for _ in range(300):
         block = next(walk)
         assert block.shape == (1, 4, 2)
@@ -147,13 +147,13 @@ def test_a_10000_step_budget_replays_exactly():
 def test_block_powers_depend_only_on_their_index(T):
     m = AffineSphereMap.create(T)
     W = _power_stack(m)
-    distality._block_cache.cache_clear()
-    reference = _block_powers(m, W, 300).copy()
+    distality._walk_powers.cache_clear()
+    reference = _block_powers(m, 300).copy()
     growths = ([1, 2, 3, 5, 9, 17, 33, 65, 129, 300], [40, 7, 300], [3, 100, 257, 300], [16, 17, 300])
     for counts in growths:
-        distality._block_cache.cache_clear()
+        distality._walk_powers.cache_clear()
         for count in counts:
-            B = _block_powers(m, W, count)
+            B = _block_powers(m, count)
             assert len(B) >= count and not B.flags.writeable
             assert np.array_equal(B[:count], reference[:count]), (T, counts, count)
     assert np.array_equal(reference[0], W[-1])  # B_1 is the stack's last power
@@ -177,7 +177,7 @@ def test_replay_of_a_2000_step_pair_makes_at_most_two_products(monkeypatch):
         return apply_many(m, X)
 
     monkeypatch.setattr(distality, "apply_many", counting)
-    distality._block_cache.cache_clear()  # a cold replay grows the block powers itself
+    distality._walk_powers.cache_clear()  # a cold replay grows the block powers itself
     assert replay_certificate(cert, matrix=shear, tolerance=0.0)
     assert len(calls) <= 2
     assert all(m.matrix.shape == shear.shape for m in calls)
@@ -196,12 +196,12 @@ def test_a_2000_step_walk_takes_few_products(monkeypatch):
     # blocks 0 and 1, then the seeds of blocks 2-31 and their rows, one product each
     assert len(calls) == 4
     # 64 pairs fill a product of rows with one block: one product per block, and
-    # one for the seeds of each chunk of 2, 4, 8 and 16 blocks
+    # one for the seeds of blocks 2-31
     calls.clear()
     X, Y = _unit_rows(np.random.default_rng(5), 128, 2).reshape(2, 64, 2)
     for _ in _separations(AffineSphereMap.create(rotation(1.0)), X, Y, 2000):
         pass
-    assert len(calls) == 32 + 4
+    assert len(calls) == 32 + 1
 
 
 def test_replay_rejects_a_step_count_that_is_not_an_integer():
