@@ -2,8 +2,8 @@
 
 Constructive fixed-point solvers for affine circle maps, distality
 classifiers for matrices and finitely generated semigroups, and an
-orbit-based proximal-pair oracle that independently certifies every
-verdict.
+orbit-based proximal-pair oracle for semigroup words.  A classifier's
+certificate is a spectral pair, measured by walking the map.
 """
 
 __version__ = "0.1.0"

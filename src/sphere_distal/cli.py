@@ -11,7 +11,7 @@ Exit codes
         budgets, a non-finite angle, a vector flag of the wrong length, a
         point off the sphere, an output path that cannot be written)
     65  singular matrix, or a normalization to unit determinant that overflows
-    66  invalid translation (zero, degenerate, or non-injective regime)
+    66  invalid translation (zero, degenerate, non-injective regime, or a norm that overflows)
     70  unexpected internal failure, or stdout closed before all output
         was written
 
@@ -237,6 +237,10 @@ def _orbit(args, config):
     # rendered before any output is opened: a rejected SVG leaves no file
     svg = orbit_to_svg(record, proj_axis=args.proj_axis) if args.svg else None
     csv_fh, svg_fh = _open_outputs(args.csv, args.svg or None)
+    with contextlib.suppress(OSError, ValueError):  # a stdout with no descriptor, an io.StringIO
+        if csv_fh is not None and os.path.samestat(os.fstat(csv_fh.fileno()), os.fstat(sys.stdout.fileno())):
+            csv_fh.close()  # the CSV goes through sys.stdout, so the report follows it
+            csv_fh = None
     with csv_fh or contextlib.nullcontext(), svg_fh or contextlib.nullcontext():
         orbit_to_csv(record, csv_fh or sys.stdout)
         if svg_fh is not None:
@@ -244,7 +248,7 @@ def _orbit(args, config):
         for fh in filter(None, (csv_fh, svg_fh)):
             if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # a device or a pipe has no old tail
                 fh.truncate()  # drop what is left of a longer old file
-    if csv_fh is None:
+    if args.csv is None:
         return EXIT_DISTAL, None  # stdout already holds the CSV payload
     return EXIT_DISTAL, {
         "map": m.describe(),

@@ -148,10 +148,9 @@ STACK_CACHE = 16
 
 @functools.lru_cache(maxsize=STACK_CACHE)
 def _walk_powers(key: bytes, d: int) -> list:
-    """[W, B, P] for the d x d matrix T whose float64 bytes are ``key``: the powers
+    """[W, B] for the d x d matrix T whose float64 bytes are ``key``: the powers
     W_j = N(T^j), j = 1..PAIR_BLOCK, each divided by its largest absolute entry
-    so nothing overflows, read-only; the block powers so far, B_1 = W_64; and the
-    np.longdouble powers ``_block_powers`` grows B from, none yet.
+    so nothing overflows, read-only; and the block powers so far, B_1 = W_64.
 
     Each doubling writes T^(n+i) = T^i T^n, i = 1..j with j <= n, into the next
     slab of W as one 2-D GEMM and divides each new power by its largest absolute
@@ -171,28 +170,29 @@ def _walk_powers(key: bytes, d: int) -> list:
         np.divide(slab, np.maximum.reduce(np.abs(slab), axis=1, keepdims=True), out=slab)
         n += j
     F.flags.writeable = False
-    return [F, F[-1:], []]
+    return [F, F[-1:]]
 
 
 def _block_powers(m: AffineSphereMap, count: int) -> np.ndarray:
     """At least ``count`` block powers B_j = N(T^(PAIR_BLOCK j)) of a projective m,
-    read-only, grown on demand per matrix with bits that depend on j alone:
-    B_1 = W_64, then N(P_j) for P_1 = N(T)^PAIR_BLOCK, P_(j+1) = P_j P_1 in
-    np.longdouble (80-bit on x86; every 16th rescaled).  Float64 products of long
+    read-only, with bits that depend on j alone: B_1 = W_64, then N(P_j) for
+    P_1 = N(T)^PAIR_BLOCK, P_(j+1) = P_j P_1 in np.longdouble (80-bit on x86;
+    P_1 and every 16th power after it rescaled).  A walk that needs more than
+    the cache holds regrows all of them from P_1.  Float64 products of long
     powers of a nearly nilpotent T lose the small terms that separate a pair (B_31
     of a 3x3 Jordan block 1e-8 to 1e-6 off, for a separation of 1e-8)."""
     cell = _walk_powers(m.matrix.astype(float, copy=False).tobytes(), m.dim)
-    _, B, P = cell
+    W, B = cell
     if len(B) < count:
-        P = P[:]  # grown apart and stored whole: a concurrent call sees one state or the other
         T = m.matrix.astype(np.longdouble) / np.abs(m.matrix).max()
-        for j in range(len(P), count):
+        P = []
+        for j in range(count):
             M = P[-1] @ P[0] if P else np.linalg.matrix_power(T, PAIR_BLOCK)
             P.append(M if j % 16 else M / np.abs(M).max())
-        S = np.array(P[len(B) :])
-        B = np.concatenate([B, (S / np.abs(S).max(axis=(1, 2), keepdims=True)).astype(float)])
+        S = np.array(P[1:])
+        B = np.concatenate([W[-1:], (S / np.abs(S).max(axis=(1, 2), keepdims=True)).astype(float)])
         B.flags.writeable = False
-        cell[1:] = [B, P]
+        cell[1] = B  # stored whole: a concurrent call sees one state or the other
     return B
 
 
@@ -336,7 +336,8 @@ def proximal_pair_search(
 def _jordan_collapse_pair(U: np.ndarray, lam: float, config: Config):
     """Shear-type pair for a defective eigenvalue: both points share the
     generalized component, so their projective iterates merge on the
-    eigen-direction side."""
+    eigen-direction side.  None when the cluster block is numerically scalar,
+    a Jordan chain too short to build the pair from."""
     d = U.shape[0]
     gap = config.cluster_tol * max(_operator_norm(U), 1.0)
     cluster = invariant_subspace(U, lambda mu: abs(mu - lam) <= 10.0 * gap)
@@ -355,11 +356,7 @@ def _jordan_collapse_pair(U: np.ndarray, lam: float, config: Config):
             break
         chain.append(nxt / norm_nxt)
     if len(chain) < 2:
-        # cluster block is numerically scalar after all; any well-separated
-        # pair is as informative as any other here
-        x = unit_vector(Z[:, 0])
-        y = unit_vector(x + 0.5 * Z[:, -1]) if d > 1 else x
-        return x, y
+        return None
     v = chain[-1]
     w_gen = chain[-2]
     c = float(v @ (M @ w_gen))
@@ -392,8 +389,8 @@ def classify_projective_distality(T, config: Config = DEFAULT_CONFIG) -> Distali
     Distal iff the unimodular normalization is semisimple with every
     eigenvalue modulus within the spectral tolerance of one.  Negative
     verdicts carry a proximal pair built from the spectral data and then
-    measured by actually iterating the map; ambiguous rank tests inside
-    the tolerance band yield Inconclusive rather than a guess.
+    measured by actually iterating the map; a spectrum that builds no pair
+    (an ambiguous rank test, moduli at the band edge) yields Inconclusive.
     """
     T = as_matrix(T)
     if T.shape[0] not in (2, 3):
@@ -406,33 +403,25 @@ def _classify(T: np.ndarray, unit: np.ndarray, config: Config) -> DistalityVerdi
     normalization ``unit`` the caller has already computed."""
     summary = _spectral_summary(unit, config)
     moduli = [abs(lam) for lam in summary.eigenvalues]  # floats: the eigenvalues are Python complex
-    budget = {
-        "spectral_tol": config.spectral_tol,
-        "oracle_iterations": config.oracle.iterations,
-    }
+    budget = {"spectral_tol": config.spectral_tol, "oracle_iterations": config.oracle.iterations}
     seed = config.rng_seed
     unimodular = all(abs(mod - 1.0) <= config.spectral_tol for mod in moduli)
     if unimodular and summary.semisimple is True:
         cert = SpectralProof(eigenvalues=summary.eigenvalues, semisimple=True)
         return DistalityVerdict(Verdict.DISTAL, cert, budget, seed)
-    if unimodular and summary.semisimple is None:
+    # a not-distal verdict carries the pair the spectrum builds; without one, Inconclusive
+    if unimodular:  # defective or ambiguous with unimodular spectrum: shear-type collapse
         reason = {"reason": "ambiguous-rank-test", "moduli": moduli, "rank_tol": config.rank_tol}
-        return DistalityVerdict(Verdict.INCONCLUSIVE, BudgetExhausted(reason), budget, seed)
-
-    # T passed _unimodular's singularity gate, so the map needs no second check
-    m = AffineSphereMap(T, np.zeros(len(T)), Regime.PROJECTIVE, 0.0)
-    if unimodular:  # defective with unimodular spectrum: shear-type collapse
-        pair = _jordan_collapse_pair(unit, summary.defective_eigenvalue, config)
-    else:
+        lam = summary.defective_eigenvalue
+        pair = None if summary.semisimple is None else _jordan_collapse_pair(unit, lam, config)
+    else:  # moduli that straddle the band edge too tightly build no pair
+        reason = {"reason": "band-edge-spectrum", "moduli": moduli}
         pair = _split_moduli_pair(unit, config)
     if pair is None:
-        # moduli straddle the band edge too tightly to split; fall back to the oracle
-        found = proximal_pair_search(m, seed=seed, config=config)
-        if found is None:
-            cert = BudgetExhausted({"reason": "band-edge-spectrum", "moduli": moduli})
-            return DistalityVerdict(Verdict.INCONCLUSIVE, cert, budget, seed)
-        return DistalityVerdict(Verdict.NOT_DISTAL, found, budget, seed)
-    # measure the pair: the earliest minimum separation within the budget
+        return DistalityVerdict(Verdict.INCONCLUSIVE, BudgetExhausted(reason), budget, seed)
+    # measure the pair: the earliest minimum separation within the budget;
+    # T passed _unimodular's singularity gate, so the map needs no second check
+    m = AffineSphereMap(T, np.zeros(len(T)), Regime.PROJECTIVE, 0.0)
     x, y = pair
     sep0 = float(np.linalg.norm(x - y))
     steps, best = 0, sep0
@@ -614,7 +603,7 @@ def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFI
     ambiguous = False
     for i, G in enumerate(gens):
         _, unit = _unimodular(G, config)
-        v = _classify(G, unit, config)
+        v = _classify(unit, unit, config)  # a pair walks the unit that replay walks
         if v.verdict is Verdict.NOT_DISTAL:
             cert = v.certificate
             if isinstance(cert, ProximalPair):
@@ -715,9 +704,7 @@ def replay_certificate(
     not grow with ``steps``.  Unbounded words recompute the word norm.
     Positive certificates have nothing to falsify and return True.
     """
-    units = None if generators is None else [
-        normalize_to_unimodular(G, config).unit for G in generators
-    ]
+    units = None if generators is None else [normalize_to_unimodular(G, config).unit for G in generators]
     if isinstance(cert, UnboundedWord):
         if units is None:
             raise ValueError("replaying an unbounded word needs the generators")

@@ -105,7 +105,8 @@ def _circle_map(T, a, config: Config):
     if float(np.linalg.norm(a)) == 0.0:
         raise ZeroTranslation("the projective action has no translation")
     s, T_hat = _unimodular(T, config)
-    m = _homeomorphism(T_hat, a / s, config)
+    with np.errstate(over="ignore"):  # an a / s that overflows is refused as a translation
+        m = _homeomorphism(T_hat, a / s, config)
     if T.shape[0] != 2:
         raise DimensionUnsupported("fixed points are built on the circle (d = 2)")
     return m, real_schur_2x2(m.matrix, config)

@@ -270,40 +270,23 @@ def real_schur_2x2(T, config: Config = DEFAULT_CONFIG) -> EigenStructure:
 
 def _double_eigenvalue_2x2(T: np.ndarray, scale: float, tr: float, config: Config) -> EigenStructure:
     """``real_schur_2x2`` for a spectrum inside the cluster band: one double
-    eigenvalue lam = tr/2, semisimple or not by the rank of T - lam*I."""
+    eigenvalue lam = tr/2, semisimple or not by the rank of T - lam*I.  The
+    form is lam * Id unless a usable Jordan chain makes it a JordanBlock."""
     lam = tr / 2.0
     M = T - lam * np.eye(2)
-    sigma = _operator_norm(M)
-    band = _rank_band(sigma, config.rank_tol * scale)
-    if band < 0:
-        # geometric multiplicity 2: T is lam * Id
-        A = np.eye(2)
-        return EigenStructure(
-            eigenvalues=(complex(lam), complex(lam)),
-            semisimple=True,
-            kind=RealDiagonalizable(lam, lam, A),
-            conditioning=1.0,
-        )
-    v = _null_direction(M)
-    w, *_ = np.linalg.lstsq(M, v, rcond=None)
-    A = np.column_stack([v, w])
-    det_A = determinant(A)
-    if abs(det_A) <= 1e-9 * max(1.0, float(np.linalg.norm(w))):
-        # no usable Jordan chain: the matrix is too close to lam * Id for
-        # the generalized direction to be meaningful
-        return EigenStructure(
-            eigenvalues=(complex(lam), complex(lam)),
-            semisimple=None if band == 0 else True,
-            kind=RealDiagonalizable(lam, lam, np.eye(2)),
-            conditioning=1.0,
-        )
-    cond = _operator_norm(A) * _operator_norm(matrix_inverse(A, config))
-    return EigenStructure(
-        eigenvalues=(complex(lam), complex(lam)),
-        semisimple=False if band > 0 else None,
-        kind=JordanBlock(lam, A),
-        conditioning=cond,
-    )
+    band = _rank_band(_operator_norm(M), config.rank_tol * scale)
+    kind, cond = RealDiagonalizable(lam, lam, np.eye(2)), 1.0
+    if band >= 0:
+        v = _null_direction(M)
+        w, *_ = np.linalg.lstsq(M, v, rcond=None)
+        A = np.column_stack([v, w])
+        # a chain with a nearly singular basis is not usable: T is too close
+        # to lam * Id for the generalized direction to be meaningful
+        if abs(determinant(A)) > 1e-9 * max(1.0, float(np.linalg.norm(w))):
+            kind = JordanBlock(lam, A)
+            cond = _operator_norm(A) * _operator_norm(matrix_inverse(A, config))
+    semisimple = None if band == 0 else not isinstance(kind, JordanBlock)
+    return EigenStructure((complex(lam), complex(lam)), semisimple, kind, cond)
 
 
 # --- spectra for d = 3 ------------------------------------------------------

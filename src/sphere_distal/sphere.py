@@ -55,12 +55,14 @@ def _renormalized(x: np.ndarray, config: Config) -> np.ndarray:
 
 
 def _checked_translation(T: np.ndarray, a) -> np.ndarray:
-    """The translation ``a`` as a float vector of T's dimension with finite entries."""
+    """The translation ``a`` as a float vector of T's dimension with finite entries and norm."""
     a = np.asarray(a, dtype=float)
     if a.shape != (T.shape[0],):
         raise DimensionMismatch("translation must match the matrix dimension")
     if not np.isfinite(a).all():
         raise InvalidTranslation("translation entries must be finite")
+    if sum(v * v for v in a.tolist()) == math.inf:  # np.linalg.norm would overflow, with a warning
+        raise InvalidTranslation("the translation's norm overflows")
     return a
 
 
@@ -95,8 +97,11 @@ def affine_is_homeomorphism(T, a, config: Config = DEFAULT_CONFIG) -> RegimeRepo
     a = _checked_translation(T, a)
     if float(np.linalg.norm(a)) == 0.0:
         raise ZeroTranslation("use the projective action for a = 0")
-    pullback = matrix_inverse(T, config) @ a
-    rho = float(np.linalg.norm(pullback))
+    with np.errstate(over="ignore", invalid="ignore"):
+        pullback = matrix_inverse(T, config) @ a
+        rho = float(np.linalg.norm(pullback))
+    if not rho < math.inf:
+        raise InvalidTranslation("||T^-1 a|| overflows")
     if abs(rho - 1.0) <= config.classify_tol:
         return RegimeReport(Regime.DEGENERATE, rho, None)
     if rho < 1.0:

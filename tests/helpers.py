@@ -127,6 +127,24 @@ def naive_power_stack(T, k=64):
     return W
 
 
+def naive_block_powers(T, count, k=64):
+    """B_1..B_count, one block power at a time: B_1 is the last power of
+    ``naive_power_stack``; B_j = N(P_j) for j >= 2, with P_1 = N(T)^k in
+    np.longdouble divided by its largest absolute entry, P_j = P_(j-1) P_1 and
+    P_17, P_33, ... divided likewise.  N divides by the largest absolute entry
+    and rounds to float64."""
+    L = np.asarray(T, dtype=np.longdouble) / np.max(np.abs(T))
+    P1 = np.linalg.matrix_power(L, k)
+    P1 = P1 / np.max(np.abs(P1))
+    B, P = [naive_power_stack(T, k)[-1]], P1
+    for j in range(2, count + 1):
+        P = P @ P1
+        if j % 16 == 1:
+            P = P / np.max(np.abs(P))
+        B.append((P / np.max(np.abs(P))).astype(float))
+    return np.array(B)
+
+
 def chain_pair_blocks(m, P):
     """The seed-chain walk: every block applies the power stack of m to the last
     row of the block before it, so block q starts from step 64 q."""

@@ -671,6 +671,38 @@ def test_orbit_csv_to_stdout_through_a_pipe_exits_0(tmp_path, capsys):
     assert json.loads(proc.stdout[len(csv):])["result"]["csv"] == "/dev/stdout"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_orbit_csv_to_stdout_redirected_to_a_file_keeps_the_csv(tmp_path, capsys):
+    csv_path = tmp_path / "orbit.csv"
+    assert main(["orbit", "--rot", "0.3", "--steps", "1", "--csv", str(csv_path)]) == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    argv = ["orbit", "--rot", "0.3", "--steps", "1", "--csv", "/dev/stdout"]
+    out = tmp_path / "out.txt"
+    with open(out, "wb") as fh:
+        proc = subprocess.run([sys.executable, "-m", "sphere_distal.cli"] + argv,
+                              stdout=fh, stderr=subprocess.PIPE, env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == b""
+    csv, written = csv_path.read_bytes(), out.read_bytes()
+    assert written.startswith(csv)  # the CSV, then the report after it
+    assert json.loads(written[len(csv):])["result"]["csv"] == "/dev/stdout"
+
+
+@pytest.mark.parametrize("a", ["1e306,0", "1e153,0"])
+@pytest.mark.parametrize(
+    "command", [["fixed-point"], ["inverse-image", "--y=1,0"], ["orbit", "--steps", "2"]], ids=lambda c: c[0]
+)
+def test_a_translation_whose_norm_overflows_exits_66(tmp_path, capsys, command, a):
+    # ||a|| (1e306) or ||T^-1 a|| (1e156) squares past the largest float
+    path = write_matrix(tmp_path / "small.json", [[1e-3, 0.0], [0.0, 1e-3]])
+    argv = command[:1] + [path, f"--a={a}"] + command[1:]
+    for action in ("error", "always"):  # with -W error::RuntimeWarning and without
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action, RuntimeWarning)
+            code, report, err = run_cli(capsys, argv)
+        assert code == 66 and report is None and caught == []
+        assert err.startswith("error: invalid translation: ") and err.count("\n") == 1
+
+
 def test_orbit_replaces_a_longer_existing_output(tmp_path, capsys):
     path = write_matrix(tmp_path / "shear.json", SHEAR)
     fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"

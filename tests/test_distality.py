@@ -111,17 +111,51 @@ def test_classify_inconclusive_near_boundary():
     assert isinstance(v.certificate, BudgetExhausted)
 
 
-def test_classify_band_edge_spectrum_falls_back_to_the_oracle():
+def _band_edge_spectrum():
     # moduli 1 + 1.5e-7 and 1 - 0.75e-7 straddle the spectral band's edge too
-    # tightly to split into a pair; the oracle finds no approach either
+    # tightly to split into a pair
     rho = 1.0 - 0.75e-7
     T = np.zeros((3, 3))
     T[:2, :2] = rho * rotation(1.0)
     T[2, 2] = 1.0 / rho**2
+    return T
+
+
+def test_classify_band_edge_spectrum_is_inconclusive():
+    T = _band_edge_spectrum()
     v = classify_projective_distality(T)
     assert v.verdict is Verdict.INCONCLUSIVE
     assert v.certificate.parameters["reason"] == "band-edge-spectrum"
     assert len(v.certificate.parameters["moduli"]) == 3
+
+
+def test_conditioned_band_edge_spectrum_is_inconclusive_without_the_oracle(monkeypatch):
+    # conjugated by diag(1000, 1, 1), the same spectrum brings random far pairs
+    # within the oracle's eps in one step: an artefact of the conditioning, not
+    # a proof, so the classifier never asks the oracle
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the classifier ran the orbit oracle")
+
+    monkeypatch.setattr(distality, "proximal_pair_search", no_oracle)
+    T = np.diag([1000.0, 1.0, 1.0]) @ _band_edge_spectrum() @ np.diag([1e-3, 1.0, 1.0])
+    v = classify_projective_distality(T)
+    assert v.verdict is Verdict.INCONCLUSIVE
+    assert v.certificate.parameters["reason"] == "band-edge-spectrum"
+
+
+def test_jordan_collapse_pair_builds_no_pair_from_a_scalar_block():
+    assert _jordan_collapse_pair(np.eye(3), 1.0, DEFAULT_CONFIG) is None
+
+
+def test_a_defective_spectrum_with_too_short_a_chain_is_inconclusive(monkeypatch):
+    # a summary that calls the identity defective: no Jordan chain to build a pair from
+    summary = distality._spectral_summary(np.eye(3), DEFAULT_CONFIG)
+    monkeypatch.setattr(distality, "_spectral_summary", lambda U, config: replace(
+        summary, semisimple=False, defective_eigenvalue=1.0))
+    v = distality._classify(np.eye(3), np.eye(3), DEFAULT_CONFIG)
+    assert v.verdict is Verdict.INCONCLUSIVE
+    assert v.certificate.parameters == {
+        "reason": "ambiguous-rank-test", "moduli": [1.0, 1.0, 1.0], "rank_tol": DEFAULT_CONFIG.rank_tol}
 
 
 def test_classify_d3_defective():
@@ -428,6 +462,36 @@ def test_replay_rejects_a_pair_that_never_got_closer():
     sep0 = float(np.linalg.norm(x - y))
     stuck = ProximalPair(x, y, steps=5, separation_initial=sep0, separation_final=sep0)
     assert not replay_certificate(stuck, matrix=rotation(1.0))
+
+
+def test_a_generator_certificate_replays_bit_for_bit():
+    # a non-distal generator's pair is measured on its unimodular unit, the map
+    # replay_certificate(generators=...) walks, so it replays with tolerance 0
+    rng = np.random.default_rng(26)
+    for _ in range(200):
+        C = random_conjugator(rng)
+        shear = C @ np.array([[1.0, 10.0 ** rng.uniform(-1.0, 1.0)], [0.0, 1.0]]) @ matrix_inverse(C)
+        gens = (rotation(0.3), shear * math.exp(rng.uniform(-3.0, 3.0)))
+        v = semigroup_distality_test(SemigroupSpec(gens))
+        assert v.verdict is Verdict.NOT_DISTAL and v.certificate.word == (1,)
+        assert replay_certificate(v.certificate, generators=gens, tolerance=0.0)
+
+
+def test_replay_refuses_a_certificate_without_its_map():
+    with pytest.raises(ValueError, match="needs the generators"):
+        replay_certificate(UnboundedWord(word=(0,), norm=64.0, bound=30.0), matrix=np.eye(2))
+    v = classify_projective_distality([[1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="needs a matrix"):
+        replay_certificate(v.certificate)
+    with pytest.raises(ValueError, match="needs a matrix"):
+        replay_certificate(v.certificate, generators=[np.eye(2)])  # no word to resolve
+
+
+def test_replay_accepts_positive_certificates():
+    proof = classify_projective_distality(rotation(1.0)).certificate
+    assert isinstance(proof, SpectralProof) and replay_certificate(proof)
+    swept = semigroup_distality_test(SemigroupSpec((rotation(0.5),))).certificate
+    assert isinstance(swept, BudgetExhausted) and replay_certificate(swept)
 
 
 # --- orbit-pair kernel ------------------------------------------------------------

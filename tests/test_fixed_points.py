@@ -18,6 +18,7 @@ from helpers import (
 from sphere_distal import (
     AffineSphereMap,
     Config,
+    DimensionUnsupported,
     HypothesisNotMet,
     InvalidTranslation,
     NoPositiveRealEigenvalue,
@@ -129,6 +130,26 @@ def test_bisection_reports_invalid_bracket():
     with pytest.raises(HypothesisNotMet) as info:
         _bisect_to_one(lambda g: 2.0 + g, 0.0, 1.0, DEFAULT_CONFIG, "probe")
     assert info.value.reason == "bracket-endpoint-sign"
+
+
+def test_bisection_returns_an_endpoint_where_f_is_exactly_one():
+    # a root at a bracket's end needs no bisection step, so f never sees another gamma
+    for lo, hi, root in ((0.5, 2.0, 0.5), (0.5, 2.0, 2.0), (-3.0, 0.25, 0.25)):
+        calls = []
+
+        def f(gamma):
+            calls.append(gamma)
+            return 1.0 + (gamma - root) / 8.0
+
+        assert _bisect_to_one(f, lo, hi, Config(), "probe") == root
+        assert calls == [lo, hi]
+
+
+def test_witnesses_refuse_the_other_dimension():
+    with pytest.raises(DimensionUnsupported, match="d = 2"):
+        choose_nondistal_witness(np.eye(3))
+    with pytest.raises(DimensionUnsupported, match="d = 3"):
+        isometry_even_sphere_witness(rotation(0.3))
 
 
 def test_resolvent_3x3_direct_solve():

@@ -53,6 +53,15 @@ def test_normalize_derived_example():
     assert abs(abs(det_unit) - 1.0) < 1e-12
 
 
+def test_normalize_a_4x4_by_the_fourth_root_of_its_determinant():
+    nm = normalize_to_unimodular(np.diag([16.0, 1.0, 1.0, 1.0]))
+    assert nm.scale == 0.5 and np.array_equal(nm.unit, np.diag([8.0, 0.5, 0.5, 0.5]))
+    T = random_invertible(np.random.default_rng(4), 4)
+    nm = normalize_to_unimodular(3.0 * T)
+    assert abs(abs(np.linalg.det(nm.unit)) - 1.0) < 1e-12
+    assert np.allclose(nm.unit, nm.scale * 3.0 * T, rtol=1e-14, atol=0.0)
+
+
 def test_normalize_rejects_singular():
     with pytest.raises(SingularMatrix):
         normalize_to_unimodular([[1.0, 1.0], [1.0, 1.0]])

@@ -12,6 +12,7 @@ from helpers import (
     chain_pair_blocks,
     extended_separation,
     extended_walk,
+    naive_block_powers,
     random_conjugator,
     random_orthogonal_3x3,
 )
@@ -164,6 +165,22 @@ def test_block_powers_depend_only_on_their_index(T):
             P = P @ np.asarray(T, dtype=np.longdouble)
             P /= np.abs(P).max()
         assert np.max(np.abs(reference[j - 1] - P.astype(float))) <= 1e-12, (T, j)
+
+
+@pytest.mark.parametrize(
+    "T",
+    [np.array([[1.0, 0.1], [0.0, 1.0]]), 1e3 * (np.eye(3) + 0.3 * np.diag([1.0, 1.0], k=1)),
+     1e-3 * rotation(0.7) @ np.diag([1.001, 1.0 / 1.001]), np.diag([1.02, 1.0, 1.0 / 1.02])],
+    ids=["shear", "jordan", "split-2x2", "split-3x3"],
+)
+def test_block_powers_equal_the_one_at_a_time_reference_bit_for_bit(T):
+    m = AffineSphereMap.create(T)
+    want = naive_block_powers(T, 300)
+    for counts in ([31], [300], [1, 31, 300]):
+        distality._walk_powers.cache_clear()
+        for count in counts:
+            B = _block_powers(m, count)
+            assert np.array_equal(B[:count], want[:count]), (counts, count)
 
 
 def test_replay_of_a_2000_step_pair_makes_at_most_two_products(monkeypatch):
