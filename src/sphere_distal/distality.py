@@ -57,8 +57,9 @@ class ProximalPair:
     ``steps`` iterations of the generating map bring the separation from
     ``separation_initial`` down to ``separation_final``; replaying the
     iteration reproduces that claim.  For a pair the classifier measured,
-    ``steps`` is the earliest step with the smallest separation within the
-    iteration budget; the walk stops once the separation is exactly 0.
+    ``steps`` is the first step whose separation is below the oracle eps,
+    where the walk stops; a pair that never gets there within the iteration
+    budget names the earliest step with the smallest separation.
     Step n = 64 q + r + 1 of a matrix is measured, and replayed, as
     N(W_(r+1) N(B_q x)) with N the normalization, W_j = N(T^j) and
     B_q = N(T^(64 q)) (B_0 x = x), both kept per matrix in one cache: not
@@ -207,23 +208,26 @@ def _pair_blocks(m: AffineSphereMap, P: np.ndarray, steps: int):
     """Stacks (k, n, d) holding the next k iterates of the rows of P, through step
     ``steps`` at least.  Block q of a projective map is W (``_power_stack``)
     applied to the seed N(B_q x).  Blocks 0 and 1 start from x and from block 0's
-    last row, so a walk that stops inside them builds no block power from P_1;
-    the seeds of blocks 2 to ceil(steps / PAIR_BLOCK) - 1 take one product, their
-    rows one per PAIR_CHUNK seeds (a block at least).  An affine map steps on
-    from the last row of each one-step block."""
+    last row, so a walk that stops inside them builds no block power from P_1.
+    Blocks 2 to ceil(steps / PAIR_BLOCK) - 1 follow in doubling chunks (2-3, 4-7,
+    8-15, 16-31, ...): the seeds of a chunk take one product, their rows one per
+    PAIR_CHUNK seeds (a block at least), so a walk that stops in block q builds
+    no block power and no row past q's chunk.  An affine map steps on from the
+    last row of each one-step block."""
     stacked = replace(m, matrix=_power_stack(m))
     projective = m.regime is Regime.PROJECTIVE
     Q = P[None]
     for _ in range(2 if projective else steps):
         Q = apply_many(stacked, Q[-1])
         yield Q
-    later = -(-steps // PAIR_BLOCK) - 2
-    if projective and later > 0:
-        (n, d), g = P.shape, max(1, PAIR_CHUNK // len(P))
-        seeds = _seeds(m, P, 2, later)
-        for i in range(0, later, g):
+    (n, d), g = P.shape, max(1, PAIR_CHUNK // len(P))
+    q, end = 2, -(-steps // PAIR_BLOCK) if projective else 0
+    while q < end:
+        seeds = _seeds(m, P, q, min(q, end - q))
+        for i in range(0, len(seeds), g):
             rows = apply_many(stacked, seeds[i : i + g].swapaxes(0, 1).reshape(-1, d))
             yield rows.swapaxes(0, 1).reshape(n, -1, d).swapaxes(0, 1)
+        q += len(seeds)
 
 
 def _separations(m: AffineSphereMap, X, Y, steps: int):
@@ -419,18 +423,23 @@ def _classify(T: np.ndarray, unit: np.ndarray, config: Config) -> DistalityVerdi
         pair = _split_moduli_pair(unit, config)
     if pair is None:
         return DistalityVerdict(Verdict.INCONCLUSIVE, BudgetExhausted(reason), budget, seed)
-    # measure the pair: the earliest minimum separation within the budget;
-    # T passed _unimodular's singularity gate, so the map needs no second check
+    # measure the pair: the first step n >= 0 whose separation is below eps,
+    # else the earliest minimum over steps 0..budget; T passed _unimodular's
+    # singularity gate, so the map needs no second check
     m = AffineSphereMap(T, np.zeros(len(T)), Regime.PROJECTIVE, 0.0)
     x, y = pair
+    eps = config.oracle.eps
     sep0 = float(np.linalg.norm(x - y))
     steps, best = 0, sep0
-    for first, S in _separations(m, x, y, config.oracle.iterations):
-        k = int(S[:, 0].argmin())
-        if S[k, 0] < best:
-            steps, best = first + k, float(S[k, 0])
-            if best == 0.0:  # no later step can come closer
-                break
+    for first, S in _separations(m, x, y, config.oracle.iterations) if sep0 >= eps else ():
+        s = S[:, 0]
+        below = np.flatnonzero(s < eps)
+        if below.size:
+            steps, best = first + int(below[0]), float(s[below[0]])
+            break
+        k = int(s.argmin())
+        if s[k] < best:
+            steps, best = first + k, float(s[k])
     return DistalityVerdict(Verdict.NOT_DISTAL, ProximalPair(x, y, steps, sep0, best), budget, seed)
 
 

@@ -17,7 +17,12 @@ from sphere_distal import (
     contraction_subspace,
     rotation,
 )
-from sphere_distal.distality import _first_proximal, _power_stack
+from sphere_distal.distality import (
+    _first_proximal,
+    _jordan_collapse_pair,
+    _power_stack,
+    _split_moduli_pair,
+)
 from sphere_distal.fixed_points import (
     _bisect_to_one,
     _circle_pair_search,
@@ -31,8 +36,10 @@ from sphere_distal.linalg import (
     as_matrix,
     determinant,
     matrix_inverse,
+    normalize_to_unimodular,
     operator_norm,
     real_schur_2x2,
+    spectral_summary,
 )
 from sphere_distal.sphere import apply_many, unit_vector
 
@@ -143,6 +150,15 @@ def naive_block_powers(T, count, k=64):
             P = P / np.max(np.abs(P))
         B.append((P / np.max(np.abs(P))).astype(float))
     return np.array(B)
+
+
+def spectral_pair(T):
+    """The pair the classifier builds from the spectrum, before measuring it."""
+    unit = normalize_to_unimodular(T).unit
+    summary = spectral_summary(unit)
+    if all(abs(abs(lam) - 1.0) <= DEFAULT_CONFIG.spectral_tol for lam in summary.eigenvalues):
+        return _jordan_collapse_pair(unit, summary.defective_eigenvalue, DEFAULT_CONFIG)
+    return _split_moduli_pair(unit, DEFAULT_CONFIG)
 
 
 def chain_pair_blocks(m, P):

@@ -15,6 +15,7 @@ from helpers import (
     naive_power_stack,
     random_conjugator,
     random_orthogonal_3x3,
+    spectral_pair,
 )
 from sphere_distal import (
     DEFAULT_CONFIG,
@@ -50,7 +51,6 @@ from sphere_distal.distality import (
     _sample_far_pairs,
     _separation_after,
     _separations,
-    _split_moduli_pair,
     _word_at,
     _word_levels,
     _word_product,
@@ -60,7 +60,6 @@ from sphere_distal.linalg import (
     _operator_norm,
     _operator_norms,
     matrix_inverse,
-    spectral_summary,
 )
 from sphere_distal.serialize import dump_json, verdict_to_json
 from sphere_distal.sphere import Regime, apply_many, unit_vector
@@ -86,9 +85,12 @@ def test_classify_split_diag_collapses_to_pole():
     v = classify_projective_distality(T)
     assert v.verdict is Verdict.NOT_DISTAL
     cert = v.certificate
-    assert cert.separation_final < 1e-6
-    # both certificate points end up on the dominant axis
     m = AffineSphereMap.create(T)
+    # the walk stops at the first step below eps
+    eps = DEFAULT_CONFIG.oracle.eps
+    before = _separation_after(m, cert.x, cert.y, cert.steps - 1) if cert.steps > 1 else cert.separation_initial
+    assert cert.separation_final < eps <= before
+    # both certificate points end up on the dominant axis
     from sphere_distal import apply_affine
 
     for start in (cert.x, cert.y):
@@ -1082,35 +1084,21 @@ def test_oracle_hit_on_a_picked_word_matches_the_reference(monkeypatch, seed):
     assert isinstance(v.certificate, ProximalPair) and len(v.certificate.word) > 1
 
 
-# --- the measured pair stops once it has collapsed --------------------------------
+# --- the measured pair stops at its first step below eps --------------------------
 
 
 def naive_measured_pair(T, x, y, iterations):
-    """The classifier's measurement as the full-budget argmin: every block is
-    walked, norms come from ``np.linalg.norm`` and each improvement is kept
-    by ``replace``.  Call it with ``naive_apply_many`` patched in."""
+    """The classifier's measurement by the naive rule: every block of the budget
+    is walked, norms come from ``np.linalg.norm``, and the step reported is the
+    first n >= 0 whose separation is below eps, else the earliest minimum over
+    steps 0..iterations.  Call it with ``naive_apply_many`` patched in."""
     m = AffineSphereMap.create(T)
     sep0 = float(np.linalg.norm(x - y))
-    best = ProximalPair(x, y, 0, sep0, sep0)
-    blocks = _pair_blocks(m, np.stack([x, y]), iterations)
-    done = 0
-    while done < iterations:
-        Q = next(blocks)[: iterations - done]
-        S = np.linalg.norm(Q[:, :1] - Q[:, 1:], axis=-1)
-        k = int(np.argmin(S[:, 0]))
-        if S[k, 0] < best.separation_final:
-            best = replace(best, steps=done + 1 + k, separation_final=float(S[k, 0]))
-        done += len(Q)
-    return best
-
-
-def _spectral_pair(T):
-    """The pair the classifier builds from the spectrum, before measuring it."""
-    unit = normalize_to_unimodular(T).unit
-    summary = spectral_summary(unit)
-    if all(abs(abs(lam) - 1.0) <= DEFAULT_CONFIG.spectral_tol for lam in summary.eigenvalues):
-        return _jordan_collapse_pair(unit, summary.defective_eigenvalue, DEFAULT_CONFIG)
-    return _split_moduli_pair(unit, DEFAULT_CONFIG)
+    Q = np.concatenate(list(_pair_blocks(m, np.stack([x, y]), iterations)))[:iterations]
+    S = np.concatenate([[sep0], np.linalg.norm(Q[:, 0] - Q[:, 1], axis=-1)])
+    below = np.flatnonzero(S < DEFAULT_CONFIG.oracle.eps)
+    n = int(below[0]) if below.size else int(np.argmin(S))
+    return ProximalPair(x, y, n, sep0, float(S[n]))
 
 
 def _measured_cases():
@@ -1125,6 +1113,8 @@ def _measured_cases():
         c = 10.0 ** rng.uniform(-1.0, 1.0)
         cases.append(C @ np.array([[1.0, c], [0.0, 1.0]]) @ matrix_inverse(C))
         cases.append(Q @ (np.eye(3) + c * np.diag([1.0, 0.0], k=1)) @ Q.T)
+    # a shear whose pair stays above eps for the whole budget
+    cases.append(np.array([[1.0, 0.01], [0.0, 1.0]]))
     return [scale * T for T in cases for scale in (1e-3, 1.0, 1e3)]
 
 
@@ -1137,15 +1127,16 @@ def test_measured_pair_matches_the_full_budget_argmin(monkeypatch):
         certs.append(v.certificate)
     monkeypatch.setattr(distality, "apply_many", naive_apply_many)
     for T, cert in zip(_measured_cases(), certs):
-        x, y = _spectral_pair(T)
+        x, y = spectral_pair(T)
         want = naive_measured_pair(T, x, y, iterations)
         assert np.array_equal(cert.x, want.x) and np.array_equal(cert.y, want.y)
         assert cert.steps == want.steps
         assert cert.separation_initial == want.separation_initial
         assert cert.separation_final == want.separation_final
-    # both ways out of the walk are covered: an exact collapse and the whole budget
-    assert any(c.separation_final == 0.0 for c in certs)
-    assert any(c.separation_final > 0.0 for c in certs)
+    # both ways out of the walk are covered: a step below eps and the whole budget
+    eps = DEFAULT_CONFIG.oracle.eps
+    assert any(c.separation_final < eps for c in certs)
+    assert any(c.separation_final >= eps and c.steps == iterations for c in certs)
 
 
 def test_collapsed_pair_stops_walking_blocks(monkeypatch):
@@ -1158,15 +1149,17 @@ def test_collapsed_pair_stops_walking_blocks(monkeypatch):
 
     monkeypatch.setattr(distality, "apply_many", counting)
     cert = classify_projective_distality(R @ np.diag([4.0, 0.25]) @ R.T).certificate
-    assert cert.separation_final == 0.0
-    assert len(calls) <= cert.steps // 64 + 2
-    assert len(calls) < DEFAULT_CONFIG.oracle.iterations // 64
+    assert cert.separation_final < DEFAULT_CONFIG.oracle.eps
+    # the pair is below eps inside block 0: one product, and the walk stops there
+    assert cert.steps < 64
+    assert len(calls) == 1
 
 
 def test_replay_applies_one_matrix_per_block_endpoint(monkeypatch):
-    shear = np.array([[1.0, 0.1], [0.0, 1.0]])
+    shear = np.array([[1.0, 0.01], [0.0, 1.0]])
     cert = classify_projective_distality(shear).certificate
-    assert cert.separation_final > 0.0  # the pair never collapses: a full-budget walk
+    # the pair never gets below eps: a full-budget walk
+    assert cert.separation_final >= DEFAULT_CONFIG.oracle.eps
     assert cert.steps > DEFAULT_CONFIG.oracle.iterations - 64
     calls = []
 

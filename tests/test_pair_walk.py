@@ -13,8 +13,10 @@ from helpers import (
     extended_separation,
     extended_walk,
     naive_block_powers,
+    naive_power_stack,
     random_conjugator,
     random_orthogonal_3x3,
+    spectral_pair,
 )
 from sphere_distal import (
     DEFAULT_CONFIG,
@@ -63,8 +65,9 @@ def _walk_cases(full_jordan=True):
 
 
 # per shear, the first three seeds of ``random_orthogonal_3x3`` whose full 3x3
-# Jordan block gets a measured pair longer than 2 blocks: most get a pair of 0
-# steps, or raise (``_jordan_collapse_pair``)
+# Jordan block gets a pair still closing in after 2 blocks (its earliest smallest
+# separation in 2000 steps comes after step 128): most get a pair of 0 steps, or
+# raise (``_jordan_collapse_pair``)
 FULL_JORDAN_SEEDS = (
     (0.1, (0, 1, 3)), (0.3, (3, 14, 18)), (1.0, (44, 59, 68)), (3.0, (68, 139, 151)),
 )
@@ -135,8 +138,10 @@ def test_a_10000_step_budget_replays_exactly():
         v = classify_projective_distality(T, config)
         if v.verdict is Verdict.NOT_DISTAL:
             assert replay_certificate(v.certificate, matrix=T, tolerance=0.0), T
-    long = classify_projective_distality(np.array([[1.0, 0.1], [0.0, 1.0]]), config).certificate
-    assert long.steps == 10_000  # the shear never collapses: the whole budget is walked
+    long = classify_projective_distality(np.array([[1.0, 0.001], [0.0, 1.0]]), config).certificate
+    # the shear's pair never gets below eps: the whole budget is walked
+    assert long.steps == 10_000 and long.separation_final >= config.oracle.eps
+    assert replay_certificate(long, matrix=[[1.0, 0.001], [0.0, 1.0]], config=config, tolerance=0.0)
 
 
 @pytest.mark.parametrize(
@@ -184,7 +189,7 @@ def test_block_powers_equal_the_one_at_a_time_reference_bit_for_bit(T):
 
 
 def test_replay_of_a_2000_step_pair_makes_at_most_two_products(monkeypatch):
-    shear = np.array([[1.0, 0.1], [0.0, 1.0]])
+    shear = np.array([[1.0, 0.01], [0.0, 1.0]])  # never below eps: a 2000-step pair
     cert = classify_projective_distality(shear).certificate
     assert cert.steps == DEFAULT_CONFIG.oracle.iterations
     calls = []
@@ -208,17 +213,17 @@ def test_a_2000_step_walk_takes_few_products(monkeypatch):
         return apply_many(m, X)
 
     monkeypatch.setattr(distality, "apply_many", counting)
-    cert = classify_projective_distality(np.array([[1.0, 0.1], [0.0, 1.0]])).certificate
+    cert = classify_projective_distality(np.array([[1.0, 0.01], [0.0, 1.0]])).certificate
     assert cert.steps == 2000
-    # blocks 0 and 1, then the seeds of blocks 2-31 and their rows, one product each
-    assert len(calls) == 4
+    # blocks 0 and 1, then per chunk (2-3, 4-7, 8-15, 16-31) the seeds and their rows
+    assert len(calls) == 2 + 4 * 2
     # 64 pairs fill a product of rows with one block: one product per block, and
-    # one for the seeds of blocks 2-31
+    # one for the seeds of each chunk
     calls.clear()
     X, Y = _unit_rows(np.random.default_rng(5), 128, 2).reshape(2, 64, 2)
     for _ in _separations(AffineSphereMap.create(rotation(1.0)), X, Y, 2000):
         pass
-    assert len(calls) == 32 + 1
+    assert len(calls) == 32 + 4
 
 
 def test_replay_rejects_a_step_count_that_is_not_an_integer():
@@ -233,20 +238,21 @@ def test_replay_rejects_a_step_count_that_is_not_an_integer():
 
 
 def test_long_pairs_agree_with_an_extended_precision_walk():
-    """The two-level walk reaches step 2000 through three rounded products of
-    normalized powers, not 2000 steps; on shears and partial Jordan blocks its
-    separation stays within 5e-5 relative of a step-by-step walk in extended
-    precision, as the seed chain's does."""
+    """The two-level walk reaches step 2000 through rounded products of
+    normalized powers, not 2000 steps; on shears and partial Jordan blocks the
+    separation of the classifier's pair there stays within 5e-5 relative of a
+    step-by-step walk in extended precision, as the seed chain's does."""
     rng = np.random.default_rng(4)
+    n = DEFAULT_CONFIG.oracle.iterations
     for shear in (0.1, 0.5, 2.0, 10.0):
         R = rotation(rng.uniform(0.0, math.pi))
         Q = random_orthogonal_3x3(rng)
         for T in (R @ np.array([[1.0, shear], [0.0, 1.0]]) @ R.T,
                   Q @ (np.eye(3) + shear * np.diag([1.0, 0.0], k=1)) @ Q.T):
             cert = classify_projective_distality(T).certificate
-            assert cert.steps > 2 * PAIR_BLOCK
-            want = extended_separation(T, cert.x, cert.y, cert.steps)
-            assert abs(cert.separation_final - want) <= 5e-5 * want, T
+            got = _separation_after(AffineSphereMap.create(T), cert.x, cert.y, n)
+            want = extended_separation(T, cert.x, cert.y, n)
+            assert abs(got - want) <= 5e-5 * want, T
 
 
 def test_long_full_jordan_pairs_are_as_accurate_as_the_chain():
@@ -254,12 +260,126 @@ def test_long_full_jordan_pairs_are_as_accurate_as_the_chain():
     separation by up to 100%; the walk stays within 5e-5 relative of an 80-bit
     step-by-step walk, or closer to it than the seed chain (1e-4 to 5e-3 off at
     shears 1 and 3)."""
+    n = DEFAULT_CONFIG.oracle.iterations
     for T in _long_full_jordan_cases():
         cert = classify_projective_distality(T).certificate
-        assert cert.steps > 2 * PAIR_BLOCK
-        want = extended_separation(T, cert.x, cert.y, cert.steps)
-        chain = chain_pair_blocks(AffineSphereMap.create(T), np.stack([cert.x, cert.y]))
-        walked = np.concatenate([next(chain) for _ in range(math.ceil(cert.steps / PAIR_BLOCK))])
-        Q = walked[cert.steps - 1]
+        m = AffineSphereMap.create(T)
+        want = extended_separation(T, cert.x, cert.y, n)
+        chain = chain_pair_blocks(m, np.stack([cert.x, cert.y]))
+        walked = np.concatenate([next(chain) for _ in range(math.ceil(n / PAIR_BLOCK))])
+        Q = walked[n - 1]
         chain_error = abs(float(np.linalg.norm(Q[0] - Q[1])) - want)
-        assert abs(cert.separation_final - want) <= max(chain_error, 5e-5 * want), T
+        got = _separation_after(m, cert.x, cert.y, n)
+        assert abs(got - want) <= max(chain_error, 5e-5 * want), T
+
+
+# --- the classifier's pair stops at its first step below eps ---------------------
+
+
+def naive_first_below_eps(T, x, y, iterations, eps):
+    """(steps, separation_final) of the classifier's stop rule, walked one step
+    at a time: step n = 64 q + r + 1 is N(W_(r+1) N(B_q x)) from the reference
+    powers, each product one matrix on the pair, each separation from
+    ``np.linalg.norm``.  The first step n >= 0 below eps, else the earliest
+    minimum over steps 0..iterations."""
+    W = naive_power_stack(T)
+    B = naive_block_powers(T, (iterations - 1) // PAIR_BLOCK)
+
+    def N(M, P):
+        V = P @ M.T
+        return V / np.linalg.norm(V, axis=1, keepdims=True)
+
+    sep0 = float(np.linalg.norm(x - y))
+    steps, best = 0, sep0
+    for n in range(1, iterations + 1) if sep0 >= eps else ():
+        q, r = divmod(n - 1, PAIR_BLOCK)
+        P = np.stack([x, y])
+        P = N(W[r], N(B[q - 1], P) if q else P)
+        sep = float(np.linalg.norm(P[0] - P[1], axis=-1))  # with no axis, a BLAS dot
+        if sep < eps:
+            return n, sep
+        if sep < best:
+            steps, best = n, sep
+    return steps, best
+
+
+def _stop_cases():
+    """Seeded shears (conjugated by a rotation) and partial 3x3 Jordan blocks
+    with shear c = 100 / n, whose pairs stop near step n: in block 0, in block
+    1 and in each tail chunk; shear 0.01, whose pair stays above eps for the
+    whole budget; and split moduli.  Each at three scales."""
+    rng = np.random.default_rng(27)
+    cases = []
+    for c in (100 / 30, 100 / 100, 100 / 200, 100 / 400, 100 / 800, 100 / 1600, 0.01):
+        R = rotation(rng.uniform(0.0, math.pi))
+        Q = random_orthogonal_3x3(rng)
+        cases.append(("shear", R @ np.array([[1.0, c], [0.0, 1.0]]) @ R.T))
+        cases.append(("jordan", Q @ (np.eye(3) + c * np.diag([1.0, 0.0], k=1)) @ Q.T))
+    for lam in (1.02, 1.3, 4.0):
+        C = random_conjugator(rng)
+        Q = random_orthogonal_3x3(rng)
+        cases.append(("split", C @ np.diag([lam, 1.0 / lam]) @ np.linalg.inv(C)))
+        cases.append(("split", Q @ np.diag([lam, rng.uniform(0.5, 2.0), 1.0 / lam]) @ Q.T))
+    return [(kind, scale * T) for kind, T in cases for scale in (1e-3, 1.0, 1e3)]
+
+
+def _stop_place(cert, eps):
+    """Where a walk stopped: "end" when the pair never got below eps, else the
+    first block of the stop's chunk (0, 1, 2, 4, 8, 16, ...)."""
+    if cert.separation_final >= eps:
+        return "end"
+    q = (cert.steps - 1) // PAIR_BLOCK
+    return q if q < 2 else 1 << (q.bit_length() - 1)
+
+
+def test_the_first_step_below_eps_matches_a_step_by_step_walk():
+    iterations, eps = DEFAULT_CONFIG.oracle.iterations, DEFAULT_CONFIG.oracle.eps
+    places = {}
+    for kind, T in _stop_cases():
+        cert = classify_projective_distality(T).certificate
+        x, y = spectral_pair(T)
+        assert np.array_equal(cert.x, x) and np.array_equal(cert.y, y)
+        want = naive_first_below_eps(T, x, y, iterations, eps)
+        assert (cert.steps, cert.separation_final) == want, (kind, T)
+        if cert.separation_final < eps:
+            assert replay_certificate(cert, matrix=T, tolerance=0.0), (kind, T)
+        places.setdefault(kind, set()).add(_stop_place(cert, eps))
+    for kind in ("shear", "jordan"):
+        assert places[kind] == {0, 1, 2, 4, 8, 16, "end"}, kind
+
+
+def test_the_walk_builds_only_as_far_as_the_stop(monkeypatch):
+    calls, requests = [], []
+    block_powers = distality._block_powers
+
+    def counting(m, X):
+        calls.append(m)
+        return apply_many(m, X)
+
+    def recording(m, count):
+        B = block_powers(m, count)
+        requests.append((count, len(B)))
+        return B
+
+    monkeypatch.setattr(distality, "apply_many", counting)
+    monkeypatch.setattr(distality, "_block_powers", recording)
+
+    def classify(c):
+        T = np.array([[1.0, c], [0.0, 1.0]])
+        distality._walk_powers.cache_clear()
+        calls.clear()
+        requests.clear()
+        cert = classify_projective_distality(T).certificate
+        return cert, len(distality._walk_powers(T.tobytes(), 2)[1])
+
+    cert, built = classify(1.0)
+    assert cert.steps == 100  # block 1
+    assert len(calls) == 2 and not requests and built == 1  # B_1 = W_64 alone
+    cert, built = classify(0.1)
+    assert cert.steps == 995  # block 15, the last of chunk 8-15
+    assert len(calls) == 2 + 3 * 2 and built == 15
+    assert [count for count, _ in requests] == [3, 7, 15]
+    cert, built = classify(0.01)
+    assert cert.steps == 2000 and cert.separation_final >= DEFAULT_CONFIG.oracle.eps
+    # each chunk request regrows the block powers from P_1 through its last block
+    assert requests == [(3, 3), (7, 7), (15, 15), (31, 31)] and built == 31
