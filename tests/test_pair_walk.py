@@ -215,15 +215,15 @@ def test_a_2000_step_walk_takes_few_products(monkeypatch):
     monkeypatch.setattr(distality, "apply_many", counting)
     cert = classify_projective_distality(np.array([[1.0, 0.01], [0.0, 1.0]])).certificate
     assert cert.steps == 2000
-    # blocks 0 and 1, then per chunk (2-3, 4-7, 8-15, 16-31) the seeds and their rows
-    assert len(calls) == 2 + 4 * 2
+    # blocks 0 and 1, then the seeds of blocks 2-31 and their rows, one product each
+    assert len(calls) == 4
     # 64 pairs fill a product of rows with one block: one product per block, and
-    # one for the seeds of each chunk
+    # one for the seeds of blocks 2-31
     calls.clear()
     X, Y = _unit_rows(np.random.default_rng(5), 128, 2).reshape(2, 64, 2)
     for _ in _separations(AffineSphereMap.create(rotation(1.0)), X, Y, 2000):
         pass
-    assert len(calls) == 32 + 4
+    assert len(calls) == 32 + 1
 
 
 def test_replay_rejects_a_step_count_that_is_not_an_integer():
@@ -240,37 +240,61 @@ def test_replay_rejects_a_step_count_that_is_not_an_integer():
 def test_long_pairs_agree_with_an_extended_precision_walk():
     """The two-level walk reaches step 2000 through rounded products of
     normalized powers, not 2000 steps; on shears and partial Jordan blocks the
-    separation of the classifier's pair there stays within 5e-5 relative of a
-    step-by-step walk in extended precision, as the seed chain's does."""
+    separation of the classifier's pair, there and at the certificate's own
+    step, stays within 5e-5 relative of a step-by-step walk in extended
+    precision, as the seed chain's does.  Each certificate clears eps by more
+    than that, so the extended walk is below eps at its step too."""
     rng = np.random.default_rng(4)
-    n = DEFAULT_CONFIG.oracle.iterations
+    n, eps = DEFAULT_CONFIG.oracle.iterations, DEFAULT_CONFIG.oracle.eps
     for shear in (0.1, 0.5, 2.0, 10.0):
         R = rotation(rng.uniform(0.0, math.pi))
         Q = random_orthogonal_3x3(rng)
         for T in (R @ np.array([[1.0, shear], [0.0, 1.0]]) @ R.T,
                   Q @ (np.eye(3) + shear * np.diag([1.0, 0.0], k=1)) @ Q.T):
             cert = classify_projective_distality(T).certificate
-            got = _separation_after(AffineSphereMap.create(T), cert.x, cert.y, n)
-            want = extended_separation(T, cert.x, cert.y, n)
-            assert abs(got - want) <= 5e-5 * want, T
+            m = AffineSphereMap.create(T)
+            for steps, got in ((n, _separation_after(m, cert.x, cert.y, n)),
+                               (cert.steps, cert.separation_final)):
+                want = extended_separation(T, cert.x, cert.y, steps)
+                assert abs(got - want) <= 5e-5 * want, (T, steps)
+            assert cert.separation_final < (1.0 - 5e-5) * eps and want < eps, T
 
 
 def test_long_full_jordan_pairs_are_as_accurate_as_the_chain():
     """On full 3x3 Jordan blocks a float64 block power would misstate the
-    separation by up to 100%; the walk stays within 5e-5 relative of an 80-bit
-    step-by-step walk, or closer to it than the seed chain (1e-4 to 5e-3 off at
-    shears 1 and 3)."""
-    n = DEFAULT_CONFIG.oracle.iterations
+    separation by up to 100%; at step 2000 and at the certificate's own step
+    the walk stays within 5e-5 relative of an 80-bit step-by-step walk, or
+    closer to it than the seed chain (1e-4 to 5e-3 off at shears 1 and 3).  A
+    certificate is below eps exactly when the 80-bit walk is, at its step."""
+    n, eps = DEFAULT_CONFIG.oracle.iterations, DEFAULT_CONFIG.oracle.eps
     for T in _long_full_jordan_cases():
         cert = classify_projective_distality(T).certificate
         m = AffineSphereMap.create(T)
-        want = extended_separation(T, cert.x, cert.y, n)
         chain = chain_pair_blocks(m, np.stack([cert.x, cert.y]))
         walked = np.concatenate([next(chain) for _ in range(math.ceil(n / PAIR_BLOCK))])
-        Q = walked[n - 1]
-        chain_error = abs(float(np.linalg.norm(Q[0] - Q[1])) - want)
-        got = _separation_after(m, cert.x, cert.y, n)
-        assert abs(got - want) <= max(chain_error, 5e-5 * want), T
+        for steps, got in ((n, _separation_after(m, cert.x, cert.y, n)),
+                           (cert.steps, cert.separation_final)):
+            want = extended_separation(T, cert.x, cert.y, steps)
+            Q = walked[steps - 1]
+            chain_error = abs(float(np.linalg.norm(Q[0] - Q[1])) - want)
+            assert abs(got - want) <= max(chain_error, 5e-5 * want), (T, steps)
+        assert (cert.separation_final < eps) == (want < eps), T
+
+
+def test_certificates_below_eps_clear_it_by_more_than_the_walk_error():
+    """Every classifier certificate of ``_walk_cases`` that is below eps clears
+    it by more than 5e-5 relative, the walk's error bound against an 80-bit
+    step-by-step walk, and that walk agrees within the bound at its step."""
+    eps = DEFAULT_CONFIG.oracle.eps
+    below = 0
+    for T in _walk_cases(full_jordan=False):
+        cert = classify_projective_distality(T).certificate
+        if isinstance(cert, ProximalPair) and cert.separation_final < eps:
+            below += 1
+            want = extended_separation(T, cert.x, cert.y, cert.steps)
+            assert abs(cert.separation_final - want) <= 5e-5 * want, T
+            assert cert.separation_final < (1.0 - 5e-5) * eps, T
+    assert below == 33
 
 
 # --- the classifier's pair stops at its first step below eps ---------------------
@@ -306,8 +330,9 @@ def naive_first_below_eps(T, x, y, iterations, eps):
 def _stop_cases():
     """Seeded shears (conjugated by a rotation) and partial 3x3 Jordan blocks
     with shear c = 100 / n, whose pairs stop near step n: in block 0, in block
-    1 and in each tail chunk; shear 0.01, whose pair stays above eps for the
-    whole budget; and split moduli.  Each at three scales."""
+    1 and in each of blocks 2-3, 4-7, 8-15 and 16-31; shear 0.01, whose pair
+    stays above eps for the whole budget; and split moduli.  Each at three
+    scales."""
     rng = np.random.default_rng(27)
     cases = []
     for c in (100 / 30, 100 / 100, 100 / 200, 100 / 400, 100 / 800, 100 / 1600, 0.01):
@@ -325,7 +350,7 @@ def _stop_cases():
 
 def _stop_place(cert, eps):
     """Where a walk stopped: "end" when the pair never got below eps, else the
-    first block of the stop's chunk (0, 1, 2, 4, 8, 16, ...)."""
+    first block of the range 0, 1, 2-3, 4-7, 8-15, 16-31 the stop is in."""
     if cert.separation_final >= eps:
         return "end"
     q = (cert.steps - 1) // PAIR_BLOCK
@@ -349,6 +374,10 @@ def test_the_first_step_below_eps_matches_a_step_by_step_walk():
 
 
 def test_the_walk_builds_only_as_far_as_the_stop(monkeypatch):
+    """A pair that stops within blocks 0 and 1 takes their two products and
+    builds no block power beyond B_1; one that gets past them takes the seeds
+    of blocks 2-31 and their rows, one product each, from one request for
+    B_1-B_31, wherever in them it stops."""
     calls, requests = [], []
     block_powers = distality._block_powers
 
@@ -357,9 +386,8 @@ def test_the_walk_builds_only_as_far_as_the_stop(monkeypatch):
         return apply_many(m, X)
 
     def recording(m, count):
-        B = block_powers(m, count)
-        requests.append((count, len(B)))
-        return B
+        requests.append(count)
+        return block_powers(m, count)
 
     monkeypatch.setattr(distality, "apply_many", counting)
     monkeypatch.setattr(distality, "_block_powers", recording)
@@ -375,11 +403,7 @@ def test_the_walk_builds_only_as_far_as_the_stop(monkeypatch):
     cert, built = classify(1.0)
     assert cert.steps == 100  # block 1
     assert len(calls) == 2 and not requests and built == 1  # B_1 = W_64 alone
-    cert, built = classify(0.1)
-    assert cert.steps == 995  # block 15, the last of chunk 8-15
-    assert len(calls) == 2 + 3 * 2 and built == 15
-    assert [count for count, _ in requests] == [3, 7, 15]
-    cert, built = classify(0.01)
-    assert cert.steps == 2000 and cert.separation_final >= DEFAULT_CONFIG.oracle.eps
-    # each chunk request regrows the block powers from P_1 through its last block
-    assert requests == [(3, 3), (7, 7), (15, 15), (31, 31)] and built == 31
+    for c, steps in ((0.1, 995), (0.01, DEFAULT_CONFIG.oracle.iterations)):
+        cert, built = classify(c)
+        assert cert.steps == steps
+        assert len(calls) == 4 and requests == [31] and built == 31
