@@ -2,7 +2,7 @@
 
 Constructive fixed-point solvers for affine circle maps, distality
 classifiers for matrices and finitely generated semigroups, and an
-orbit-based proximal-pair oracle for semigroup words.  A classifier's
+orbit-based proximal-pair search kept for experiments.  A classifier's
 certificate is a spectral pair, measured by walking the map.
 """
 

@@ -72,7 +72,7 @@ class Config:
     growth_factor: float = 10.0  # word-norm bound is growth_factor * dim
     max_word_length: int = 8
     random_words: int = 256
-    oracle_words: int = 8  # words fed to the oracle by the semigroup test
+    oracle_words: int = 8  # words the semigroup test classifies, its generators included
     recurrence_scan: int = 100_000
     recurrence_eps: float = 1e-3
     rng_seed: int = 0

@@ -4,10 +4,10 @@ A single invertible matrix acts distally on the sphere iff its
 determinant-normalized form is semisimple with all eigenvalue moduli
 equal to one.  The classifier decides that spectrally and backs every
 negative verdict with a replayable proximal pair.  For finitely
-generated semigroups the verdict combines the per-generator (cyclic)
-test, a word-norm growth search, and the orbit oracle; a "distal"
-answer there means "no violation within the stated budget" and says so
-in its certificate.
+generated semigroups the verdict combines that classifier, run on each
+generator and on sampled words, with a word-norm growth search; a
+"distal" answer there means "no violation within the stated budget"
+and says so in its certificate.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ class DistalityVerdict:
 class SemigroupSpec:
     """Finitely generated semigroup plus search budgets.
 
-    ``sample_count`` is how many words are handed to the orbit oracle;
+    ``sample_count`` counts the words classified, the generators included;
     ``word_length_budget`` caps the word search.  None fields fall back
     to the Config defaults; the others must be non-negative integers.
     """
@@ -395,7 +395,8 @@ def classify_projective_distality(T, config: Config = DEFAULT_CONFIG) -> Distali
     eigenvalue modulus within the spectral tolerance of one.  Negative
     verdicts carry a proximal pair built from the spectral data and then
     measured by actually iterating the map; a spectrum that builds no pair
-    (an ambiguous rank test, moduli at the band edge) yields Inconclusive.
+    (an ambiguous rank test, moduli at the band edge), or only one that
+    starts within the oracle eps, yields Inconclusive.
     """
     T = as_matrix(T)
     if T.shape[0] not in (2, 3):
@@ -422,17 +423,17 @@ def _classify(T: np.ndarray, unit: np.ndarray, config: Config) -> DistalityVerdi
     else:  # moduli that straddle the band edge too tightly build no pair
         reason = {"reason": "band-edge-spectrum", "moduli": moduli}
         pair = _split_moduli_pair(unit, config)
-    if pair is None:
+    eps = config.oracle.eps
+    sep0 = None if pair is None else float(np.linalg.norm(pair[0] - pair[1]))
+    if sep0 is None or sep0 < eps:  # a pair that starts within eps shows no approach
         return DistalityVerdict(Verdict.INCONCLUSIVE, BudgetExhausted(reason), budget, seed)
-    # measure the pair: the first step n >= 0 whose separation is below eps,
+    # measure the pair: the first step n >= 1 whose separation is below eps,
     # else the earliest minimum over steps 0..budget; T passed _unimodular's
     # singularity gate, so the map needs no second check
     m = AffineSphereMap(T, np.zeros(len(T)), Regime.PROJECTIVE, 0.0)
     x, y = pair
-    eps = config.oracle.eps
-    sep0 = float(np.linalg.norm(x - y))
     steps, best = 0, sep0
-    for first, S in _separations(m, x, y, config.oracle.iterations) if sep0 >= eps else ():
+    for first, S in _separations(m, x, y, config.oracle.iterations):
         s = S[:, 0]
         below = np.flatnonzero(s < eps)
         if below.size:
@@ -567,8 +568,8 @@ def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFI
 
     Pipeline: classify each generator (a non-distal generator is a
     cyclic-subsemigroup witness); sweep normalized words up to the
-    length budget against the norm growth bound; run the orbit oracle on
-    sampled words.  With <= 3 generators the sweep checks every word up to
+    length budget against the norm growth bound; classify sampled words
+    the same way.  With <= 3 generators the sweep checks every word up to
     length 8, one word length at a time, and random words beyond; it ends
     at the first word whose norm exceeds the bound, the ``UnboundedWord``.
     One GEMM per length builds every product of that length and its
@@ -578,13 +579,14 @@ def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFI
     is above the bound is reported with that norm, the left fold's.  A random
     word above the bound, its product overflowed or not, is reported by its
     shortest prefix above the bound, as every swept word already is.  The
-    oracle gets the generators and, picked by the seeded generator, swept
-    words of length >= 2.  A clean sweep is reported as
-    Distal with ``words_checked``, ``max_word_norm`` (the largest norm of
-    those words; for a swept word, the norm of its GEMM product, which
-    equals the left fold's where the BLAS rounds as the fold does) and the
-    budget attached as provenance, because compactness of the closure is
-    only semi-decidable numerically.  For non-closed semigroups the cyclic
+    generators count among the ``sample_count`` classified words; the rest
+    are swept words of length >= 2 picked by the seeded generator, each
+    classified on the product that replay folds.  A clean sweep is
+    reported as Distal with ``words_checked``, ``max_word_norm`` (the
+    largest norm of those words; for a swept word, the norm of its GEMM
+    product, which equals the left fold's where the BLAS rounds as the fold
+    does) and the budget attached as provenance, because compactness of the
+    closure is only semi-decidable numerically.  For non-closed semigroups the cyclic
     shortcut is heuristic evidence, not a theorem: the closed-semigroup
     equivalence needs the closure.
     """
@@ -615,10 +617,7 @@ def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFI
         _, unit = _unimodular(G, config)
         v = _classify(unit, unit, config)  # a pair walks the unit that replay walks
         if v.verdict is Verdict.NOT_DISTAL:
-            cert = v.certificate
-            if isinstance(cert, ProximalPair):
-                cert = replace(cert, word=(i,))
-            return DistalityVerdict(Verdict.NOT_DISTAL, cert, budget, seed)
+            return DistalityVerdict(Verdict.NOT_DISTAL, replace(v.certificate, word=(i,)), budget, seed)
         if v.verdict is Verdict.INCONCLUSIVE:
             ambiguous = True
         units.append(unit)
@@ -648,7 +647,7 @@ def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFI
                     return unbounded(word, norm)
             levels.append((level, frobenius))
     # random words beyond, one at a time; those longer than 1 join the
-    # oracle's candidates after every swept word of length >= 2.  Nothing
+    # sampling candidates after every swept word of length >= 2.  Nothing
     # draws from the seeded generator before this point.
     rng = np.random.default_rng(seed)
     tail: list[tuple] = []
@@ -664,8 +663,7 @@ def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFI
 
     swept = [len(frobenius) for _, frobenius in levels]  # words per length
     candidates = sum(swept[1:]) + len(tail)
-    oracle_words = [(i,) for i in range(g)]
-    if candidates and n_oracle > g:
+    if candidates and n_oracle > g:  # the generators, classified above, fill the first g samples
         picks = rng.choice(candidates, size=min(n_oracle - g, candidates), replace=False)
         # a pick indexes the swept words of length >= 2 in sweep order, then the tail
         for p in sorted(int(p) for p in picks):
@@ -673,14 +671,13 @@ def semigroup_distality_test(spec: SemigroupSpec, config: Config = DEFAULT_CONFI
             while length <= exhaustive_len and p >= g**length:
                 p -= g**length
                 length += 1
-            oracle_words.append(_word_at(p, g, length) if length <= exhaustive_len else tail[p])
-    for word in oracle_words[:n_oracle]:
-        # a swept or drawn word: its product is finite and unimodular, so no check
-        m = AffineSphereMap(_word_product(units, word), np.zeros(d), Regime.PROJECTIVE, 0.0)
-        pair = proximal_pair_search(m, seed=seed, config=config)
-        if pair is not None:
-            cert = replace(pair, word=word)
-            return DistalityVerdict(Verdict.NOT_DISTAL, cert, budget, seed)
+            word = _word_at(p, g, length) if length <= exhaustive_len else tail[p]
+            # a swept or drawn word's product is finite and unimodular: no check
+            W = _word_product(units, word)
+            v = _classify(W, W, config)
+            if v.verdict is Verdict.NOT_DISTAL:
+                cert = replace(v.certificate, word=word)
+                return DistalityVerdict(Verdict.NOT_DISTAL, cert, budget, seed)
 
     if ambiguous:
         cert = BudgetExhausted({"reason": "ambiguous-generator", **budget})

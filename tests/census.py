@@ -51,7 +51,7 @@ def platform_key() -> dict:
 def _verdict(run, replay) -> str:
     try:
         v = run()
-    except Exception as exc:  # a defect probe may raise: its record is the exception's name
+    except (ValueError, sd.SphereDistalError) as exc:  # a defect probe's record may be its exception
         return type(exc).__name__
     text = dump_json(verdict_to_json(v))
     if v.verdict is sd.Verdict.NOT_DISTAL:
@@ -77,7 +77,7 @@ def _cli_records(seed: int):
     with tempfile.TemporaryDirectory() as tmp, _working_directory(tmp):
         for op in _ops("cli-solve", seed, os.curdir):
             code, out, err = workloads.call_cli(sd, op.data["argv"])
-            if code:
+            if not out:  # a refused run: its record is the error line
                 yield f"exit {code}\n{err}"
                 continue
             result = json.loads(out)["result"]

@@ -61,7 +61,7 @@ from sphere_distal.linalg import (
     _operator_norms,
     matrix_inverse,
 )
-from sphere_distal.serialize import dump_json, verdict_to_json
+from sphere_distal.serialize import certificate_to_json, dump_json, verdict_to_json
 from sphere_distal.sphere import Regime, apply_many, unit_vector
 
 
@@ -304,8 +304,8 @@ def test_far_pairs_at_the_default_delta_keep_their_draws(d, seed):
 
 def test_far_pairs_near_the_antipodal_distance_stop_drawing(monkeypatch):
     """Once one sample has spent its 1000 draws, the rest of the call takes
-    antipodes: a semigroup search at delta near 2 draws at most
-    samples + 1000 unit vectors per oracle call."""
+    antipodes: a search at delta near 2 draws at most samples + 1000 unit
+    vectors."""
     draws, searches = [], []
     sample = distality._sample_far_pairs
 
@@ -319,9 +319,8 @@ def test_far_pairs_near_the_antipodal_distance_stop_drawing(monkeypatch):
 
     monkeypatch.setattr(distality, "_sample_far_pairs", counting_sample)
     monkeypatch.setattr(distality, "unit_vector", counting_unit)
-    config = Config(oracle=OracleBudget(delta=1.99999999, samples=4))
-    v = semigroup_distality_test(SemigroupSpec((rotation(math.pi / 2),)), config)
-    assert v.verdict is Verdict.DISTAL
+    m = AffineSphereMap.create(rotation(math.pi / 2))
+    assert proximal_pair_search(m, delta=1.99999999, samples=4) is None
     assert searches and len(draws) <= sum(n + 1000 for n in searches)
     X, Y = sample(np.random.default_rng(0), 2, 4, 1.99999999)
     assert np.array_equal(Y, -X)
@@ -884,8 +883,8 @@ def test_every_unbounded_word_is_its_shortest_prefix_above_the_bound(budget, g, 
 
 def naive_semigroup_distality_test(spec, config=DEFAULT_CONFIG):
     """The word search one word at a time, each product multiplied out from
-    scratch, every swept word of length >= 2 collected and the oracle's
-    words picked from that list: the reference."""
+    scratch, every swept word of length >= 2 collected and the sampled words
+    picked from that list and classified: the reference."""
     gens = [np.array(G, dtype=float) for G in spec.generators]
     d = gens[0].shape[0]
     max_len = spec.word_length_budget if spec.word_length_budget is not None else config.max_word_length
@@ -919,16 +918,17 @@ def naive_semigroup_distality_test(spec, config=DEFAULT_CONFIG):
             return distality.DistalityVerdict(Verdict.NOT_DISTAL, cert, budget, seed)
         if len(word) > 1:
             collected.append(word)
-    oracle_words = [(i,) for i in range(len(gens))]
-    if collected and n_oracle > len(oracle_words):
-        extra = min(n_oracle - len(oracle_words), len(collected))
+    # the generators count among the sampled words; they were classified above
+    picked = []
+    if collected and n_oracle > len(gens):
+        extra = min(n_oracle - len(gens), len(collected))
         picks = rng.choice(len(collected), size=extra, replace=False)
-        oracle_words += [collected[int(p)] for p in sorted(picks)]
-    for word in oracle_words[:n_oracle]:
-        m = AffineSphereMap.create(_word_product(units, word), config=config)
-        pair = distality.proximal_pair_search(m, seed=seed, config=config)
-        if pair is not None:
-            return distality.DistalityVerdict(Verdict.NOT_DISTAL, replace(pair, word=word), budget, seed)
+        picked = [collected[int(p)] for p in sorted(picks)]
+    for word in picked:
+        W = _word_product(units, word)
+        v = distality._classify(W, W, config)
+        if v.verdict is Verdict.NOT_DISTAL:
+            return distality.DistalityVerdict(Verdict.NOT_DISTAL, replace(v.certificate, word=word), budget, seed)
     if ambiguous:
         cert = BudgetExhausted({"reason": "ambiguous-generator", **budget})
         return distality.DistalityVerdict(Verdict.INCONCLUSIVE, cert, budget, seed)
@@ -937,15 +937,16 @@ def naive_semigroup_distality_test(spec, config=DEFAULT_CONFIG):
 
 
 def assert_matches_reference(monkeypatch, spec, config=DEFAULT_CONFIG):
-    """The sweep's verdict bytes and the maps its oracle saw equal the reference's."""
+    """The sweep's verdict bytes and the unimodular maps handed to ``_classify``
+    (each generator's, then each picked word's product) equal the reference's."""
     seen = []
-    search = distality.proximal_pair_search
+    classify = distality._classify
 
-    def recording(m, **kwargs):
-        seen.append(m.matrix)
-        return search(m, **kwargs)
+    def recording(T, unit, config):
+        seen.append(unit)
+        return classify(T, unit, config)
 
-    monkeypatch.setattr(distality, "proximal_pair_search", recording)
+    monkeypatch.setattr(distality, "_classify", recording)
     got = semigroup_distality_test(spec, config)
     got_maps, seen[:] = list(seen), []
     want = naive_semigroup_distality_test(spec, config)
@@ -1032,7 +1033,7 @@ def test_clean_sweep_matches_the_reference(monkeypatch, samples, budget, d):
     # one change of basis for all: the group stays compact, every word bounded
     gens = tuple(_embed(C @ rotation(t) @ R @ np.linalg.inv(C), d) for t in (0.0, 0.7, 1.9))
     spec = SemigroupSpec(gens, word_length_budget=budget, sample_count=samples, rng_seed=budget)
-    # a short oracle: the maps it is handed are compared, not its search
+    # a short pair walk keeps the case cheap; verdicts and classified maps are compared
     config = Config(oracle=OracleBudget(samples=4, iterations=64))
     v = assert_matches_reference(monkeypatch, spec, config)
     assert isinstance(v.certificate, BudgetExhausted)
@@ -1073,15 +1074,69 @@ def test_semigroup_reports_a_non_distal_generator_before_a_later_singular_one():
         semigroup_distality_test(replace(spec, generators=spec.generators[::-1]))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 4])
-def test_oracle_hit_on_a_picked_word_matches_the_reference(monkeypatch, seed):
+def _picked_word_set():
     """Two elliptic generators under different changes of basis: every word
-    stays below the bound, but some of length 5 and 7 are hyperbolic, and the
-    oracle finds a proximal pair on the first such word it is handed."""
+    stays below the bound, but some of length 5 and 7 are hyperbolic."""
     C = np.diag([1.1, 1.0])
-    gens = (rotation(1.0), C @ rotation(math.sqrt(2.0)) @ np.linalg.inv(C))
-    v = assert_matches_reference(monkeypatch, SemigroupSpec(gens, sample_count=40, rng_seed=seed))
-    assert isinstance(v.certificate, ProximalPair) and len(v.certificate.word) > 1
+    return (rotation(1.0), C @ rotation(math.sqrt(2.0)) @ np.linalg.inv(C))
+
+
+# seed: the first picked word the classifier calls not distal, and its pair's steps
+PICKED_WORD_HITS = {0: ((0, 0, 1, 1, 1), 61), 1: ((0, 1, 1, 0, 1), 40), 4: ((1, 1, 0, 1, 1, 1, 1), 88)}
+
+
+@pytest.mark.parametrize("seed", sorted(PICKED_WORD_HITS))
+def test_oracle_hit_on_a_picked_word_matches_the_reference(monkeypatch, seed):
+    """The classifier calls the first hyperbolic word it is handed not distal,
+    with the pair its spectrum builds, measured on the word's product."""
+    v = assert_matches_reference(monkeypatch, SemigroupSpec(_picked_word_set(), sample_count=40, rng_seed=seed))
+    assert isinstance(v.certificate, ProximalPair)
+    assert (v.certificate.word, v.certificate.steps) == PICKED_WORD_HITS[seed]
+
+
+def _seeded_semigroup_specs():
+    """The semigroup families of this file, with sampled words."""
+    rng = np.random.default_rng(31)
+    specs = [SemigroupSpec(_conjugated_rotations(rng, g, d, spread))
+             for g in (1, 2, 3) for d in (2, 3) for spread in (0.0, 0.02, 0.1, 0.3)]
+    specs += [SemigroupSpec(_picked_word_set(), sample_count=40, rng_seed=seed) for seed in PICKED_WORD_HITS]
+    specs += [SemigroupSpec(_three_generator_shear_set(s), sample_count=40) for s in (1.0, 1.2, 1.44)]
+    specs.append(SemigroupSpec((rotation(math.pi / 4), np.array([[1.0, 1.0], [0.0, 1.0]]))))
+    specs.append(SemigroupSpec((np.diag([2.0, 0.5]), np.diag([0.5, 2.0]))))
+    return specs
+
+
+def test_semigroup_test_never_runs_the_orbit_oracle(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the orbit oracle decided a semigroup")
+
+    monkeypatch.setattr(distality, "proximal_pair_search", refuse)
+    kinds = {type(semigroup_distality_test(spec).certificate).__name__ for spec in _seeded_semigroup_specs()}
+    assert kinds == {"BudgetExhausted", "ProximalPair", "UnboundedWord"}
+
+
+@pytest.mark.parametrize("seed", sorted(PICKED_WORD_HITS))
+def test_a_sampled_word_certificate_is_the_classifier_pair_of_its_product(seed):
+    gens = _picked_word_set()
+    v = semigroup_distality_test(SemigroupSpec(gens, sample_count=40, rng_seed=seed))
+    word = v.certificate.word
+    units = [normalize_to_unimodular(G).unit for G in gens]
+    W = _word_product(units, word)
+    want = replace(distality._classify(W, W, DEFAULT_CONFIG).certificate, word=word)
+    assert dump_json(certificate_to_json(v.certificate)) == dump_json(certificate_to_json(want))
+    assert replay_certificate(v.certificate, generators=gens, tolerance=0.0)
+
+
+def test_a_pair_that_starts_within_eps_is_inconclusive():
+    """A full Jordan block whose spectral pair has x == y: a pair that shows no
+    approach proves nothing, so the verdict is Inconclusive, not a steps-0 pair."""
+    Q = random_orthogonal_3x3(np.random.default_rng(0))
+    T = Q @ (np.eye(3) + np.diag([1.0, 1.0], k=1)) @ Q.T
+    x, y = spectral_pair(T)
+    assert np.linalg.norm(x - y) < DEFAULT_CONFIG.oracle.eps
+    v = classify_projective_distality(T)
+    assert v.verdict is Verdict.INCONCLUSIVE
+    assert v.certificate.parameters["reason"] == "ambiguous-rank-test"
 
 
 # --- the measured pair stops at its first step below eps --------------------------
@@ -1204,3 +1259,8 @@ def test_semigroup_spec_none_fields_fall_back_to_the_config():
     explicit = semigroup_distality_test(SemigroupSpec(gens, 3, 2, 7), config)
     assert v.verdict is Verdict.DISTAL and v == explicit
     assert v.budget["word_length"] == 3 and v.budget["oracle_words"] == 2 and v.seed == 7
+
+
+def test_certificate_to_json_refuses_an_unknown_certificate():
+    with pytest.raises(TypeError, match="unknown certificate"):
+        certificate_to_json(object())

@@ -13,6 +13,7 @@ from helpers import (
 )
 from sphere_distal import (
     ComplexPair,
+    DimensionUnsupported,
     JordanBlock,
     RealDiagonalizable,
     RealSpectrum,
@@ -407,3 +408,15 @@ def test_spectral_summary_3x3_defective():
 def test_as_matrix_rejects_nonfinite():
     with pytest.raises(SingularMatrix):
         as_matrix([[1.0, np.inf], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: as_matrix(np.ones((2, 3))),
+    lambda: as_matrix([[1.0]]),
+    lambda: real_schur_2x2(np.eye(3)),
+    lambda: eigenvalues_3x3(np.eye(2)),
+    lambda: spectral_summary(np.eye(4)),
+], ids=["as_matrix-2x3", "as_matrix-1x1", "real_schur_2x2-3x3", "eigenvalues_3x3-2x2", "spectral_summary-4x4"])
+def test_shape_checks_raise_dimension_unsupported(call):
+    with pytest.raises(DimensionUnsupported):
+        call()

@@ -16,6 +16,7 @@ from helpers import (
 from sphere_distal import (
     AffineSphereMap,
     DegenerateMap,
+    DimensionMismatch,
     InvalidTranslation,
     NonInjectiveWarning,
     Regime,
@@ -270,3 +271,20 @@ def test_apply_many_matches_the_wrapped_formula(d):
         assert np.array_equal(got, naive_apply_many(m, X))
         assert np.array_equal(apply_many(m, X[0]), naive_apply_many(m, X[0]))
         assert np.array_equal(apply_many(m, X[:1]), naive_apply_many(m, X[:1]))
+
+
+def test_sphere_points_and_translations_of_the_wrong_shape_are_refused():
+    with pytest.raises(DimensionMismatch):
+        as_sphere_point(np.eye(2))
+    with pytest.raises(DimensionMismatch):
+        as_sphere_point([1.0, 0.0, 0.0], 2)
+    with pytest.raises(DimensionMismatch):
+        AffineSphereMap.create(np.eye(2), [0.5, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("a, regime", [([1.0, 0.0], Regime.DEGENERATE), ([2.0, 0.0], Regime.NON_INJECTIVE)])
+def test_inverse_image_needs_the_homeomorphism_regime(a, regime):
+    m = AffineSphereMap.create(np.eye(2), a)
+    assert m.regime is regime
+    with pytest.raises(DegenerateMap, match="homeomorphism"):
+        affine_inverse_image(m, [0.0, 1.0])
