@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -90,6 +91,17 @@ class Config:
         out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         out["oracle"] = {f.name: getattr(self.oracle, f.name) for f in dataclasses.fields(self.oracle)}
         return out
+
+    @functools.cached_property
+    def json_text(self) -> str:
+        """``to_json()`` as ``serialize.dump_json`` writes it, encoded once per instance.
+
+        Cached on the instance, not by value: ``Config(unit_norm_tol=1)``
+        equals ``Config(unit_norm_tol=1.0)`` but is written ``1``, not ``1.0``.
+        """
+        from .serialize import dump_json  # serialize imports this module
+
+        return dump_json(self.to_json())
 
 
 DEFAULT_CONFIG = Config()

@@ -2,13 +2,16 @@
 
 Matrix files look like {"dim": d, "rows": [[...], ...]}; semigroup spec
 files add generator lists and budgets.  All emitted JSON is sorted and
-indented so identical inputs and seeds produce byte-identical payloads.
+indented so identical inputs and seeds produce byte-identical payloads:
+``dump_json`` writes the bytes of ``json.dumps(obj, sort_keys=True,
+indent=2)`` without the stdlib's pure-Python encoder, and a run report's
+config block is encoded once per ``Config`` and spliced in.
 """
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -206,13 +209,94 @@ def orbit_to_svg(record: OrbitRecord, proj_axis: int = 3, size: int = 400) -> st
 
 
 def dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
+
+    The stdlib writes indented JSON through its pure-Python encoder; this
+    one appends to a single list and knows only what a report holds: dicts
+    with str keys (written sorted), lists, tuples, str, int, float, bool
+    and None.  Float and int subclasses (NumPy ``float64``) are written by
+    ``float.__repr__`` and ``int.__repr__``, as ``json`` writes them.
+    Anything else raises the stdlib's ``TypeError``, and so does a key that
+    is not a str.  A report's config block is spliced in from
+    ``Config.json_text``.
+    """
+    parts: list[str] = []
+    _encode(obj, "\n", parts.append)
+    return "".join(parts)
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _encode(value, newline: str, append) -> None:
+    """Append ``value`` as indented JSON; ``newline`` is a line break and its indentation."""
+    if isinstance(value, str):
+        append(encode_basestring_ascii(value))
+    elif value is None:
+        append("null")
+    elif value is True:
+        append("true")
+    elif value is False:
+        append("false")
+    elif isinstance(value, int):
+        append(int.__repr__(value))
+    elif isinstance(value, float):
+        append(_float_text(value))
+    elif type(value) is _ConfigBlock:
+        append(value.config.json_text.replace("\n", newline))
+    elif isinstance(value, dict):
+        if not value:
+            append("{}")
+            return
+        inner = newline + "  "
+        lead = "{" + inner
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+            append(lead + encode_basestring_ascii(key) + ": ")
+            _encode(item, inner, append)
+            lead = "," + inner
+        append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            append("[]")
+            return
+        inner = newline + "  "
+        lead = "[" + inner
+        for item in value:
+            append(lead)
+            _encode(item, inner, append)
+            lead = "," + inner
+        append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+class _ConfigBlock(dict):
+    """A report's ``config.to_json()``, which ``dump_json`` writes as ``config.json_text``.
+
+    The text belongs to the frozen Config, so it cannot go stale; editing
+    this dict after ``run_report`` would not show in ``dump_json``.
+    """
+
+    __slots__ = ("config",)
+
+    def __init__(self, config: Config):
+        super().__init__(config.to_json())
+        self.config = config
 
 
 def run_report(command: list[str], config: Config, result, wall_time: float, version: str) -> dict:
     return {
         "command": command,
-        "config": config.to_json(),
+        "config": _ConfigBlock(config),
         "result": result,
         "wall_time_s": wall_time,
         "version": version,

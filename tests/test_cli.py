@@ -13,7 +13,8 @@ from helpers import OVERFLOWING_TAIL_SET
 from sphere_distal import cli, errors
 from sphere_distal.cli import main
 from sphere_distal.linalg import rotation
-from sphere_distal.serialize import orbit_to_svg, parse_matrix
+from sphere_distal.config import Config
+from sphere_distal.serialize import dump_json, orbit_to_svg, parse_matrix, run_report
 from sphere_distal.errors import SpecParseError
 
 
@@ -778,3 +779,100 @@ def test_a_negative_value_after_a_space_parses_as_with_equals(capsys, argv, flag
         runs.append((code, json.dumps(out), captured.err))
     assert runs[0] == runs[1]
     assert "expected one argument" not in runs[0][2]
+
+
+# the hard cases of each type json.dumps writes; random payloads draw from them
+ENCODER_FLOATS = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.225073858507201e-308, 1e308,
+    0.1 + 0.2, 1.2345678901234567, -9.876543210987654e-123, 1.0, 2.0**53 + 2,
+    np.float64(0.30000000000000004), np.float64(-0.0), np.float64(math.nan), np.float64(-math.inf),
+]
+ENCODER_INTS = [0, -1, 7, 2**63, 2**64 + 1, -(2**70) - 3, 10**40, True, False]
+ENCODER_STRINGS = [
+    "", "plain", 'a "quoted" word', "back\\slash", "tab\tnew\nline\r", "\x00\x01\x1f\x7f",
+    "caf\u00e9", "\u4e2d\u6587", "\U0001f600", "\ud800", "lone \udfff low", "/slash/",
+]
+
+
+def _random_payload(rng, depth=0):
+    kind = rng.integers(9 if depth < 4 else 5)
+    if kind == 0:
+        return ENCODER_FLOATS[rng.integers(len(ENCODER_FLOATS))]
+    if kind == 1:
+        return float(rng.normal() * 10.0 ** rng.integers(-300, 300))
+    if kind == 2:
+        return ENCODER_INTS[rng.integers(len(ENCODER_INTS))]
+    if kind == 3:
+        return ENCODER_STRINGS[rng.integers(len(ENCODER_STRINGS))]
+    if kind == 4:
+        return None
+    size = rng.integers(4)
+    items = [_random_payload(rng, depth + 1) for _ in range(size)]
+    if kind == 5:
+        return items
+    if kind == 6:
+        return tuple(items)
+    keys = rng.choice(len(ENCODER_STRINGS), size=size, replace=False)
+    return {ENCODER_STRINGS[k]: item for k, item in zip(keys, items)}
+
+
+def test_dump_json_writes_the_bytes_of_json_dumps_on_seeded_payloads():
+    rng = np.random.default_rng(20)
+    payloads = [{}, [], (), {"a": {}, "b": [[], [{}]], "c": ({},)}, [[[]]]]
+    payloads += ENCODER_FLOATS + ENCODER_INTS + ENCODER_STRINGS + [None]
+    payloads += [_random_payload(rng) for _ in range(2000)]
+    for obj in payloads:
+        assert dump_json(obj) == json.dumps(obj, sort_keys=True, indent=2), repr(obj)
+
+
+@pytest.mark.parametrize(
+    "obj", [np.int64(3), {1, 2}, np.zeros(2), np.True_, [1.0, np.int64(2)], {"k": {"n": set()}}]
+)
+def test_dump_json_raises_type_error_where_json_dumps_does(obj):
+    with pytest.raises(TypeError):
+        json.dumps(obj, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        dump_json(obj)
+
+
+def _raw_report_argvs(tmp_path) -> list:
+    """One run of each subcommand, each printing a run report."""
+    rot = write_matrix(tmp_path / "rot.json", [[0.0, -1.0], [1.0, 0.0]])
+    rot3 = write_matrix(tmp_path / "rot3.json", [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"generators": [{"dim": 2, "rows": SHEAR}]}))
+    return [
+        ["classify", write_matrix(tmp_path / "shear.json", SHEAR)],
+        ["fixed-point", "--rot", "0.3", "--a", "0.5,0"],
+        ["orbit", rot, "--steps", "3", "--csv", str(tmp_path / "orbit.csv")],
+        ["semigroup", str(spec)],
+        ["witness", rot3],
+        ["inverse-image", rot, "--a", "0.5,0", "--y", "1,0"],
+    ]
+
+
+def test_every_report_prints_the_bytes_of_json_dumps_whatever_the_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"residual_tol": 1e-7, "max_word_length": 6, "oracle": {"eps": 2e-4}}))
+    setups = [[], ["--config", str(cfg)], ["--tol-spectral", "1e-6", "--tol-residual", "2e-8"],
+              ["--seed", "9"]]
+    argvs = _raw_report_argvs(tmp_path)
+    seen = set()
+    for _ in range(2):  # interleaved, so a config block is never left from the run before
+        for argv in argvs:
+            for setup in setups:
+                main(setup + argv)
+                out = capsys.readouterr().out
+                report = json.loads(out)
+                assert out == json.dumps(report, sort_keys=True, indent=2) + "\n", setup + argv
+                seen.add(json.dumps(report["config"], sort_keys=True))
+    assert len(seen) == len(setups)
+
+
+def test_configs_that_compare_equal_but_encode_differently_keep_their_own_block():
+    one, one_float = Config(unit_norm_tol=1), Config(unit_norm_tol=1.0)
+    assert one == one_float and hash(one) == hash(one_float)
+    for config in (one, one_float, one, one_float):
+        report = run_report(["classify"], config, {"verdict": "distal"}, 0.25, "0")
+        assert dump_json(report) == json.dumps(report, sort_keys=True, indent=2)
+        assert f'"unit_norm_tol": {config.unit_norm_tol!r}\n' in dump_json(report)
