@@ -128,12 +128,18 @@ def json_count(key: str, value, what: str) -> int:
     return count
 
 
+def known_fields(data: dict, fields, what: str) -> None:
+    """Refuse a key of a ``what`` object that is not one of ``fields``."""
+    for key in data:
+        if key not in fields:
+            raise SpecParseError(f"unknown {what} field: {key}")
+
+
 def _record_from_dict(cls, data: dict, what: str):
     kinds = {f.name: f.type for f in dataclasses.fields(cls)}
+    known_fields(data, kinds, what)
     kwargs = {}
     for key, value in data.items():
-        if key not in kinds:
-            raise SpecParseError(f"unknown {what} field: {key}")
         if kinds[key] == "OracleBudget":
             if not isinstance(value, dict):
                 raise SpecParseError("config 'oracle' must be an object")

@@ -5,8 +5,8 @@ matrix and the translation are divided by |det|^(1/2), which leaves the
 sphere map unchanged and lets the resolvent arguments assume det = +-1.
 A point x is fixed exactly when some gamma > 0 solves
 (gamma*Id - T) x = a with ||x|| = 1, so each branch either reads the
-point off an eigen-direction or brackets gamma where the resolvent norm
-crosses one and bisects.  Every returned point meets ``residual_tol``.
+point off an eigen-direction or bisects gamma, in Python floats, to where
+the resolvent norm crosses one.  Every returned point meets ``residual_tol``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import DEFAULT_CONFIG, Config
-from .distality import _UNIT_ROUNDOFF, _first_proximal
+from .distality import _first_proximal
 from .errors import (
     DimensionUnsupported,
     HypothesisNotMet,
@@ -158,9 +158,9 @@ def resolvent_norm(T, a, gamma: float, config: Config = DEFAULT_CONFIG) -> float
     """||(gamma*Id - T)^-1 (a)||, computed through the real canonical form.
 
     For d = 2 the resolvent of the diagonal, Jordan, or rotation factor
-    is applied to the coordinates of a in the canonical basis, so the
-    value matches the closed forms the bracketing arguments use; d >= 3
-    solves directly, gated on LAPACK's eigenvalues.
+    is applied to the coordinates of a in the canonical basis, in Python
+    floats, and the norm is the one the bisection brackets; d >= 3 solves
+    directly, gated on LAPACK's eigenvalues.
     """
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
@@ -173,87 +173,62 @@ def resolvent_norm(T, a, gamma: float, config: Config = DEFAULT_CONFIG) -> float
             raise SpectrumCollision(f"gamma = {gamma} touches the spectrum")
     if es is None:
         return float(np.linalg.norm(np.linalg.solve(gamma * np.eye(T.shape[0]) - T, a)))
-    coords = matrix_inverse(es.kind.basis, config) @ a
-    return float(np.linalg.norm(_resolvent(es.kind, coords)(gamma)))
+    return _norm(_resolvent(es.kind, matrix_inverse(es.kind.basis, config) @ a)(gamma))
 
 
-# The screen's radius.  A 2x2 product in float64, in any order and with or without
-# FMA, has |fl(Px) - Px| <= gamma_2 |P||x| entrywise, gamma_2 = 2u/(1 - 2u), u = 2^-53
-# (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.5).
-# The exact vector is v = fl(B z'), the screen's w = fl(B z) in Python floats; z = z'
-# for real spectra, and for a complex pair z, z' = fl(P c) in two orders from the same
-# inverse P, so |z - z'| <= 2 gamma_2 |P||c| and |w - v| <= gamma_2 |B| (|z| + |z'|) +
-# |B||z - z'| <= 2 gamma_2 |B| (|z| + 1.01 |P||c|), whose entry sum D bounds ||w - v||.
-# A norm (two squares, a sum, a sqrt) is within 2.01u of its vector's, so the screen's
-# S and the exact norm differ by at most 1.01 D + 4.03u S.  The radius 2 D + 8u S also
-# covers its own rounding and that of |S - 1|, 2^-500 gradual underflow; inf or nan fall back.
-def _resolvent(kind, coords: np.ndarray, screen: bool = False):
-    """gamma -> (gamma*Id - T)^-1 a for the 2x2 T with canonical form ``kind``,
-    given the coordinates of a in the canonical basis.  What does not depend
-    on gamma is read once; the two matrix products stay NumPy matmuls, so each
-    vector is bit-identical to one built from gamma*Id - B in full.  With
-    ``screen``, gamma -> (its norm in Python floats, the radius above)."""
+def _norm(w) -> float:
+    """The Euclidean norm of a resolvent pair (w0, w1)."""
+    return math.sqrt(w[0] * w[0] + w[1] * w[1])
+
+
+def _resolvent(kind, coords: np.ndarray):
+    """gamma -> (gamma*Id - T)^-1 a as two Python floats, for the 2x2 T with canonical
+    form ``kind`` and the coordinates of a in its basis B.  What does not depend on
+    gamma is read once; a call solves the canonical factor for z and returns B z."""
     c1, c2 = float(coords[0]), float(coords[1])
-    basis = kind.basis
     if isinstance(kind, RealDiagonalizable):
         major, minor = kind.eig_major, kind.eig_minor
 
         def inner(gamma):
-            return c1 / (gamma - major), c2 / (gamma - minor), 0.0, 0.0
+            return c1 / (gamma - major), c2 / (gamma - minor)
     elif isinstance(kind, JordanBlock):
         lam = kind.eigenvalue
 
         def inner(gamma):
             den = gamma - lam
-            return c1 / den + c2 / (den * den), c2 / den, 0.0, 0.0
+            return c1 / den + c2 / (den * den), c2 / den
     else:
         # gamma*Id - t*Rot(theta) is never singular for real gamma; r01 and r10
         # are nonzero, so 0.0 - r01 is bit-identical to gamma*0.0 - r01
         (r00, r01), (r10, r11) = (kind.modulus * rotation(kind.angle)).tolist()
-        c = np.array([c1, c2])
-
-        def inverse(gamma):
-            m00, m01, m10, m11 = gamma - r00, 0.0 - r01, 0.0 - r10, gamma - r11
-            det = m00 * m11 - m01 * m10
-            return m11 / det, -m01 / det, -m10 / det, m00 / det
-
-        if not screen:
-            return lambda gamma: basis @ (np.array(inverse(gamma)).reshape(2, 2) @ c)
 
         def inner(gamma):
-            p00, p01, p10, p11 = inverse(gamma)
-            return (p00 * c1 + p01 * c2, p10 * c1 + p11 * c2,
-                    abs(p00 * c1) + abs(p01 * c2), abs(p10 * c1) + abs(p11 * c2))
-    if not screen:
-        return lambda gamma: basis @ np.array(inner(gamma)[:2])
-    (b00, b01), (b10, b11) = basis.tolist()
-    n0, n1 = abs(b00) + abs(b10), abs(b01) + abs(b11)
+            m00, m01, m10, m11 = gamma - r00, 0.0 - r01, 0.0 - r10, gamma - r11
+            det = m00 * m11 - m01 * m10
+            p00, p01, p10, p11 = m11 / det, -m01 / det, -m10 / det, m00 / det
+            return p00 * c1 + p01 * c2, p10 * c1 + p11 * c2
+    (b00, b01), (b10, b11) = kind.basis.tolist()
 
-    def screened(gamma):
-        z0, z1, pc0, pc1 = inner(gamma)
-        w0, w1 = b00 * z0 + b01 * z1, b10 * z0 + b11 * z1
-        norm = math.sqrt(w0 * w0 + w1 * w1)
-        radius = n0 * (abs(z0) + 1.01 * pc0) + n1 * (abs(z1) + 1.01 * pc1) + norm
-        return norm, 8.01 * _UNIT_ROUNDOFF * radius + 2.0**-500  # 4 gamma_2 <= 8.01u
+    def vector(gamma):
+        z0, z1 = inner(gamma)
+        return b00 * z0 + b01 * z1, b10 * z0 + b11 * z1
 
-    return screened
+    return vector
 
 
 # --- bracketed bisection ------------------------------------------------------
 
 
-def _bisect_to_one(f, lo: float, hi: float, config: Config, context: str, screen=None) -> float:
+def _bisect_to_one(f, lo: float, hi: float, config: Config, context: str) -> float:
     """Find gamma in [lo, hi] with f(gamma) = 1 by plain bisection.
 
     The endpoints must straddle 1; a same-sign bracket is reported as
-    HypothesisNotMet rather than silently widened.  The final interval
-    (narrower than the bisection tolerance, or with no float inside) is
-    finished with one secant through f at its ends.  ``screen(gamma)``, if
-    given, is (value, radius) with |value - f(gamma)| <= radius; a step whose
-    sign the screen decides skips f, so the result is the plain bisection's.
+    HypothesisNotMet rather than silently widened.  f is evaluated at the
+    two ends and once per halving.  The final interval (narrower than the
+    bisection tolerance, or with no float inside) is finished with one
+    secant through the values at its ends, which still straddle 1.
     """
-    flo = f(lo) - 1.0
-    fhi = f(hi) - 1.0
+    flo, fhi = f(lo) - 1.0, f(hi) - 1.0
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -268,38 +243,23 @@ def _bisect_to_one(f, lo: float, hi: float, config: Config, context: str, screen
         mid = 0.5 * (lo + hi)
         if hi - lo < config.bisection_tol or mid == lo or mid == hi:
             break
-        value, radius = screen(mid) if screen else (1.0, 0.0)
-        fm, exact = value - 1.0, None
-        if not abs(fm) > radius:
-            fm = exact = f(mid) - 1.0
-            if fm == 0.0:
-                return mid
+        fm = f(mid) - 1.0
+        if fm == 0.0:
+            return mid
         if (fm > 0.0) == rising:
-            hi, fhi = mid, exact
+            hi, fhi = mid, fm
         else:
-            lo, flo = mid, exact
-    flo = f(lo) - 1.0 if flo is None else flo
-    fhi = f(hi) - 1.0 if fhi is None else fhi
-    if fhi != flo:
-        return lo - flo * (hi - lo) / (fhi - flo)
-    return 0.5 * (lo + hi)
+            lo, flo = mid, fm
+    return lo - flo * (hi - lo) / (fhi - flo)
 
 
 def _bracketed_point(m: AffineSphereMap, es, hi: float, branch: str, context: str,
                      config: Config) -> FixedPointResult:
-    """Bisect the resolvent norm of ``m``'s pair (T_hat, a_hat) to one on
-    [0, hi]; the unit resolvent vector at that gamma is its fixed point.
-    The resolvent and its screen are prepared once per solve, and each exact
-    norm is ``math.sqrt(float(v.dot(v)))``, the expression ``np.linalg.norm``
-    evaluates for a 1-d real vector, so the bits are the wrapper's."""
-    coords = matrix_inverse(es.kind.basis, config) @ m.translation
-    vector = _resolvent(es.kind, coords)
-
-    def norm(gamma: float) -> float:
-        v = vector(gamma)
-        return math.sqrt(float(v.dot(v)))
-
-    gamma = _bisect_to_one(norm, 0.0, hi, config, context, _resolvent(es.kind, coords, screen=True))
+    """Bisect the resolvent norm of ``m``'s pair (T_hat, a_hat) to one on [0, hi];
+    the unit resolvent vector at that gamma is its fixed point.  The resolvent
+    is prepared once per solve, so a step is a few Python float operations."""
+    vector = _resolvent(es.kind, matrix_inverse(es.kind.basis, config) @ m.translation)
+    gamma = _bisect_to_one(lambda g: _norm(vector(g)), 0.0, hi, config, context)
     return _fixed_point(m, unit_vector(vector(gamma)), gamma, branch, config)
 
 

@@ -15,7 +15,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .config import Config, json_count, read_json
+from .config import Config, json_count, known_fields, read_json
 from .distality import (
     BudgetExhausted,
     DistalityVerdict,
@@ -30,9 +30,10 @@ from .sphere import OrbitRecord
 
 
 def parse_matrix(data) -> np.ndarray:
-    """Parse {"dim": d, "rows": [...]}, rejecting non-finite entries."""
+    """Parse {"dim": d, "rows": [...]}, rejecting non-finite entries and other keys."""
     if not isinstance(data, dict):
         raise SpecParseError("matrix JSON must be an object")
+    known_fields(data, ("dim", "rows"), "matrix")
     if "dim" not in data or "rows" not in data:
         raise SpecParseError("matrix JSON needs integer 'dim' and 'rows'")
     dim, rows = json_count("dim", data["dim"], "matrix"), data["rows"]
@@ -64,6 +65,7 @@ def matrix_to_json(T: np.ndarray) -> dict:
 def parse_semigroup_spec(data) -> SemigroupSpec:
     if not isinstance(data, dict):
         raise SpecParseError("semigroup spec must be a JSON object")
+    known_fields(data, ("generators", "word_length_budget", "sample_count", "rng_seed"), "spec")
     raw = data.get("generators")
     if not isinstance(raw, list) or not raw:
         raise SpecParseError("semigroup spec needs a non-empty 'generators' list")

@@ -15,6 +15,7 @@ the seeds in ``SEEDS``.  ``tests/data/census.json`` holds the hashes with the
 NumPy version and the machine that wrote them; the bytes depend on both.
 
     PYTHONPATH=src python tests/census.py --write   # rewrite the file
+    PYTHONPATH=src python tests/census.py --diff ../parent   # field by field against a checkout
 """
 
 from __future__ import annotations
@@ -23,10 +24,14 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import os
 import platform
+import re
+import subprocess
 import sys
 import tempfile
+from collections import defaultdict
 
 import numpy as np
 
@@ -128,12 +133,64 @@ def write() -> None:
         fh.write("\n")
 
 
+def texts(checkout: str) -> dict:
+    """{key: record text} as the census of another ``checkout`` builds them, in a child process."""
+    code = ("import json, sys, census; json.dump({k: t for s in census.SEEDS "
+            "for k, t in census.records(s)}, open(sys.argv[1], 'w'))")
+    path = [os.path.join(checkout, "src"), os.path.join(checkout, "tests")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "texts.json")
+        subprocess.run([sys.executable, "-c", code, out], env=env, check=True)
+        with open(out, encoding="utf-8") as fh:
+            return json.load(fh)
+
+
+_KEY = re.compile(r'\s*"(\w+)": ')
+
+
+def _move(x: str, y: str) -> float:
+    """How far the number that ends line ``x`` moved on line ``y``; inf if either is text."""
+    try:
+        return abs(float(y.split(": ")[-1].rstrip(",")) - float(x.split(": ")[-1].rstrip(",")))
+    except ValueError:
+        return math.inf
+
+
+def diff(old: dict, new: dict) -> None:
+    """Print each record that differs between ``old`` and ``new``, with the JSON
+    fields (or first words) of the lines that differ and how far each moved,
+    then each field's largest move; inf marks a change that is not numeric."""
+    changed = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+    print(f"{len(new)} records, {len(changed)} differ")
+    worst = defaultdict(float)
+    for key in changed:
+        a, b = old.get(key, "").splitlines(), new.get(key, "").splitlines()
+        moved, name = defaultdict(float), ""
+        if len(a) != len(b):
+            moved["(line count)"] = math.inf
+        for x, y in zip(a, b):
+            match = _KEY.match(x)
+            name = match.group(1) if match else name or x.split(" ")[0]
+            if x != y:
+                moved[name] = max(moved[name], _move(x, y))
+        print(f"{key}: " + ", ".join(f"{n} {d:.2g}" for n, d in sorted(moved.items())))
+        for n, d in moved.items():
+            worst[n] = max(worst[n], d)
+    for n, d in sorted(worst.items()):
+        print(f"field {n}: moved by at most {d:.2g}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--write", action="store_true", help=f"rewrite {os.path.relpath(PATH)}")
+    parser.add_argument("--diff", metavar="CHECKOUT", help="compare every record with another checkout's")
     args = parser.parse_args()
     if args.write:
         write()
+        return
+    if args.diff:
+        diff(texts(args.diff), {k: t for seed in SEEDS for k, t in records(seed)})
         return
     want = load()["records"]
     got = build()

@@ -221,8 +221,29 @@ def naive_even_sphere_witness(T, config=DEFAULT_CONFIG):
 
 
 def naive_resolvent_vector(kind, coords, gamma):
-    """(gamma*Id - T)^-1 a for the 2x2 T with canonical form ``kind``, rebuilt
-    in full for each gamma: gamma*Id - B through np.eye and rotation()."""
+    """(gamma*Id - T)^-1 a for the 2x2 T with canonical form ``kind``, as two
+    Python floats rebuilt in full for each gamma: gamma*Id - B from the entries
+    of rotation(), its inverse, then the basis times the canonical solution."""
+    c1, c2 = float(coords[0]), float(coords[1])
+    if isinstance(kind, RealDiagonalizable):
+        z0, z1 = c1 / (gamma - kind.eig_major), c2 / (gamma - kind.eig_minor)
+    elif isinstance(kind, JordanBlock):
+        den = gamma - kind.eigenvalue
+        z0, z1 = c1 / den + c2 / (den * den), c2 / den
+    else:
+        (r00, r01), (r10, r11) = (kind.modulus * rotation(kind.angle)).tolist()
+        m00, m01 = gamma * 1.0 - r00, gamma * 0.0 - r01
+        m10, m11 = gamma * 0.0 - r10, gamma * 1.0 - r11
+        det = m00 * m11 - m01 * m10
+        z0 = m11 / det * c1 + -m01 / det * c2
+        z1 = -m10 / det * c1 + m00 / det * c2
+    (b00, b01), (b10, b11) = kind.basis.tolist()
+    return b00 * z0 + b01 * z1, b10 * z0 + b11 * z1
+
+
+def numpy_resolvent_vector(kind, coords, gamma):
+    """(gamma*Id - T)^-1 a as a NumPy vector rebuilt in full for each gamma:
+    gamma*Id - B through np.eye and rotation(), and NumPy matrix products."""
     c1, c2 = float(coords[0]), float(coords[1])
     if isinstance(kind, RealDiagonalizable):
         vec = np.array([c1 / (gamma - kind.eig_major), c2 / (gamma - kind.eig_minor)])
@@ -237,16 +258,29 @@ def naive_resolvent_vector(kind, coords, gamma):
     return kind.basis @ vec
 
 
-def naive_bracketed_point(m, es, hi, branch, context, config):
-    """The bracketed fixed point with every bisection step through
-    naive_resolvent_vector and np.linalg.norm."""
-    coords = matrix_inverse(es.kind.basis, config) @ m.translation
-    gamma = _bisect_to_one(
-        lambda g: float(np.linalg.norm(naive_resolvent_vector(es.kind, coords, g))),
-        0.0, hi, config, context,
-    )
-    point = unit_vector(naive_resolvent_vector(es.kind, coords, gamma))
-    return _fixed_point(m, point, gamma, branch, config)
+def _reference_bracketed_point(resolvent, norm):
+    """A stand-in for fixed_points._bracketed_point whose every bisection step
+    evaluates ``norm(resolvent(kind, coords, gamma))``."""
+
+    def bracketed_point(m, es, hi, branch, context, config):
+        coords = matrix_inverse(es.kind.basis, config) @ m.translation
+        gamma = _bisect_to_one(
+            lambda g: norm(resolvent(es.kind, coords, g)), 0.0, hi, config, context
+        )
+        point = unit_vector(np.asarray(resolvent(es.kind, coords, gamma)))
+        return _fixed_point(m, point, gamma, branch, config)
+
+    return bracketed_point
+
+
+# the bisection through naive_resolvent_vector, with the norm of a float pair
+naive_bracketed_point = _reference_bracketed_point(
+    naive_resolvent_vector, lambda w: math.sqrt(w[0] * w[0] + w[1] * w[1])
+)
+# the bisection through NumPy alone: an accuracy reference with its own rounding
+numpy_bracketed_point = _reference_bracketed_point(
+    numpy_resolvent_vector, lambda v: float(np.linalg.norm(v))
+)
 
 
 def csv_writer_orbit(points):

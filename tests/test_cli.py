@@ -514,6 +514,31 @@ def test_parse_matrix_rejects_bad_shapes():
         parse_matrix({"dim": 2, "rows": [[1.0, "x"], [0.0, 1.0]]})
 
 
+def test_parse_matrix_names_a_short_row():
+    with pytest.raises(SpecParseError, match=r"^row 1 must hold 2 numbers$"):
+        parse_matrix({"dim": 2, "rows": [[1, 0], [0]]})
+
+
+@pytest.mark.parametrize(
+    "command, body, message",
+    [
+        ("semigroup", {"generators": [{"dim": 2, "rows": SHEAR}], "sample_cont": 0,
+                       "word_lenght_budget": 3}, "unknown spec field: sample_cont"),
+        ("semigroup", {"generators": [{"dim": 2, "rows": SHEAR, "dims": 2}]},
+         "unknown matrix field: dims"),
+        ("classify", {"dim": 2, "rows": SHEAR, "row": []}, "unknown matrix field: row"),
+    ],
+    ids=["spec", "generator", "matrix"],
+)
+def test_a_file_with_an_unknown_field_exits_64(tmp_path, capsys, command, body, message):
+    # a misspelled budget must not be read as an absent one
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(body))
+    code, report, err = run_cli(capsys, [command, str(path)])
+    assert code == 64 and report is None
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("dim", [2.9, "2", True, None, [2], 1, -2])
 def test_parse_matrix_rejects_a_dim_that_is_not_a_count_of_at_least_2(dim):
     with pytest.raises(SpecParseError, match=r"\bdim\b"):
@@ -833,6 +858,12 @@ def test_dump_json_raises_type_error_where_json_dumps_does(obj):
         json.dumps(obj, sort_keys=True, indent=2)
     with pytest.raises(TypeError):
         dump_json(obj)
+
+
+def test_dump_json_refuses_a_key_that_is_not_a_str():
+    # json.dumps would write the key as "1"; no report holds such a key
+    with pytest.raises(TypeError, match="keys must be str, not int"):
+        dump_json({1: 2})
 
 
 def _raw_report_argvs(tmp_path) -> list:

@@ -121,6 +121,14 @@ def test_regime_degenerate():
         apply_affine(m, [0.0, 1.0])
 
 
+def test_non_injective_map_refuses_a_point_it_annihilates():
+    # a + T x = (5e-11, 0) is shorter than classify_tol: there is no image to normalize
+    m = AffineSphereMap.create(np.diag([1e-10, 1.0]), [1.5e-10, 0.0])
+    assert m.regime is Regime.NON_INJECTIVE
+    with pytest.warns(NonInjectiveWarning), pytest.raises(DegenerateMap, match="^map annihilates this point$"):
+        apply_affine(m, [-1.0, 0.0])
+
+
 def test_regime_zero_translation():
     with pytest.raises(ZeroTranslation):
         affine_is_homeomorphism(np.eye(2), [0.0, 0.0])
