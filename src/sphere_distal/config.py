@@ -74,8 +74,7 @@ class Config:
     max_word_length: int = 8
     random_words: int = 256
     oracle_words: int = 8  # words the semigroup test classifies, its generators included
-    recurrence_scan: int = 100_000
-    recurrence_eps: float = 1e-3
+    recurrence_eps: float = 1e-3  # separation an even-sphere witness pair must get below
     rng_seed: int = 0
     oracle: OracleBudget = field(default_factory=OracleBudget)
 

@@ -68,9 +68,7 @@ class ProximalPair:
     N(W_(r+1) N(B_q x)) with N the normalization, W_j = N(T^j) and
     B_q = N(T^(64 q)) (B_0 x = x), both kept per matrix in one cache: not
     through the n - 1 steps before it.
-    ``word`` names the generator word when the map comes from a semigroup;
-    ``recurrence_times`` carries the near-identity return times of the
-    isometry factor for the even-sphere witness.
+    ``word`` names the generator word when the map comes from a semigroup.
     """
 
     x: np.ndarray
@@ -79,7 +77,6 @@ class ProximalPair:
     separation_initial: float
     separation_final: float
     word: tuple | None = None
-    recurrence_times: tuple | None = None
 
 
 @dataclass(frozen=True)

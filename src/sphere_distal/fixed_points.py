@@ -12,13 +12,12 @@ the resolvent norm crosses one.  Every returned point meets ``residual_tol``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, Config
-from .distality import _first_proximal
+from .distality import ProximalPair
 from .errors import (
     DimensionUnsupported,
     HypothesisNotMet,
@@ -60,11 +59,6 @@ BRANCH_BISECTION_DEFECTIVE = "resolvent-bisection-defective"
 BRANCH_BISECTION_ROTATION = "resolvent-bisection-rotation"
 BRANCH_BISECTION_DOUBLE_ANGLE = "resolvent-bisection-double-angle"
 BRANCH_BISECTION_LARGE_TRANSLATION = "resolvent-bisection-large-translation"
-
-# recurrence times reported on an even-sphere witness, and the steps the
-# scan for them evaluates per block
-RECURRENCE_HITS = 5
-RECURRENCE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -407,9 +401,9 @@ def choose_nondistal_witness(T, config: Config = DEFAULT_CONFIG):
     positive-eigenvalue solver with ||T^-1 a|| = 1/2; two negative real
     eigenvalues give the 2-cycle through the eigen-direction; complex
     spectra with cos(theta) in (0, 1) use the isometry bound or the
-    double-angle bracket; cos(theta) <= 0 needs ||T|| > 5*sqrt(det) and
-    brackets at gamma = 1 with a large translation.  Everything else is
-    outside the covered classes.
+    double-angle bracket, unless |sin(theta)| rounds to 1; those and
+    cos(theta) <= 0 need ||T|| > 5*sqrt(det) and bracket at gamma = 1 with a
+    large translation.  Everything else is outside the covered classes.
     """
     T = as_matrix(T)
     if T.shape[0] != 2:
@@ -438,8 +432,10 @@ def choose_nondistal_witness(T, config: Config = DEFAULT_CONFIG):
 
     theta = es.kind.angle
     r1 = math.cos(theta)
+    sine = abs(math.sin(theta))
 
-    if r1 > 0.0:
+    # case C needs the band |sin(theta)| < ||a|| < 1, empty where |sin(theta)| rounds to 1
+    if r1 > 0.0 and (sine + 1.0) / 2.0 < 1.0:
         if not is_orthogonal(T_hat, config.classify_tol):
             # case D: pick a with ||T^-1 a|| < 1 < ||T a|| and bracket on (0, 2*cos(theta))
             _, sv, Vh = np.linalg.svd(T_hat @ T_hat)
@@ -453,15 +449,17 @@ def choose_nondistal_witness(T, config: Config = DEFAULT_CONFIG):
                 )
                 return a_hat * s_div, result
         # case C (and D when ||T^2|| <= 1): |sin(theta)| < ||a|| < 1, centered in the band
-        a = np.array([(abs(math.sin(theta)) + 1.0) / 2.0, 0.0]) * s_div
+        a = np.array([(sine + 1.0) / 2.0, 0.0]) * s_div
         return a, _complex_point(_homeomorphism(T_hat, a / s_div, config), es, config)
 
-    # cos(theta) <= 0: needs a large norm to push the resolvent above 1 at gamma = 1
+    # cos(theta) <= 0, or no band: needs a large norm to push the resolvent above 1 at gamma = 1
     big_norm = _operator_norm(T_hat)
     if big_norm <= 5.0:
+        failed = (f"cos(theta) = {r1:.6g} <= 0" if r1 <= 0.0 else
+                  f"|sin(theta)| = {sine:.17g} leaves no translation band |sin(theta)| < ||a|| < 1")
         raise OutsideCoveredClasses(
-            "rotation-like maps with nonpositive cosine and ||T|| <= 5*sqrt(det) "
-            "have no constructive witness here"
+            f"rotation-like map with {failed}, and ||T|| = {big_norm:.6g} <= 5*sqrt(det): "
+            "no constructive witness here"
         )
     w = np.linalg.svd(T_hat)[2][0]
     a_hat = (min(6.0, (5.0 + big_norm) / 2.0) / big_norm) * (T_hat @ w)
@@ -476,86 +474,43 @@ def choose_nondistal_witness(T, config: Config = DEFAULT_CONFIG):
 # --- even-sphere isometry witness -------------------------------------------------
 
 
-def _circle_pair_search(m: AffineSphereMap, plane: np.ndarray, iterations: int, config: Config):
-    """Proximal-pair search whose 16 sampled pairs start on the circle spanned
-    by ``plane`` and are iterated by the full map ``m``; a hit is a
-    separation below ``recurrence_eps``."""
-    rng = np.random.default_rng(config.rng_seed)
-    min_angle = 2.0 * math.asin(config.oracle.delta / 2.0)
-    psi_x = rng.uniform(0.0, 2.0 * math.pi, 16)
-    psi_y = psi_x + rng.uniform(min_angle, 2.0 * math.pi - min_angle, 16)
-    e1, e2 = plane[:, 0], plane[:, 1]
-    X0 = np.cos(psi_x)[:, None] * e1 + np.sin(psi_x)[:, None] * e2
-    Y0 = np.cos(psi_y)[:, None] * e1 + np.sin(psi_y)[:, None] * e2
-    return _first_proximal(m, X0, Y0, iterations, config.recurrence_eps)
-
-
-def _recurrence_times(phi: float, config: Config) -> tuple:
-    """Iteration counts m with ||U^m - Id|| small for a rotation by phi."""
-    if abs(phi) < 1e-12:
-        return (1, 2, 3)
-    frac = Fraction(phi / (2.0 * math.pi)).limit_denominator(4096)
-    q = frac.denominator
-    if q <= config.recurrence_scan and abs(2.0 * math.sin(q * phi / 2.0)) < 1e-9:
-        return (q, 2 * q, 3 * q)
-    # scan 1..recurrence_scan block by block and stop at the fifth hit
-    hits = []
-    stop = config.recurrence_scan + 1
-    for start in range(1, stop, RECURRENCE_BLOCK):
-        steps = np.arange(start, min(start + RECURRENCE_BLOCK, stop))
-        gaps = np.abs(2.0 * np.sin(steps * phi / 2.0))
-        hits += steps[gaps < config.recurrence_eps].tolist()
-        if len(hits) >= RECURRENCE_HITS:
-            break
-    return tuple(hits[:RECURRENCE_HITS])
-
-
 def isometry_even_sphere_witness(T, config: Config = DEFAULT_CONFIG):
-    """Translation and proximal pair showing an S^2 isometry map is not distal.
+    """Translation and proximal pair showing that an isometry map of the even
+    sphere S^(d-1), d odd, is not distal.
 
-    For an orthogonal 3x3 matrix: if the spectrum is all real (T is an
-    involution) the translation lies in an invariant coordinate plane and
-    comes from the circle witness; otherwise T fixes an axis up to sign,
-    the translation is placed on that axis, and T factors into commuting
-    isometries T = U D with D acting only on the axis and U only on the
-    rotation plane.  The pair starts on a great circle through the
-    translation but is iterated by the full map (T, a), which separates
-    it exactly as the D-part does.  The recurrence times of U (empty for
-    an involution) are when the full map revisits the pair's circle.
+    An orthogonal T of odd d has the real eigenvalue sigma = sign det T, with
+    a unit eigenvector v.  With a = v/2, the map x -> N(T x + a) moves the
+    height z = <x, v> of a unit point x = z v + r w (w a unit vector
+    orthogonal to v, r >= 0) by the scalar map z -> (sigma z + 1/2) / q,
+    r -> r / q, q = sqrt(5/4 + sigma z), and turns w by T, the same for
+    every point.  So two points on one meridian half stay on one, and both
+    heights are drawn to the attracting height 1 (sigma = +1) or 1/4
+    (sigma = -1, from alternate sides): the pair is asymptotic.  It starts
+    at heights 0.9 and 0.5 (0.9 and -0.5 for sigma = -1), and ``steps`` is
+    the first step whose separation is below ``recurrence_eps``.
     """
     T = as_matrix(T)
-    if T.shape[0] != 3:
-        raise DimensionUnsupported("even-sphere witness is implemented for d = 3")
+    d = T.shape[0]
+    if d % 2 == 0:
+        raise DimensionUnsupported("even-sphere witness needs an odd d >= 3")
     if not is_orthogonal(T, config.classify_tol):
         raise NotOrthogonal("witness construction needs an isometry")
+    sigma = 1.0 if determinant(T) > 0.0 else -1.0
+    v = np.linalg.svd(T - sigma * np.eye(d))[2][-1]
+    v = v / np.linalg.norm(v)
+    k = int(np.argmin(np.abs(v)))  # the coordinate axis furthest from v, projected off it
+    w = np.eye(d)[k] - v[k] * v
+    w = w / np.linalg.norm(w)
 
-    symmetric_defect = float(np.max(np.abs(T - T.T)))
-    if symmetric_defect <= config.classify_tol:
-        # involution: all eigenvalues are +-1, eigh gives exact invariant planes
-        _, eigvecs = np.linalg.eigh((T + T.T) / 2.0)
-        plane = eigvecs[:, :2]  # ascending: prefers the negative pair
-        T_plane = plane.T @ T @ plane
-        a_plane, _ = choose_nondistal_witness(T_plane, config)
-        a = plane @ a_plane
-        times = ()
-    else:
-        # exactly one real eigenvalue: its sign is the determinant
-        sigma = 1.0 if determinant(T) > 0.0 else -1.0
-        M = T - sigma * np.eye(3)
-        axis = np.linalg.svd(M)[2][-1]
-        axis = axis / np.linalg.norm(axis)
-        a = 0.5 * axis
-        D = np.eye(3) + (sigma - 1.0) * np.outer(axis, axis)
-        U = T @ D  # D is its own inverse
-        k = int(np.argmin(np.abs(axis)))
-        b = np.eye(3)[k] - axis[k] * axis
-        b = b / np.linalg.norm(b)
-        plane = np.column_stack([axis, b])
-        cos_phi = max(-1.0, min(1.0, (float(np.trace(U)) - 1.0) / 2.0))
-        times = _recurrence_times(math.acos(cos_phi), config)
-
-    iterations = max(config.oracle.iterations, 4000)
-    found = _circle_pair_search(AffineSphereMap.create(T, a, config), plane, iterations, config)
-    if found is None:
-        raise SphereDistalError("even-sphere pair search exhausted its budget")
-    return a, replace(found, recurrence_times=times)
+    zx, zy = 0.9, 0.5 * sigma
+    rx, ry = math.sqrt(1.0 - zx * zx), math.sqrt(1.0 - zy * zy)
+    x, y = zx * v + rx * w, zy * v + ry * w
+    separation_initial = math.hypot(zx - zy, rx - ry)
+    for steps in range(1, max(config.oracle.iterations, 4000) + 1):
+        qx, qy = math.sqrt(1.25 + sigma * zx), math.sqrt(1.25 + sigma * zy)
+        zx, rx = (sigma * zx + 0.5) / qx, rx / qx
+        zy, ry = (sigma * zy + 0.5) / qy, ry / qy
+        separation = math.hypot(zx - zy, rx - ry)
+        if separation < config.recurrence_eps:
+            return 0.5 * v, ProximalPair(x, y, steps, separation_initial, separation)
+    raise SphereDistalError("even-sphere pair did not come within recurrence_eps in its budget")

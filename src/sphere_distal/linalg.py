@@ -216,16 +216,28 @@ def _spectrum_2x2(T: np.ndarray, config: Config) -> tuple:
     """(scale, trace, eigenvalues) of a validated invertible 2x2 matrix.
 
     The characteristic discriminant tr^2 - 4 det (det behind the singularity
-    gate) against the gap band (cluster_tol * scale)^2 picks the branch:
-    below it a complex pair (re + i*im, re - i*im) with im > 0, above it two
-    real eigenvalues (larger first), inside it ``eigenvalues`` is None, a
-    double-eigenvalue cluster that only a rank test of T - (tr/2) I resolves.
+    gate) against the gap band picks the branch: below it a complex pair
+    (re + i*im, re - i*im) with im > 0, above it two real eigenvalues (larger
+    first), inside it ``eigenvalues`` is None, a double-eigenvalue cluster
+    that only a rank test of T - (tr/2) I resolves.  The band is the wider of
+    two: eigenvalues within 2 cluster_tol sqrt|det| of each other, that is
+    relative to their own modulus, and the rounding radius of the computed
+    discriminant.
     """
     det = _nonsingular_det(T, config)
     scale = _operator_norm(T)
-    tr = float(T[0, 0] + T[1, 1])
+    (a, b), (c, e) = T.tolist()
+    tr = a + e
     disc = tr * tr - 4.0 * det
-    gap_band = (config.cluster_tol * scale) ** 2
+    # The rounding radius, with u = 2^-53: the tr^2 term of fl(disc) carries 4
+    # roundings (the sum, counted twice by the square, the product, the
+    # subtraction) and each det term 3 (its product, det's subtraction, disc's),
+    # so by Higham's product bound, prod (1 + delta_i) = 1 + theta_k with
+    # |theta_k| <= gamma_k = k u / (1 - k u), fl(disc) is within
+    # gamma_4 (tr^2 + 4 (|a e| + |b c|)) of the exact discriminant.  8u is
+    # twice gamma_4, so a discriminant outside the band has the exact sign.
+    gap_band = max(4.0 * config.cluster_tol ** 2 * abs(det),
+                   8.0 * 2.0 ** -53 * (tr * tr + 4.0 * (abs(a * e) + abs(b * c))))
     if disc < -gap_band:
         re, im = tr / 2.0, math.sqrt(-disc) / 2.0
         return scale, tr, (complex(re, im), complex(re, -im))

@@ -113,8 +113,6 @@ def certificate_to_json(cert) -> dict:
         }
         if cert.word is not None:
             out["word"] = [int(i) for i in cert.word]
-        if cert.recurrence_times is not None:
-            out["recurrence_times"] = [int(t) for t in cert.recurrence_times]
         return out
     if isinstance(cert, UnboundedWord):
         return {

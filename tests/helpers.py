@@ -9,25 +9,20 @@ import numpy as np
 
 from sphere_distal import (
     DEFAULT_CONFIG,
-    AffineSphereMap,
     RealSpectrum,
     Verdict,
-    choose_nondistal_witness,
     classify_projective_distality,
     contraction_subspace,
     rotation,
 )
 from sphere_distal.distality import (
-    _first_proximal,
     _jordan_collapse_pair,
     _power_stack,
     _split_moduli_pair,
 )
 from sphere_distal.fixed_points import (
     _bisect_to_one,
-    _circle_pair_search,
     _fixed_point,
-    _recurrence_times,
 )
 from sphere_distal.linalg import (
     ComplexPair,
@@ -96,12 +91,16 @@ def translation_with_pullback(rng, T, c):
     return T @ (c * u)
 
 
-def random_orthogonal_3x3(rng, flip=False):
-    Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+def random_orthogonal(rng, d, flip=False):
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     if flip:
         Q = Q.copy()
         Q[:, 0] = -Q[:, 0]
     return Q
+
+
+def random_orthogonal_3x3(rng, flip=False):
+    return random_orthogonal(rng, 3, flip)
 
 
 def naive_apply_many(m, X):
@@ -195,29 +194,18 @@ def extended_separation(T, x, y, steps):
     return float(np.sqrt(((P[0] - P[1]) ** 2).sum()))
 
 
-def naive_even_sphere_witness(T, config=DEFAULT_CONFIG):
-    """The two-walk even-sphere witness: for a rotation-like T, search the
-    pair on the map of D alone (the axis reflection), then walk that pair
-    again on the full map (T, a) and report the second walk."""
-    iterations = max(config.oracle.iterations, 4000)
-    if float(np.max(np.abs(T - T.T))) <= config.classify_tol:
-        plane = np.linalg.eigh((T + T.T) / 2.0)[1][:, :2]
-        a = plane @ choose_nondistal_witness(plane.T @ T @ plane, config)[0]
-        found = _circle_pair_search(AffineSphereMap.create(T, a, config), plane, iterations, config)
-        return a, replace(found, recurrence_times=())
-    sigma = 1.0 if determinant(T) > 0.0 else -1.0
-    axis = np.linalg.svd(T - sigma * np.eye(3))[2][-1]
-    axis = axis / np.linalg.norm(axis)
-    a = 0.5 * axis
-    D = np.eye(3) + (sigma - 1.0) * np.outer(axis, axis)
-    k = int(np.argmin(np.abs(axis)))
-    b = np.eye(3)[k] - axis[k] * axis
-    plane = np.column_stack([axis, b / np.linalg.norm(b)])
-    found = _circle_pair_search(AffineSphereMap.create(D, a, config), plane, iterations, config)
-    cos_phi = max(-1.0, min(1.0, (float(np.trace(T @ D)) - 1.0) / 2.0))
-    m = AffineSphereMap.create(T, a, config)
-    pair = _first_proximal(m, found.x[None], found.y[None], iterations, config.recurrence_eps)
-    return a, replace(pair, recurrence_times=_recurrence_times(math.acos(cos_phi), config))
+def extended_affine_separations(T, a, x, y, steps):
+    """|x - y| after each of the first ``steps`` steps of the affine map
+    x -> N(T x + a), walked in np.longdouble (80-bit extended precision on x86)."""
+    T = np.asarray(T, dtype=np.longdouble)
+    a = np.asarray(a, dtype=np.longdouble)
+    P = np.array([x, y], dtype=np.longdouble)
+    out = []
+    for _ in range(steps):
+        P = P @ T.T + a
+        P = P / np.sqrt((P * P).sum(axis=1, keepdims=True))
+        out.append(float(np.sqrt(((P[0] - P[1]) ** 2).sum())))
+    return out
 
 
 def naive_resolvent_vector(kind, coords, gamma):

@@ -178,8 +178,8 @@ REFUSAL_FILES = {
     "big-det-3": {"dim": 3, "rows": (1e200 * np.eye(3)).tolist()},
     "spec-big-det-2": {"generators": [{"dim": 2, "rows": (1e200 * np.eye(2)).tolist()}]},
     "spec-big-det-3": {"generators": [{"dim": 3, "rows": (1e200 * np.eye(3)).tolist()}]},
-    # a quarter turn whose spectrum the gap band reports as the double eigenvalue 0
-    "stretched-quarter-turn": {"dim": 2, "rows": [[0.0, -1e13], [1e-13, 0.0]]},
+    # 1e6 [[1, 1], [-1, -1]] up to one ulp: nilpotent within the discriminant's rounding radius
+    "near-nilpotent": {"dim": 2, "rows": [[1e6, 1e6], [-999999.9999999999, -1e6]]},
 }
 
 
@@ -202,12 +202,14 @@ REFUSAL_FILES = {
         (["semigroup", "spec-big-det-3"], 65, "error: singular matrix: determinant overflowed"),
         (["fixed-point", "big-det-2", "--a=0.5,0"], 65, "error: singular matrix: determinant overflowed"),
         (["witness", "big-det-2"], 65, "error: singular matrix: determinant overflowed"),
-        (["witness", "stretched-quarter-turn"], 3, "error: not covered: real spectra with top eigenvalue 0"),
+        (["witness", "near-nilpotent"], 3, "error: not covered: real spectra with top eigenvalue 0"),
+        (["witness", "--rot", "1.5707963267948966"], 3,
+         "error: not covered: rotation-like map with |sin(theta)| = 1 leaves no translation band"),
     ],
     ids=["file-and-rot", "no-matrix", "config-list", "config-oracle-3", "config-missing",
          "spec-list", "spec-mixed-dims", "fixed-point-negative-diagonal", "classify-4x4", "semigroup-4x4",
          "classify-big-det-2x2", "classify-big-det-3x3", "semigroup-big-det-2x2", "semigroup-big-det-3x3",
-         "fixed-point-big-det", "witness-big-det", "witness-top-eigenvalue-0"],
+         "fixed-point-big-det", "witness-big-det", "witness-top-eigenvalue-0", "witness-quarter-turn"],
 )
 def test_refusals_exit_with_their_code_and_one_error_line(tmp_path, capsys, argv, code, message):
     for name, body in REFUSAL_FILES.items():
@@ -439,6 +441,33 @@ def test_witness_uncovered_exit_3(capsys):
     assert code == 3
 
 
+def test_witness_stretched_quarter_turn_exit_0(tmp_path, capsys):
+    # tr = 0 and det = 1 exactly: a complex spectrum, and ||T|| = 1e13 > 5 takes a large translation
+    path = write_matrix(tmp_path / "stretched.json", [[0.0, -1e13], [1e-13, 0.0]])
+    code, report, _ = run_cli(capsys, ["witness", path])
+    assert code == 0
+    assert report["result"]["result"]["branch"] == "resolvent-bisection-large-translation"
+
+
+def test_witness_cli_5d(tmp_path, capsys):
+    Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((5, 5)))
+    path = write_matrix(tmp_path / "q5.json", Q.tolist())
+    code, report, _ = run_cli(capsys, ["witness", path])
+    assert code == 0
+    body = report["result"]
+    assert len(body["a"]) == 5 and np.linalg.norm(body["a"]) == pytest.approx(0.5)
+    assert body["result"]["kind"] == "proximal-pair"
+    assert body["result"]["separation_final"] < report["config"]["recurrence_eps"]
+
+
+def test_a_config_that_sets_the_retired_recurrence_scan_exits_64(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"recurrence_scan": 100000}))
+    code, report, err = run_cli(capsys, ["--config", str(cfg), "witness", "--rot", "1.0"])
+    assert code == 64 and report is None
+    assert err == "error: unknown config field: recurrence_scan\n"
+
+
 def test_inverse_image_cli(tmp_path, capsys):
     path = write_matrix(tmp_path / "id.json", [[1.0, 0.0], [0.0, 1.0]])
     code, report, _ = run_cli(capsys, ["inverse-image", path, "--a", "0.5,0", "--y", "1,0"])
@@ -643,7 +672,6 @@ def test_parser_keeps_no_state_between_calls(tmp_path, capsys):
     assert code_again == 0
     assert json.dumps(again["result"], sort_keys=True) == json.dumps(first["result"], sort_keys=True)
     assert again == first
-    assert first["result"]["result"]["recurrence_times"]
 
 
 @pytest.mark.parametrize("outputs", [("o.csv", "missing/x.svg"), ("missing/o.csv", "o.svg")])

@@ -55,7 +55,6 @@ from sphere_distal.distality import (
     _word_levels,
     _word_product,
 )
-from sphere_distal.fixed_points import _circle_pair_search
 from sphere_distal.linalg import (
     _operator_norm,
     _operator_norms,
@@ -616,16 +615,6 @@ def test_affine_searches_match_the_naive_loop():
     X0, Y0 = _sample_far_pairs(np.random.default_rng(1), 2, 32, 0.3)
     x, y, steps = _naive_first_hit(m, X0, Y0, 4000, 1e-4)
     assert np.array_equal(pair.x, x) and np.array_equal(pair.y, y) and pair.steps == steps
-
-    found = _circle_pair_search(m, np.eye(2), 4000, Config(rng_seed=3))
-    rng = np.random.default_rng(3)
-    psi_x = rng.uniform(0.0, 2.0 * math.pi, 16)
-    min_angle = 2.0 * math.asin(0.3 / 2.0)
-    psi_y = psi_x + rng.uniform(min_angle, 2.0 * math.pi - min_angle, 16)
-    X0 = np.column_stack([np.cos(psi_x), np.sin(psi_x)])
-    Y0 = np.column_stack([np.cos(psi_y), np.sin(psi_y)])
-    x, y, steps = _naive_first_hit(m, X0, Y0, 4000, 1e-3)
-    assert np.array_equal(found.x, x) and np.array_equal(found.y, y) and found.steps == steps
 
 
 def naive_enumerate_words(units, max_len, rng, n_random):
@@ -1264,3 +1253,17 @@ def test_semigroup_spec_none_fields_fall_back_to_the_config():
 def test_certificate_to_json_refuses_an_unknown_certificate():
     with pytest.raises(TypeError, match="unknown certificate"):
         certificate_to_json(object())
+
+
+@pytest.mark.parametrize(
+    "T",
+    # quarter turns, tr = 0 and det = 1 exactly, so T^4 acts as the identity; then an
+    # elliptic matrix whose norm squared overflows, though its discriminant does not
+    [np.array([[0.0, -b], [1.0 / b, 0.0]]) for b in (1e6, 1e7, 3e7, 1e8, 1e13)]
+    + [np.array([[0.9553, -2.955e299], [2.955e-301, 0.9553]])],
+    ids=["quarter-1e6", "quarter-1e7", "quarter-3e7", "quarter-1e8", "quarter-1e13", "overflow-norm"],
+)
+def test_elliptic_matrices_of_large_norm_are_distal(T):
+    v = classify_projective_distality(T)
+    assert v.verdict is Verdict.DISTAL
+    assert [abs(lam) for lam in v.certificate.eigenvalues] == pytest.approx([1.0, 1.0])

@@ -1,17 +1,17 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from helpers import (
     conjugate_to_large_norm,
+    extended_affine_separations,
     naive_bracketed_point,
-    naive_even_sphere_witness,
     naive_resolvent_vector,
     numpy_bracketed_point,
     random_complex_2x2,
     random_conjugator,
+    random_orthogonal,
     random_orthogonal_3x3,
     random_positive_real_2x2,
     translation_with_pullback,
@@ -46,11 +46,9 @@ from sphere_distal.fixed_points import (
     BRANCH_BISECTION_LARGE_TRANSLATION,
     BRANCH_BISECTION_ROTATION,
     BRANCH_MINOR_CROSSING,
-    RECURRENCE_BLOCK,
     FixedPointResult,
     PeriodicPoints2,
     _bisect_to_one,
-    _recurrence_times,
     _resolvent,
 )
 from sphere_distal.linalg import (
@@ -149,8 +147,10 @@ def test_bisection_returns_an_endpoint_where_f_is_exactly_one():
 def test_witnesses_refuse_the_other_dimension():
     with pytest.raises(DimensionUnsupported, match="d = 2"):
         choose_nondistal_witness(np.eye(3))
-    with pytest.raises(DimensionUnsupported, match="d = 3"):
+    with pytest.raises(DimensionUnsupported, match="odd d"):
         isometry_even_sphere_witness(rotation(0.3))
+    with pytest.raises(DimensionUnsupported, match="odd d"):
+        isometry_even_sphere_witness(np.eye(4))
 
 
 def test_resolvent_3x3_direct_solve():
@@ -376,6 +376,27 @@ def test_witness_outside_covered_classes():
         choose_nondistal_witness(rotation(2.5))  # isometry, cos <= 0
 
 
+def test_witness_refuses_the_quarter_turn_and_says_what_failed():
+    from sphere_distal import OutsideCoveredClasses
+
+    # cos(pi/2) is 6.1e-17 > 0, but |sin(pi/2)| is 1.0: case C's band is empty
+    with pytest.raises(OutsideCoveredClasses, match=r"\|sin\(theta\)\| = 1 leaves no translation band"):
+        choose_nondistal_witness(rotation(math.pi / 2))
+
+
+@pytest.mark.parametrize(
+    "T",
+    [np.diag([10.0, 1.0]) @ rotation(math.pi / 2) @ np.diag([0.1, 1.0])]
+    + [np.array([[0.0, -b], [1.0 / b, 0.0]]) for b in (10.0, 1e3, 1e6, 3e7, 1e8, 1e13)],
+    ids=["conjugate-norm-10", "10", "1e3", "1e6", "3e7", "1e8", "1e13"],
+)
+def test_stretched_quarter_turns_get_a_large_translation_witness(T):
+    a, result = choose_nondistal_witness(T)
+    assert result.branch == BRANCH_BISECTION_LARGE_TRANSLATION
+    m = AffineSphereMap.create(T, a)
+    assert np.linalg.norm(apply_affine(m, result.point) - result.point) <= 1e-8
+
+
 def test_witness_feeds_the_oracle():
     # a nontrivial circle homeomorphism with a fixed point is not distal
     for T in (np.diag([2.0, 0.5]), rotation(math.pi / 4)):
@@ -397,7 +418,6 @@ def test_even_sphere_rotation_about_axis():
     assert np.allclose(a, [0.0, 0.0, 0.5])
     assert pair.separation_initial >= 0.3
     assert pair.separation_final < 1e-3
-    assert pair.recurrence_times  # the rotation factor returns near Id
 
 
 def test_even_sphere_involution():
@@ -439,16 +459,32 @@ def even_sphere_cases():
     ]
 
 
-def test_even_sphere_witness_matches_the_two_walk_reference():
+def check_height_map_witness(T):
+    """The pair starts at heights (0.9, +-0.5) on the axis v = 2a, T v = sign(det T) v,
+    and an 80-bit walk of the full map first gets below eps at ``steps``."""
+    eps = Config().recurrence_eps
+    a, pair = isometry_even_sphere_witness(T)
+    v = 2.0 * a
+    sigma = 1.0 if np.linalg.det(T) > 0.0 else -1.0
+    assert np.linalg.norm(T @ v - sigma * v) <= 1e-12
+    assert (float(pair.x @ v), float(pair.y @ v)) == pytest.approx((0.9, 0.5 * sigma), abs=1e-15)
+    assert pair.steps == (16 if sigma > 0.0 else 58)
+    separations = extended_affine_separations(T, a, pair.x, pair.y, pair.steps)
+    assert separations[-1] < eps
+    assert abs(separations[-1] - pair.separation_final) <= 1e-12
+    assert separations[-2] >= eps
+
+
+def test_even_sphere_witness_matches_the_height_map_reference():
     for T in even_sphere_cases():
-        a, pair = isometry_even_sphere_witness(T)
-        a_ref, ref = naive_even_sphere_witness(T)
-        assert np.array_equal(a, a_ref)
-        assert np.array_equal(pair.x, ref.x) and np.array_equal(pair.y, ref.y)
-        assert pair.steps == ref.steps
-        assert pair.separation_initial == ref.separation_initial
-        assert pair.separation_final == ref.separation_final
-        assert pair.recurrence_times == ref.recurrence_times
+        check_height_map_witness(T)
+
+
+def test_even_sphere_witness_on_every_odd_dimension():
+    rng = np.random.default_rng(57)
+    cases = [random_orthogonal(rng, d, flip=bool(k % 2)) for d in (5, 7) for k in range(20)]
+    for T in cases + [-np.eye(5)]:
+        check_height_map_witness(T)
 
 
 def test_even_sphere_pair_replays_on_the_full_map():
@@ -475,45 +511,6 @@ def test_tight_residual_tol_raises():
     with pytest.raises(HypothesisNotMet) as info:
         minus_id_period2_points([0.3, 0.4], tight)
     assert info.value.reason == "residual-above-tolerance"
-
-
-def naive_recurrence_times(phi, config):
-    """The one-array scan over every step up to recurrence_scan."""
-    if abs(phi) < 1e-12:
-        return (1, 2, 3)
-    q = Fraction(phi / (2.0 * math.pi)).limit_denominator(4096).denominator
-    if q <= config.recurrence_scan and abs(2.0 * math.sin(q * phi / 2.0)) < 1e-9:
-        return (q, 2 * q, 3 * q)
-    steps = np.arange(1, config.recurrence_scan + 1)
-    hits = np.flatnonzero(np.abs(2.0 * np.sin(steps * phi / 2.0)) < config.recurrence_eps)
-    return tuple(int(h) + 1 for h in hits[:5])
-
-
-def test_recurrence_scan_matches_the_full_array_scan():
-    rng = np.random.default_rng(29)
-    wide = Config(recurrence_eps=0.05)  # several hits inside one block
-    for phi in rng.uniform(0.0, math.pi, 200):
-        times = _recurrence_times(phi, Config())
-        assert times == naive_recurrence_times(phi, Config())
-        assert len(times) == 5 and all(isinstance(t, int) for t in times)
-        assert _recurrence_times(phi, wide) == naive_recurrence_times(phi, wide)
-
-
-def test_recurrence_scan_bound_and_shortcuts_match_the_full_array_scan():
-    # a bound that ends inside the second block leaves fewer than five hits
-    short = Config(recurrence_scan=RECURRENCE_BLOCK + 904)
-    rng = np.random.default_rng(31)
-    counts = set()
-    for phi in rng.uniform(0.1, math.pi, 40):
-        times = _recurrence_times(phi, short)
-        assert times == naive_recurrence_times(phi, short)
-        counts.add(len(times))
-    assert min(counts) < 5
-    assert _recurrence_times(1.0, Config(recurrence_scan=10)) == ()
-    rational = 2.0 * math.pi * 3.0 / 7.0
-    assert _recurrence_times(rational, Config()) == (7, 14, 21)
-    assert naive_recurrence_times(rational, Config()) == (7, 14, 21)
-    assert _recurrence_times(0.0, Config()) == (1, 2, 3)
 
 
 @pytest.mark.parametrize(

@@ -420,3 +420,11 @@ def test_as_matrix_rejects_nonfinite():
 def test_shape_checks_raise_dimension_unsupported(call):
     with pytest.raises(DimensionUnsupported):
         call()
+
+
+@pytest.mark.parametrize("b", [1e6, 1e7, 3e7, 1e8, 1e13])
+def test_stretched_quarter_turns_have_a_complex_canonical_form(b):
+    # tr = 0 exactly and det = 1: the discriminant -4 is far outside its rounding radius
+    es = real_schur_2x2(np.array([[0.0, -b], [1.0 / b, 0.0]]))
+    assert isinstance(es.kind, ComplexPair)
+    assert es.kind.modulus == 1.0 and es.kind.angle == pytest.approx(math.pi / 2)
