@@ -52,7 +52,11 @@ def _nonsingular_det(T: np.ndarray, config: Config) -> float:
 
 def matrix_inverse(T: np.ndarray, config: Config = DEFAULT_CONFIG) -> np.ndarray:
     """Inverse of a validated matrix, with an explicit singularity gate."""
-    det = _nonsingular_det(T, config)
+    return _inverse(T, _nonsingular_det(T, config))
+
+
+def _inverse(T: np.ndarray, det: float) -> np.ndarray:
+    """Inverse of a validated matrix whose determinant is ``det``, ungated."""
     if T.shape[0] == 2:
         return np.array([[T[1, 1], -T[0, 1]], [-T[1, 0], T[0, 0]]]) / det
     return np.linalg.solve(T, np.eye(T.shape[0]))

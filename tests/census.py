@@ -149,9 +149,14 @@ def texts(checkout: str) -> dict:
 _KEY = re.compile(r'\s*"(\w+)": ')
 
 
-def _move(x: str, y: str) -> float:
-    """How far the number that ends line ``x`` moved on line ``y``; inf if either is text."""
+def _move(x: str, y: str, csv: bool) -> float:
+    """How far the numbers on line ``x`` moved on line ``y``: the number that
+    ends the line, or the largest move over the fields of an orbit's CSV row;
+    inf if either is text."""
     try:
+        if csv:
+            old, new = x.split(","), y.split(",")
+            return max(abs(float(q) - float(p)) for p, q in zip(old, new)) if len(old) == len(new) else math.inf
         return abs(float(y.split(": ")[-1].rstrip(",")) - float(x.split(": ")[-1].rstrip(",")))
     except ValueError:
         return math.inf
@@ -159,8 +164,9 @@ def _move(x: str, y: str) -> float:
 
 def diff(old: dict, new: dict) -> None:
     """Print each record that differs between ``old`` and ``new``, with the JSON
-    fields (or first words) of the lines that differ and how far each moved,
-    then each field's largest move; inf marks a change that is not numeric."""
+    fields (or first words, or ``csv`` for an orbit's CSV rows) of the lines
+    that differ and how far each moved, then each field's largest move; inf
+    marks a change that is not numeric."""
     changed = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
     print(f"{len(new)} records, {len(changed)} differ")
     worst = defaultdict(float)
@@ -171,9 +177,11 @@ def diff(old: dict, new: dict) -> None:
             moved["(line count)"] = math.inf
         for x, y in zip(a, b):
             match = _KEY.match(x)
-            name = match.group(1) if match else name or x.split(" ")[0]
+            name = match.group(1) if match else "csv" if x.startswith("step,") else name or x.split(" ")[0]
             if x != y:
-                moved[name] = max(moved[name], _move(x, y))
+                moved[name] = max(moved[name], _move(x, y, name == "csv"))
+            if x == "}":  # the JSON ends: a replay line or an orbit's CSV may follow
+                name = ""
         print(f"{key}: " + ", ".join(f"{n} {d:.2g}" for n, d in sorted(moved.items())))
         for n, d in moved.items():
             worst[n] = max(worst[n], d)

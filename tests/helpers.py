@@ -109,6 +109,32 @@ def naive_apply_many(m, X):
     return V / np.linalg.norm(V, axis=-1, keepdims=True)
 
 
+def reference_affine_walk(m, x, steps, config=DEFAULT_CONFIG):
+    """x, f(x), ..., f^steps(x) for the affine map f of ``m``, as lists, in plain
+    loops over the unscaled T and a: renormalize the point, sum
+    a_i + (t_i0 x_0 + t_i1 x_1 + ...) left to right, divide by the image's norm."""
+    T, a = m.matrix.tolist(), m.translation.tolist()
+    d = len(a)
+
+    def dot(u, v):
+        s = u[0] * v[0]
+        for j in range(1, d):
+            s += u[j] * v[j]
+        return s
+
+    walk = [list(x)]
+    for _ in range(steps):
+        n = math.sqrt(dot(x, x))
+        assert abs(n - 1.0) <= config.unit_norm_tol
+        x = [x[j] / n for j in range(d)]
+        v = [a[i] + dot(T[i], x) for i in range(d)]
+        n = math.sqrt(dot(v, v))
+        assert n > config.classify_tol
+        x = [v[i] / n for i in range(d)]
+        walk.append(x)
+    return walk
+
+
 def reconstruct(es):
     """basis @ B @ basis^-1 for the canonical middle factor B of a real_schur_2x2 result."""
     k = es.kind

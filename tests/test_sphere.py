@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from helpers import (
     csv_writer_orbit,
     naive_apply_many,
     random_invertible,
+    reference_affine_walk,
     translation_with_pullback,
 )
 from sphere_distal import (
@@ -231,7 +233,7 @@ def test_orbit_rejects_bad_regime():
 
 
 @pytest.mark.parametrize("steps", [0, 1, 50])
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4])
 def test_orbit_is_bit_identical_to_an_apply_affine_walk(d, steps):
     rng = np.random.default_rng(80 + d)
     T = random_invertible(rng, d)
@@ -248,6 +250,59 @@ def test_orbit_is_bit_identical_to_an_apply_affine_walk(d, steps):
         fh = io.StringIO()
         orbit_to_csv(record, fh)
         assert fh.getvalue() == csv_writer_orbit(record.points)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_unrolled_steps_match_the_reference_walk(d):
+    # scales of 10^k change T's bits, not just its binary exponent, and move
+    # the power of two the step divides by
+    rng = np.random.default_rng(60 + d)
+    for _ in range(10):
+        T = random_invertible(rng, d) * 10.0 ** rng.uniform(-5.0, 5.0)
+        x = rng.standard_normal(d)
+        maps = [AffineSphereMap.create(T),
+                AffineSphereMap.create(T, translation_with_pullback(rng, T, rng.uniform(0.1, 0.9)))]
+        assert [m.regime for m in maps] == [Regime.PROJECTIVE, Regime.HOMEOMORPHISM]
+        for m in maps:
+            start = as_sphere_point(x / np.linalg.norm(x)).tolist()
+            assert orbit(m, start, 50).points.tolist() == reference_affine_walk(m, start, 50)
+
+
+# det(T) and |a + T x|^2 overflow; T^-1 a = (5e-201, 0)
+OVERFLOWING = [[1e200, 3e199], [0.0, 1e200]]
+
+
+def test_orbit_of_a_map_whose_image_norms_overflow_stays_on_the_sphere():
+    m = AffineSphereMap.create(OVERFLOWING, [0.5, 0.0])
+    assert m.regime is Regime.HOMEOMORPHISM
+    assert m.pullback_norm == pytest.approx(5e-201, rel=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points = orbit(m, [0.6, 0.8], 50).points
+    assert np.abs(np.linalg.norm(points, axis=1) - 1.0).max() < 1e-12
+    # the walk runs on T and a divided by 2^665, the power of two of 1e200
+    scaled = AffineSphereMap.create(np.ldexp(OVERFLOWING, -665), np.ldexp([0.5, 0.0], -665))
+    assert np.array_equal(points, orbit(scaled, [0.6, 0.8], 50).points)
+
+
+def test_inverse_image_of_a_map_whose_determinant_overflows():
+    m = AffineSphereMap.create(OVERFLOWING, [0.5, 0.0])
+    y = np.array([0.6, 0.8])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = affine_inverse_image(m, y)
+        assert np.linalg.norm(apply_affine(m, x) - y) < 1e-8
+
+
+def test_regime_of_a_map_whose_determinant_overflows():
+    # det(T) = 2e308 overflows, which once made T^-1 the zero matrix and the map a homeomorphism
+    report = affine_is_homeomorphism([[2e154, 2e154], [0.0, 1e154]], [0.0, 1.3e154])
+    assert report.regime is Regime.NON_INJECTIVE
+    assert report.pullback_norm == pytest.approx(1.3 * math.sqrt(2.0), rel=1e-12)  # T^-1 a = (-1.3, 1.3)
+    # T / 2^997 rounds to singular (1e-300 underflows), so T is solved as it is
+    report = affine_is_homeomorphism([[1e300, 0.0], [0.0, 1e-300]], [0.5, 0.0])
+    assert report.regime is Regime.HOMEOMORPHISM
+    assert report.pullback_norm == pytest.approx(5e-301, rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
