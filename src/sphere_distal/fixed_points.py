@@ -35,17 +35,18 @@ from .linalg import (
     JordanBlock,
     RealDiagonalizable,
     _operator_norm,
+    _real_schur_2x2,
     _unimodular,
     as_matrix,
     determinant,
     is_orthogonal,
     matrix_inverse,
-    real_schur_2x2,
     rotation,
 )
 from .sphere import (
     AffineSphereMap,
     Regime,
+    _affine_map,
     _checked_translation,
     apply_affine,
     unit_vector,
@@ -91,25 +92,26 @@ class PeriodicPoints2:
 
 def _circle_map(T, a, config: Config):
     """The affine circle map of the determinant-normalized pair and its real
-    canonical form.  Checks the translation's shape and finiteness, a zero
-    translation, the determinant, the homeomorphism regime and d = 2, in
-    that order."""
+    canonical form.  Checks the translation's shape, finiteness and norm, the
+    determinant, the normalized translation's norm (zero, or one that
+    underflows), the homeomorphism regime and d = 2, in that order."""
     T = as_matrix(T)
     a = _checked_translation(T, a)
-    if float(np.linalg.norm(a)) == 0.0:
-        raise ZeroTranslation("the projective action has no translation")
     s, T_hat = _unimodular(T, config)
-    with np.errstate(over="ignore"):  # an a / s that overflows is refused as a translation
+    with np.errstate(over="ignore"):  # an a / s that overflows fails the regime test
         m = _homeomorphism(T_hat, a / s, config)
     if T.shape[0] != 2:
         raise DimensionUnsupported("fixed points are built on the circle (d = 2)")
-    return m, real_schur_2x2(m.matrix, config)
+    return m, _real_schur_2x2(m.matrix, config)
 
 
 def _homeomorphism(T_hat, a_hat, config: Config) -> AffineSphereMap:
-    """The affine map of a determinant-normalized pair, refused outside the
-    homeomorphism regime."""
-    m = AffineSphereMap.create(T_hat, a_hat, config)
+    """The affine map of a determinant-normalized pair, refused where ||a_hat||,
+    which the solvers divide by, is zero (a = 0, or a norm that underflows)
+    and outside the homeomorphism regime."""
+    if float(np.linalg.norm(a_hat)) == 0.0:
+        raise ZeroTranslation("the translation is zero or its norm underflows")
+    m = _affine_map(T_hat, a_hat, config)
     if m.regime is not Regime.HOMEOMORPHISM:
         raise InvalidTranslation(f"||T^-1 a|| = {m.pullback_norm:.6g}: map is not a homeomorphism")
     return m
@@ -161,7 +163,7 @@ def resolvent_norm(T, a, gamma: float, config: Config = DEFAULT_CONFIG) -> float
     T = as_matrix(T)
     a = _checked_translation(T, a)
     gap = config.spectrum_gap_tol * _operator_norm(T)
-    es = real_schur_2x2(T, config) if T.shape[0] == 2 else None
+    es = _real_schur_2x2(T, config) if T.shape[0] == 2 else None
     for lam in np.linalg.eigvals(T) if es is None else es.eigenvalues:
         if math.hypot(gamma - lam.real, lam.imag) <= gap:
             raise SpectrumCollision(f"gamma = {gamma} touches the spectrum")
@@ -385,7 +387,7 @@ def minus_id_period2_points(a, config: Config = DEFAULT_CONFIG) -> PeriodicPoint
     perp = np.array([-abar[1], abar[0]])
     x0 = a / 2.0 + perp * math.sqrt(1.0 - na * na / 4.0)
     x1 = a - x0
-    m = AffineSphereMap.create(T, a, config)
+    m = _affine_map(T, a, config)
     return _period2_points(m, np.stack([abar, -abar, x0, x1]), (1, 0, 3, 2), config)
 
 
@@ -409,7 +411,7 @@ def choose_nondistal_witness(T, config: Config = DEFAULT_CONFIG):
     if T.shape[0] != 2:
         raise DimensionUnsupported("witness selection works on the circle (d = 2)")
     s_div, T_hat = _unimodular(T, config)
-    es = real_schur_2x2(T_hat, config)
+    es = _real_schur_2x2(T_hat, config)
 
     if not isinstance(es.kind, ComplexPair):
         top_eig = _top_real_eigenvalue(es.kind)
@@ -425,7 +427,7 @@ def choose_nondistal_witness(T, config: Config = DEFAULT_CONFIG):
             )
         # case B: both eigenvalues negative; the eigen-direction is a 2-cycle
         a_hat = (abs(top_eig) / 2.0) * unit_vector(es.kind.basis[:, 0])
-        m = AffineSphereMap.create(T_hat, a_hat, config)
+        m = _affine_map(T_hat, a_hat, config)
         p0 = unit_vector(a_hat)
         points = np.stack([p0, apply_affine(m, p0, config)])
         return a_hat * s_div, _period2_points(m, points, (1, 0), config)
@@ -442,7 +444,7 @@ def choose_nondistal_witness(T, config: Config = DEFAULT_CONFIG):
             n2 = float(sv[0])
             if n2 > 1.0 + config.classify_tol:
                 a_hat = ((1.0 / n2 + 1.0) / 2.0) * (T_hat @ Vh[0])
-                m = AffineSphereMap.create(T_hat, a_hat, config)
+                m = _affine_map(T_hat, a_hat, config)
                 result = _bracketed_point(
                     m, es, 2.0 * es.kind.modulus * r1, BRANCH_BISECTION_DOUBLE_ANGLE,
                     "double-angle resolvent", config,
@@ -463,7 +465,7 @@ def choose_nondistal_witness(T, config: Config = DEFAULT_CONFIG):
         )
     w = np.linalg.svd(T_hat)[2][0]
     a_hat = (min(6.0, (5.0 + big_norm) / 2.0) / big_norm) * (T_hat @ w)
-    m = AffineSphereMap.create(T_hat, a_hat, config)
+    m = _affine_map(T_hat, a_hat, config)
     result = _bracketed_point(
         m, es, es.kind.modulus, BRANCH_BISECTION_LARGE_TRANSLATION,
         "large-translation resolvent", config,

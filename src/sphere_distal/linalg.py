@@ -262,6 +262,11 @@ def real_schur_2x2(T, config: Config = DEFAULT_CONFIG) -> EigenStructure:
     T = as_matrix(T)
     if T.shape[0] != 2:
         raise DimensionUnsupported("real_schur_2x2 requires d = 2")
+    return _real_schur_2x2(T, config)
+
+
+def _real_schur_2x2(T: np.ndarray, config: Config) -> EigenStructure:
+    """``real_schur_2x2`` of a validated 2x2 matrix."""
     scale, tr, eigenvalues = _spectrum_2x2(T, config)
     if eigenvalues is None:
         return _double_eigenvalue_2x2(T, scale, tr, config)

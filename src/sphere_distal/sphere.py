@@ -156,19 +156,13 @@ def affine_is_homeomorphism(T, a, config: Config = DEFAULT_CONFIG) -> RegimeRepo
     """
     T = as_matrix(T)
     a = _checked_translation(T, a)
-    if float(np.linalg.norm(a)) == 0.0:
+    m = _affine_map(T, a, config)
+    if m.regime is Regime.PROJECTIVE:
         raise ZeroTranslation("use the projective action for a = 0")
-    with np.errstate(over="ignore", invalid="ignore"):
-        pullback = _scaled_solve(T, a, config)[1]
-        rho = _norm(pullback)
-    if not rho < math.inf:
-        raise InvalidTranslation("||T^-1 a|| overflows")
-    if abs(rho - 1.0) <= config.classify_tol:
-        return RegimeReport(Regime.DEGENERATE, rho, None)
-    if rho < 1.0:
-        return RegimeReport(Regime.HOMEOMORPHISM, rho, None)
-    x = pullback / rho
-    return RegimeReport(Regime.NON_INJECTIVE, rho, np.stack([x, -x]))
+    if m.regime is not Regime.NON_INJECTIVE:
+        return RegimeReport(m.regime, m.pullback_norm, None)
+    x = _scaled_solve(T, a, config)[1] / m.pullback_norm  # the finite solve _affine_map made
+    return RegimeReport(m.regime, m.pullback_norm, np.stack([x, -x]))
 
 
 @dataclass(frozen=True)
@@ -184,11 +178,7 @@ class AffineSphereMap:
     def create(cls, T, a=None, config: Config = DEFAULT_CONFIG) -> "AffineSphereMap":
         T = as_matrix(T)
         a = np.zeros(T.shape[0]) if a is None else _checked_translation(T, a)
-        if float(np.linalg.norm(a)) == 0.0:
-            _nonsingular_det(T, config)
-            return cls(T, a, Regime.PROJECTIVE, 0.0)
-        report = affine_is_homeomorphism(T, a, config)
-        return cls(T, a, report.regime, report.pullback_norm)
+        return _affine_map(T, a, config)
 
     @property
     def dim(self) -> int:
@@ -201,6 +191,23 @@ class AffineSphereMap:
             "regime": self.regime.value,
             "pullback_norm": self.pullback_norm,
         }
+
+
+def _affine_map(T: np.ndarray, a: np.ndarray, config: Config) -> AffineSphereMap:
+    """The affine map of a validated T and a translation of its dimension:
+    projective when every entry of a is zero, else in the regime its
+    pullback norm ||T^-1 a|| decides."""
+    if not a.any():
+        _nonsingular_det(T, config)
+        return AffineSphereMap(T, a, Regime.PROJECTIVE, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = _norm(_scaled_solve(T, a, config)[1])
+    if not rho < math.inf:
+        raise InvalidTranslation("||T^-1 a|| overflows")
+    regime = Regime.HOMEOMORPHISM if rho < 1.0 else Regime.NON_INJECTIVE
+    if abs(rho - 1.0) <= config.classify_tol:
+        regime = Regime.DEGENERATE
+    return AffineSphereMap(T, a, regime, rho)
 
 
 def apply_projective(T, x, config: Config = DEFAULT_CONFIG) -> np.ndarray:

@@ -757,6 +757,21 @@ def test_a_translation_whose_norm_overflows_exits_66(tmp_path, capsys, command, 
         assert err.startswith("error: invalid translation: ") and err.count("\n") == 1
 
 
+def test_orbit_of_a_translation_whose_norm_underflows(tmp_path, capsys):
+    # ||a||^2 = 1e-340 underflows, but a is not zero: the map keeps its translation
+    argv = ["orbit", "--rot", "0.3", "--a=1e-170,0", "--csv", str(tmp_path / "o.csv")]
+    code, report, _ = run_cli(capsys, argv)
+    assert code == 0 and report["result"]["map"]["regime"] == "homeomorphism"
+    assert report["result"]["map"]["translation"] == [1e-170, 0.0]
+
+
+def test_fixed_point_of_a_translation_whose_norm_underflows_exits_66(capsys):
+    code, report, err = run_cli(capsys, ["fixed-point", "--rot", "0.3", "--a=1e-170,0"])
+    assert code == 66 and report is None
+    assert err.startswith("error: invalid translation: ") and err.count("\n") == 1
+    assert "underflows" in err
+
+
 def test_orbit_replaces_a_longer_existing_output(tmp_path, capsys):
     path = write_matrix(tmp_path / "shear.json", SHEAR)
     fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"

@@ -26,6 +26,7 @@ from sphere_distal import (
     RealSpectrum,
     SpectrumCollision,
     SphereDistalError,
+    ZeroTranslation,
     apply_affine,
     choose_nondistal_witness,
     find_fixed_point,
@@ -500,6 +501,19 @@ def test_even_sphere_pair_replays_on_the_full_map():
         assert separation < eps
 
 
+@pytest.mark.parametrize(
+    "T, a",
+    [(rotation(0.3), [1e-170, 0.0]), (np.diag([2.0, 0.5]), [1e-170, 0.0]),
+     (1e100 * np.diag([2.0, 0.5]), [1e-100, 0.0])],
+    ids=["rotation", "aligned-major", "normalized"],
+)
+def test_a_translation_whose_norm_underflows_is_refused_as_zero(T, a):
+    # the solvers divide by the norm of a / sqrt|det T|, here 1e-170 or 1e-200,
+    # whose square underflows to 0
+    with pytest.raises(ZeroTranslation, match="underflows"):
+        find_fixed_point(T, a)
+
+
 def test_tight_residual_tol_raises():
     # every returned point must meet residual_tol; these residuals are about 1e-16
     from sphere_distal import Config
@@ -513,88 +527,89 @@ def test_tight_residual_tol_raises():
     assert info.value.reason == "residual-above-tolerance"
 
 
+def counted_calls(monkeypatch, names):
+    """Call counts of the named functions, each wrapped in every ``sphere_distal``
+    module that holds it (a module imports a function by name), and of
+    ``AffineSphereMap.create``."""
+    import sys
+
+    from sphere_distal import sphere
+
+    calls = dict.fromkeys(names + ("create",), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "sphere_distal":
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    create = vars(sphere.AffineSphereMap)["create"].__func__
+    monkeypatch.setattr(sphere.AffineSphereMap, "create", classmethod(counted("create", create)))
+    return calls
+
+
+# the private cores each build once; the public, validating builders are not called
+PREPARED_ONCE = {"_real_schur_2x2": 1, "_unimodular": 1, "_affine_map": 1,
+                 "real_schur_2x2": 0, "affine_is_homeomorphism": 0, "create": 0}
+
+
 @pytest.mark.parametrize(
     "T, a",
     [(np.array([[2.0, 1.0], [0.0, 0.5]]), [0.3, 0.2]), (rotation(0.1), [0.5, 0.0])],
     ids=["positive-real", "complex"],
 )
 def test_find_fixed_point_prepares_the_map_once(monkeypatch, T, a):
-    from sphere_distal import fixed_points, sphere
+    from sphere_distal import fixed_points
 
-    calls = {}
-
-    def counted(module, name):
-        fn = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(fixed_points, "real_schur_2x2")
-    counted(fixed_points, "_unimodular")
-    counted(sphere, "affine_is_homeomorphism")
+    calls = counted_calls(monkeypatch, tuple(name for name in PREPARED_ONCE if name != "create"))
     assert isinstance(fixed_points.find_fixed_point(T, a), FixedPointResult)
-    assert calls == {"real_schur_2x2": 1, "_unimodular": 1, "affine_is_homeomorphism": 1}
+    assert calls == PREPARED_ONCE
 
 
 @pytest.mark.parametrize(
     "T", [np.diag([2.0, 0.5]), rotation(math.pi / 4)], ids=["case-A", "case-C"]
 )
 def test_choose_nondistal_witness_prepares_the_map_once(monkeypatch, T):
-    from sphere_distal import fixed_points, sphere
+    from sphere_distal import fixed_points
 
-    calls = {}
-
-    def counted(module, name):
-        fn = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(fixed_points, "real_schur_2x2")
-    counted(fixed_points, "_unimodular")
-    counted(sphere, "affine_is_homeomorphism")
+    calls = counted_calls(monkeypatch, tuple(name for name in PREPARED_ONCE if name != "create"))
     _, result = fixed_points.choose_nondistal_witness(T)
     assert isinstance(result, FixedPointResult)
-    assert calls == {"real_schur_2x2": 1, "_unimodular": 1, "affine_is_homeomorphism": 1}
+    assert calls == PREPARED_ONCE
 
 
 @pytest.mark.parametrize(
-    "module, function, args, expected",
+    "module, function, args",
     [
-        ("fixed_points", "find_fixed_point", (np.array([[2.0, 1.0], [0.0, 0.5]]), [0.3, 0.2]), 4),
-        ("fixed_points", "find_fixed_point", (rotation(0.1), [0.5, 0.0]), 4),
-        ("fixed_points", "choose_nondistal_witness", (np.diag([2.0, 0.5]),), 4),
-        ("fixed_points", "choose_nondistal_witness", (rotation(math.pi / 4),), 4),
-        ("distality", "classify_projective_distality", ([[1.0, 1.0], [0.0, 1.0]],), 1),
+        ("fixed_points", "find_fixed_point", (np.array([[2.0, 1.0], [0.0, 0.5]]), [0.3, 0.2])),
+        ("fixed_points", "find_fixed_point", (rotation(0.1), [0.5, 0.0])),
+        ("fixed_points", "choose_nondistal_witness", (np.diag([2.0, 0.5]),)),
+        ("fixed_points", "choose_nondistal_witness", (rotation(math.pi / 4),)),
+        ("fixed_points", "find_fixed_point_real_positive", (np.diag([2.0, 0.5]), [0.3, 0.2])),
+        ("fixed_points", "find_fixed_point_complex", (rotation(0.1), [0.5, 0.0])),
+        ("fixed_points", "resolvent_norm", (np.array([[2.0, 1.0], [0.0, 0.5]]), [0.3, 0.2], 1.0)),
+        ("sphere", "AffineSphereMap.create", (rotation(0.3), [0.5, 0.0])),
+        ("sphere", "affine_is_homeomorphism", (rotation(0.3), [2.0, 0.0])),
+        ("distality", "classify_projective_distality", ([[1.0, 1.0], [0.0, 1.0]],)),
     ],
     ids=["fixed-point-positive-real", "fixed-point-complex", "witness-case-A", "witness-case-C",
+         "real-positive", "complex", "resolvent-norm", "create", "non-injective-regime",
          "classify-shear"],
 )
-def test_inputs_are_validated_at_the_public_boundary(monkeypatch, module, function, args, expected):
-    # a fixed-point solve or witness validates T once itself and once each in
-    # real_schur_2x2, AffineSphereMap.create and affine_is_homeomorphism
+def test_inputs_are_validated_at_the_public_boundary(monkeypatch, module, function, args):
+    # each public call validates T once, on entry, and its translation at most once
+    import operator
     import sys
 
-    from sphere_distal import linalg
-
-    as_matrix = linalg.as_matrix
-    calls = []
-
-    def counted(obj):
-        calls.append(obj)
-        return as_matrix(obj)
-
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "sphere_distal" and getattr(mod, "as_matrix", None) is as_matrix:
-            monkeypatch.setattr(mod, "as_matrix", counted)
-    getattr(sys.modules[f"sphere_distal.{module}"], function)(*args)
-    assert len(calls) == expected
+    calls = counted_calls(monkeypatch, ("as_matrix", "_checked_translation"))
+    operator.attrgetter(function)(sys.modules[f"sphere_distal.{module}"])(*args)
+    assert calls["as_matrix"] == 1 and calls["_checked_translation"] <= 1
 
 
 # --- hoisted resolvent --------------------------------------------------------------

@@ -136,6 +136,19 @@ def test_regime_zero_translation():
         affine_is_homeomorphism(np.eye(2), [0.0, 0.0])
 
 
+def test_a_translation_whose_norm_underflows_is_not_zero():
+    # ||a||^2 = 1e-340 underflows, but a is not zero: the regime is read off ||T^-1 a||
+    m = AffineSphereMap.create(rotation(0.3), [1e-170, 0.0])
+    assert m.regime is Regime.HOMEOMORPHISM
+    assert m.pullback_norm == pytest.approx(1e-170, rel=1e-15)
+    report = affine_is_homeomorphism(rotation(0.3), [1e-170, 0.0])
+    assert (report.regime, report.pullback_norm, report.witness) == (m.regime, m.pullback_norm, None)
+    # only a translation with every entry zero, of either sign, is zero
+    assert AffineSphereMap.create(rotation(0.3), [-0.0, 0.0]).regime is Regime.PROJECTIVE
+    with pytest.raises(ZeroTranslation):
+        affine_is_homeomorphism(rotation(0.3), [-0.0, 0.0])
+
+
 def test_noninjective_witness_random():
     rng = np.random.default_rng(3)
     for d in (2, 3):
