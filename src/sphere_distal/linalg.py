@@ -200,13 +200,6 @@ def _null_direction(M: np.ndarray) -> np.ndarray:
     return v / n
 
 
-def _complex_null_direction(M: np.ndarray) -> np.ndarray:
-    r0, r1 = M[0], M[1]
-    row = r0 if abs(r0[0]) + abs(r0[1]) >= abs(r1[0]) + abs(r1[1]) else r1
-    z = np.array([row[1], -row[0]])
-    return z / np.linalg.norm(z)
-
-
 def _rank_band(sigma: float, threshold: float) -> int:
     """-1 below, +1 above, 0 inside the ambiguity band around a rank threshold."""
     if sigma <= threshold / 10.0:
@@ -272,13 +265,16 @@ def _real_schur_2x2(T: np.ndarray, config: Config) -> EigenStructure:
         return _double_eigenvalue_2x2(T, scale, tr, config)
     hi, lo = eigenvalues
     if hi.imag > 0.0:
-        # complex conjugate pair: re +/- i*im.  The eigenvector of the
-        # conjugate eigenvalue lo = re - i*im yields
-        # T @ [Re z, Im z] = [Re z, Im z] @ (modulus * Rot(+angle))
-        z = _complex_null_direction(T.astype(complex) - lo * np.eye(2))
-        M = np.column_stack([z.real, z.imag])
-        A = M / math.sqrt(abs(determinant(M)))
+        # complex conjugate pair: re +/- i*im.  A row (p, q) of T - (re - i*im) I
+        # has the kernel vector z = (q, -p) of the conjugate eigenvalue, and
+        # M = [Re z, Im z] gives T @ M = M @ (modulus * Rot(+angle)).  The row
+        # with the larger sum of moduli is read, in real arithmetic.
+        (a, b), (c, e) = T.tolist()
         re, im = hi.real, hi.imag
+        M = np.array([[b, 0.0], [re - a, -im]])
+        if math.hypot(a - re, im) + abs(b) < abs(c) + math.hypot(e - re, im):
+            M = np.array([[e - re, im], [-c, 0.0]])
+        A = M / math.sqrt(abs(determinant(M)))
         kind = ComplexPair(math.hypot(re, im), math.atan2(im, re), A)  # angle in (0, pi)
     else:
         v1 = _null_direction(T - hi.real * np.eye(2))

@@ -772,6 +772,16 @@ def test_fixed_point_of_a_translation_whose_norm_underflows_exits_66(capsys):
     assert "underflows" in err
 
 
+def test_fixed_point_on_a_complex_pair_of_huge_entries_exits_3(tmp_path, capsys):
+    # a finite canonical basis, so the sine hypothesis is tested and fails
+    path = write_matrix(tmp_path / "huge.json", [[0.9553, -2.955e299], [2.955e-301, 0.9553]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, report, err = run_cli(capsys, ["fixed-point", path, "--a=0.5,0"])
+    assert code == 3 and report is None
+    assert err.startswith("error: not covered: sine-exceeds-translation-bound: ")
+
+
 def test_orbit_replaces_a_longer_existing_output(tmp_path, capsys):
     path = write_matrix(tmp_path / "shear.json", SHEAR)
     fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"

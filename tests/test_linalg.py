@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,19 @@ def test_schur_complex_reconstruction():
     assert es.kind.angle == pytest.approx(math.pi / 2)
     assert np.allclose(reconstruct(es), T, atol=1e-10)
     assert abs(abs(np.linalg.det(es.kind.basis)) - 1.0) < 1e-12
+
+
+def test_complex_basis_of_huge_entries_is_finite_and_warns_nothing():
+    # the basis is read off T's entries: no norm squares the row entry 2.955e299
+    T = np.array([[0.9553, -2.955e299], [2.955e-301, 0.9553]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        es = real_schur_2x2(T)
+    A = es.kind.basis
+    assert isinstance(es.kind, ComplexPair) and np.isfinite(A).all()
+    assert abs(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]) == pytest.approx(1.0, rel=1e-15)
+    assert np.allclose(T @ A, A @ (es.kind.modulus * rotation(es.kind.angle)), rtol=1e-12, atol=0.0)
+    assert math.isfinite(es.conditioning)
 
 
 @pytest.mark.parametrize("seed", range(4))
