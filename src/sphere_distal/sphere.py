@@ -161,7 +161,8 @@ def affine_is_homeomorphism(T, a, config: Config = DEFAULT_CONFIG) -> RegimeRepo
         raise ZeroTranslation("use the projective action for a = 0")
     if m.regime is not Regime.NON_INJECTIVE:
         return RegimeReport(m.regime, m.pullback_norm, None)
-    x = _scaled_solve(T, a, config)[1] / m.pullback_norm  # the finite solve _affine_map made
+    # the solve _affine_map made, finite: no errstate needed
+    x = _scaled_solve(T, a, config)[1] / m.pullback_norm
     return RegimeReport(m.regime, m.pullback_norm, np.stack([x, -x]))
 
 

@@ -1,4 +1,5 @@
 import re
+import types
 from pathlib import Path
 
 import sphere_distal
@@ -23,3 +24,12 @@ def test_exit_codes_agree_across_readme_docstring_and_error_table():
     docstring = cli.__doc__.split("Exit codes", 1)[1].split("\n\n")[0]
     assert {int(code) for code in re.findall(r"^ {4}(\d+) ", docstring, re.M)} == documented
     assert {code for code, _ in cli._ERROR_EXIT.values()} <= documented
+
+
+def test_every_public_name_is_documented():
+    # the public API is what README.md documents: every exported class, function and constant
+    readme = README.read_text(encoding="utf-8")
+    public = [name for name, value in vars(sphere_distal).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert len(public) >= 58
+    assert [name for name in public if not re.search(rf"`{name}\b", readme)] == []
