@@ -33,7 +33,7 @@ from .linalg import (
     normalize_to_unimodular,
     operator_norm,
 )
-from .sphere import AffineSphereMap, Regime, apply_many, unit_vector
+from .sphere import AffineSphereMap, Regime, _squared_norms, apply_many, unit_vector
 
 
 class Verdict(enum.Enum):
@@ -133,6 +133,10 @@ class SemigroupSpec:
 PAIR_BLOCK = 64
 # seeds (blocks times points) one product of a projective walk's rows starts from, at most
 PAIR_CHUNK = 64
+# blocks one product of a projective walk's seeds covers, at most: the tail's
+# chunks are blocks 2-7, then 8-31, 32-55, ..., so a 2,000-step budget
+# (blocks 0-31) takes two
+SEED_CHUNK = 24
 
 
 def _power_stack(m: AffineSphereMap) -> np.ndarray:
@@ -150,9 +154,11 @@ STACK_CACHE = 16
 
 @functools.lru_cache(maxsize=STACK_CACHE)
 def _walk_powers(key: bytes, d: int) -> list:
-    """[W, B] for the d x d matrix T whose float64 bytes are ``key``: the powers
-    W_j = N(T^j), j = 1..PAIR_BLOCK, each divided by its largest absolute entry
-    so nothing overflows, read-only; and the block powers so far, B_1 = W_64.
+    """[W, B, L] for the d x d matrix T whose float64 bytes are ``key``: the
+    powers W_j = N(T^j), j = 1..PAIR_BLOCK, each divided by its largest absolute
+    entry so nothing overflows, read-only; the block powers so far, B_1 = W_64;
+    and L, None until ``_block_powers`` extends B, then the np.longdouble pair
+    (P_1, P_len(B)) it extends B from.
 
     Each doubling writes T^(n+i) = T^i T^n, i = 1..j with j <= n, into the next
     slab of W as one 2-D GEMM and divides each new power by its largest absolute
@@ -172,7 +178,7 @@ def _walk_powers(key: bytes, d: int) -> list:
         np.divide(slab, np.maximum.reduce(np.abs(slab), axis=1, keepdims=True), out=slab)
         n += j
     F.flags.writeable = False
-    return [F, F[-1:]]
+    return [F, F[-1:], None]
 
 
 def _block_powers(m: AffineSphereMap, count: int) -> np.ndarray:
@@ -180,21 +186,31 @@ def _block_powers(m: AffineSphereMap, count: int) -> np.ndarray:
     read-only, with bits that depend on j alone: B_1 = W_64, then N(P_j) for
     P_1 = N(T)^PAIR_BLOCK, P_(j+1) = P_j P_1 in np.longdouble (80-bit on x86;
     P_1 and every 16th power after it rescaled).  A walk that needs more than
-    the cache holds regrows all of them from P_1.  Float64 products of long
-    powers of a nearly nilpotent T lose the small terms that separate a pair (B_31
-    of a 3x3 Jordan block 1e-8 to 1e-6 off, for a separation of 1e-8)."""
+    the cache holds extends B from the last power P_len(B), kept beside it,
+    and never regrows it from P_1: each block power costs one extended-precision
+    product however the requests come (P_1 one matrix power).  Float64
+    products of long powers of a nearly nilpotent T lose the small terms that
+    separate a pair (B_31 of a 3x3 Jordan block 1e-8 to 1e-6 off, for a
+    separation of 1e-8)."""
     cell = _walk_powers(m.matrix.astype(float, copy=False).tobytes(), m.dim)
-    W, B = cell
+    _, B, last = cell
     if len(B) < count:
-        T = m.matrix.astype(np.longdouble) / np.abs(m.matrix).max()
-        P = []
-        for j in range(count):
-            M = P[-1] @ P[0] if P else np.linalg.matrix_power(T, PAIR_BLOCK)
-            P.append(M if j % 16 else M / np.abs(M).max())
-        S = np.array(P[1:])
-        B = np.concatenate([W[-1:], (S / np.abs(S).max(axis=(1, 2), keepdims=True)).astype(float)])
+        if last is None:
+            T = m.matrix.astype(np.longdouble) / np.abs(m.matrix).max()
+            M = np.linalg.matrix_power(T, PAIR_BLOCK)
+            P1 = M / np.abs(M).max()
+            last = P1, P1
+        P1, P = last
+        powers = []
+        for j in range(len(B) + 1, count + 1):
+            P = P @ P1
+            if j % 16 == 1:
+                P = P / np.abs(P).max()
+            powers.append(P)
+        S = np.array(powers)
+        B = np.concatenate([B, (S / np.abs(S).max(axis=(1, 2), keepdims=True)).astype(float)])
         B.flags.writeable = False
-        cell[1] = B  # stored whole: a concurrent call sees one state or the other
+        cell[1:] = B, (P1, P)  # one assignment: a concurrent call sees one state or the other
     return B
 
 
@@ -209,23 +225,27 @@ def _pair_blocks(m: AffineSphereMap, P: np.ndarray, steps: int):
     """Stacks (k, n, d) holding the next k iterates of the rows of P, through step
     ``steps`` at least.  Block q of a projective map is W (``_power_stack``)
     applied to the seed N(B_q x).  Blocks 0 and 1 start from x and from block 0's
-    last row, so a walk that stops inside them builds no block power from P_1;
-    the seeds of blocks 2 to ceil(steps / PAIR_BLOCK) - 1 take one product, their
-    rows one per PAIR_CHUNK seeds (a block at least).  An affine map steps on
-    from the last row of each one-step block."""
+    last row, so a walk that stops inside them builds no block power from P_1.
+    Blocks 2 to ceil(steps / PAIR_BLOCK) - 1 follow in chunks, blocks 2-7, then
+    at most SEED_CHUNK at a time (8-31, 32-55, ...).  A chunk's seeds take one
+    product, their rows one per PAIR_CHUNK seeds (a block at least), so a walk
+    builds the block powers only as far as the chunk it stops in.  The chunk
+    edges, hence the bits of every step, do not depend on ``steps``.  An
+    affine map steps on from the last row of each one-step block."""
     stacked = replace(m, matrix=_power_stack(m))
     projective = m.regime is Regime.PROJECTIVE
     Q = P[None]
     for _ in range(2 if projective else steps):
         Q = apply_many(stacked, Q[-1])
         yield Q
-    later = -(-steps // PAIR_BLOCK) - 2
-    if projective and later > 0:
+    end = -(-steps // PAIR_BLOCK)
+    if projective and end > 2:
         (n, d), g = P.shape, max(1, PAIR_CHUNK // len(P))
-        seeds = _seeds(m, P, 2, later)
-        for i in range(0, later, g):
-            rows = apply_many(stacked, seeds[i : i + g].swapaxes(0, 1).reshape(-1, d))
-            yield rows.swapaxes(0, 1).reshape(n, -1, d).swapaxes(0, 1)
+        for q, stop in itertools.pairwise([2, *range(8, end, SEED_CHUNK), end]):
+            seeds = _seeds(m, P, q, stop - q)
+            for i in range(0, stop - q, g):
+                rows = apply_many(stacked, seeds[i : i + g].swapaxes(0, 1).reshape(-1, d))
+                yield rows.swapaxes(0, 1).reshape(n, -1, d).swapaxes(0, 1)
 
 
 def _separations(m: AffineSphereMap, X, Y, steps: int):
@@ -244,9 +264,9 @@ def _separations(m: AffineSphereMap, X, Y, steps: int):
 
 
 def _distances(D: np.ndarray) -> np.ndarray:
-    """The expression ``np.linalg.norm(D, axis=-1)`` evaluates for real D,
-    without its wrapper, so the result is bit-identical to it."""
-    return np.sqrt(np.add.reduce(D * D, axis=-1))
+    """The row norms of D, the square roots of ``_squared_norms``, the sum
+    ``apply_many`` normalizes by: bit-identical to ``np.linalg.norm(D, axis=-1)``."""
+    return np.sqrt(_squared_norms(D))
 
 
 def _separation_after(m: AffineSphereMap, x, y, steps: int) -> float:

@@ -190,8 +190,13 @@ def rotation(angle: float) -> np.ndarray:
 
 
 def _null_direction(M: np.ndarray) -> np.ndarray:
-    """Unit kernel vector of a (numerically) singular 2x2 matrix."""
-    r0, r1 = M[0], M[1]
+    """Unit kernel vector of a (numerically) singular 2x2 matrix.
+
+    M is first divided by the power of two of its largest entry, exactly for
+    every entry that stays normal, so the squares of its rows cannot overflow.
+    """
+    S = M * math.ldexp(1.0, -math.frexp(max(map(abs, M.ravel().tolist())))[1])
+    r0, r1 = S[0], S[1]
     row = r0 if np.dot(r0, r0) >= np.dot(r1, r1) else r1
     v = np.array([row[1], -row[0]])
     n = np.linalg.norm(v)

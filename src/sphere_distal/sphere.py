@@ -306,6 +306,23 @@ def _affine_walk(m: AffineSphereMap, x: list, steps: int, config: Config) -> lis
     return walk
 
 
+def _squared_norms(V: np.ndarray) -> np.ndarray:
+    """The sums of squares of V's rows (its last axis, of length d >= 2), one
+    column added at a time, left to right: the bits of
+    ``np.add.reduce(V * V, axis=-1)``, whose square root is
+    ``np.linalg.norm(V, axis=-1)`` for real V.  NumPy's reduction over a last
+    axis of length 2 or 3 costs several times the column sums on a pair
+    walk's tail; below 1024 entries it is the cheaper of the two for d >= 3,
+    and is taken there."""
+    S = V * V
+    if S.shape[-1] > 2 and S.size < 1024:
+        return np.add.reduce(S, axis=-1)
+    total = S[..., 0] + S[..., 1]
+    for j in range(2, S.shape[-1]):
+        total += S[..., j]
+    return total
+
+
 def apply_many(m: AffineSphereMap, X: np.ndarray) -> np.ndarray:
     """Vectorized map application on rows of X (no per-point validation).
 
@@ -316,8 +333,8 @@ def apply_many(m: AffineSphereMap, X: np.ndarray) -> np.ndarray:
     batched matmul makes one small BLAS call per matrix.  This is the
     orbit-pair kernel's one step, so it skips the NumPy wrappers: a
     projective map adds no (all-zero) translation, and the row norm is the
-    expression ``np.linalg.norm(V, axis=-1)`` evaluates for real input, so
-    the images are bit-identical to that formula up to the sign of zero
+    square root of ``_squared_norms``, so the images are bit-identical to
+    ``V / np.linalg.norm(V, axis=-1, keepdims=True)`` up to the sign of zero
     entries.
     """
     W = m.matrix
@@ -328,7 +345,7 @@ def apply_many(m: AffineSphereMap, X: np.ndarray) -> np.ndarray:
         V = X @ W.T
     if m.regime is not Regime.PROJECTIVE:
         V = V + m.translation
-    V = V / np.sqrt(np.add.reduce(V * V, axis=-1, keepdims=True))
+    V = V / np.sqrt(_squared_norms(V))[..., None]
     return V.swapaxes(0, 1) if V.ndim == 3 else V
 
 

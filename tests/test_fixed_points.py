@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -512,6 +513,20 @@ def test_a_translation_whose_norm_underflows_is_refused_as_zero(T, a):
     # whose square underflows to 0
     with pytest.raises(ZeroTranslation, match="underflows"):
         find_fixed_point(T, a)
+
+
+def test_a_real_spectrum_whose_rows_square_past_the_float_range():
+    # T - lambda I has entries near 2e148, whose squares overflow unscaled;
+    # T_hat has determinant 1 and the fixed point lies on the major axis
+    m = 0.75 * 2.0**512
+    T = 2e-6 * np.array([[m, m], [0.0, 1.0 / m]])
+    a = T @ np.array([0.7, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = find_fixed_point(T, a)
+    image = T @ result.point + a
+    assert np.isfinite(result.point).all() and result.residual <= Config().residual_tol
+    assert np.allclose(image / np.linalg.norm(image), result.point, rtol=0.0, atol=1e-12)
 
 
 def test_tight_residual_tol_raises():

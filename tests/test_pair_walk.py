@@ -144,6 +144,20 @@ def test_a_10000_step_budget_replays_exactly():
     assert replay_certificate(long, matrix=[[1.0, 0.001], [0.0, 1.0]], config=config, tolerance=0.0)
 
 
+@pytest.mark.parametrize("n", [2, 6, 128])
+def test_a_walk_is_a_prefix_of_a_walk_with_a_larger_budget(n):
+    """The chunk edges do not move with the budget, so the first 5,000 steps of
+    a 10,000-step walk are the 5,000-step walk's, bit for bit.  How a seed
+    product rounds can depend on how many blocks it spans."""
+    rng = np.random.default_rng(34)
+    for _ in range(12):
+        m = AffineSphereMap.create(rng.standard_normal((3, 3)))
+        P = _unit_rows(rng, n, 3)
+        short = np.concatenate(list(_pair_blocks(m, P, 5000)))[:5000]
+        long = np.concatenate(list(_pair_blocks(m, P, 10_000)))[:5000]
+        assert np.array_equal(short, long), m.matrix
+
+
 @pytest.mark.parametrize(
     "T",
     [np.array([[1.0, 0.1], [0.0, 1.0]]), np.eye(3) + 0.3 * np.diag([1.0, 1.0], k=1),
@@ -215,15 +229,16 @@ def test_a_2000_step_walk_takes_few_products(monkeypatch):
     monkeypatch.setattr(distality, "apply_many", counting)
     cert = classify_projective_distality(np.array([[1.0, 0.01], [0.0, 1.0]])).certificate
     assert cert.steps == 2000
-    # blocks 0 and 1, then the seeds of blocks 2-31 and their rows, one product each
-    assert len(calls) == 4
+    # blocks 0 and 1, then for each of the chunks 2-7 and 8-31 the seeds and
+    # their rows, one product each
+    assert len(calls) == 6
     # 64 pairs fill a product of rows with one block: one product per block, and
-    # one for the seeds of blocks 2-31
+    # one for the seeds of each chunk
     calls.clear()
     X, Y = _unit_rows(np.random.default_rng(5), 128, 2).reshape(2, 64, 2)
     for _ in _separations(AffineSphereMap.create(rotation(1.0)), X, Y, 2000):
         pass
-    assert len(calls) == 32 + 1
+    assert len(calls) == 32 + 2
 
 
 def test_replay_rejects_a_step_count_that_is_not_an_integer():
@@ -375,9 +390,11 @@ def test_the_first_step_below_eps_matches_a_step_by_step_walk():
 
 def test_the_walk_builds_only_as_far_as_the_stop(monkeypatch):
     """A pair that stops within blocks 0 and 1 takes their two products and
-    builds no block power beyond B_1; one that gets past them takes the seeds
-    of blocks 2-31 and their rows, one product each, from one request for
-    B_1-B_31, wherever in them it stops."""
+    builds no block power beyond B_1; one that stops in blocks 2-7 takes the
+    seeds of blocks 2-7 and their rows, one product each, from one request for
+    B_1-B_7; one that gets past them, or walks the whole budget, takes the
+    seeds and rows of blocks 8-31 as well, from a second request, for B_1-B_31.
+    These counts pin the walk's structure; its bits are pinned elsewhere."""
     calls, requests = [], []
     block_powers = distality._block_powers
 
@@ -403,7 +420,10 @@ def test_the_walk_builds_only_as_far_as_the_stop(monkeypatch):
     cert, built = classify(1.0)
     assert cert.steps == 100  # block 1
     assert len(calls) == 2 and not requests and built == 1  # B_1 = W_64 alone
+    cert, built = classify(0.3)
+    assert cert.steps == 332  # block 5
+    assert len(calls) == 4 and requests == [7] and built == 7
     for c, steps in ((0.1, 995), (0.01, DEFAULT_CONFIG.oracle.iterations)):
         cert, built = classify(c)
         assert cert.steps == steps
-        assert len(calls) == 4 and requests == [31] and built == 31
+        assert len(calls) == 6 and requests == [7, 31] and built == 31

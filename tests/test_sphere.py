@@ -31,7 +31,7 @@ from sphere_distal import (
     rotation,
 )
 from sphere_distal.serialize import orbit_to_csv
-from sphere_distal.sphere import apply_many, as_sphere_point
+from sphere_distal.sphere import _squared_norms, apply_many, as_sphere_point
 
 
 def test_apply_projective_eigendirection():
@@ -347,6 +347,21 @@ def test_apply_many_matches_the_wrapped_formula(d):
         assert np.array_equal(got, naive_apply_many(m, X))
         assert np.array_equal(apply_many(m, X[0]), naive_apply_many(m, X[0]))
         assert np.array_equal(apply_many(m, X[:1]), naive_apply_many(m, X[:1]))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_squared_norms_are_the_bits_of_the_reduction(d):
+    """The column sums ``apply_many`` and the pair walk normalize by are
+    NumPy's reduction over the last axis, and their square roots its norm,
+    bit for bit, over rows scaled 1e-150 to 1e150 and on zero rows."""
+    rng = np.random.default_rng(70 + d)
+    for shape in ((40, d), (1, d), (7, 64, d), (3, 1, d)):
+        V = rng.standard_normal(shape) * 10.0 ** rng.uniform(-150.0, 150.0, shape[:-1] + (1,))
+        V[..., 1::5, :] = 0.0  # zero rows
+        got = _squared_norms(V)
+        assert np.array_equal(got, np.add.reduce(V * V, axis=-1)), shape
+        assert np.array_equal(np.sqrt(got), np.linalg.norm(V, axis=-1)), shape
+        assert (got[..., 1::5] == 0.0).all()
 
 
 def test_sphere_points_and_translations_of_the_wrong_shape_are_refused():
